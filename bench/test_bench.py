@@ -89,10 +89,10 @@ def test_self_time_subtracts_direct_children():
 def test_probed_pass_scales_each_step_and_drops_the_probe_time():
     probe = run.SpeedProbe()
     workload = Generators(seed=0, necessity_sizes=(5,), counts=())
-    wall, reference, outcome = run.run_pass(workload, 0, probe)
+    wall, reference, outcome = run.run_pass(workload, probe)
     assert outcome.problems == [] and probe.samples == []
     assert 0 < wall and 0 < reference
-    plain_wall, plain_reference, _ = run.run_pass(workload, 0)
+    plain_wall, plain_reference, _ = run.run_pass(workload)
     assert plain_wall == plain_reference
 
 
@@ -127,13 +127,25 @@ def test_oracles_flag_wrong_answers():
     assert len(o.problems) == 2  # the injection violation and max_sigma above 3^2
 
     wrong = Generators(seed=0, necessity_sizes=(), counts=((IdealClass.LEFT, 3, 4, 3),))
-    _, _, outcome = run.run_pass(wrong, 0)
+    _, _, outcome = run.run_pass(wrong)
     assert (outcome.attempted, outcome.failed, len(outcome.problems)) == (1, 1, 1)
+
+
+def test_counts_are_those_of_one_pass_and_passes_must_agree():
+    workload = Generators(seed=0, necessity_sizes=(4,), counts=())
+    outcomes = [run.run_pass(workload)[2] for _ in range(3)]
+    assert run.summarise(outcomes) == (outcomes[0].attempted, 0, [])
+    outcomes[2].failed = 1
+    assert run.summarise(outcomes)[2] == ["pass 2 gave another verdict than pass 0"]
+
+
+def test_sample_inputs_depend_on_the_seed_alone():
+    assert Sample(seed=5).specs == Sample(seed=5).specs != Sample(seed=6).specs
 
 
 def test_raised_errors_fail_the_step():
     wrong = Generators(seed=0, necessity_sizes=(), counts=((IdealClass.LEFT, 5, 2, None),))
-    _, _, outcome = run.run_pass(wrong, 0)  # SearchInfeasible: over the search budget
+    _, _, outcome = run.run_pass(wrong)  # SearchInfeasible: over the search budget
     assert (outcome.attempted, outcome.failed) == (1, 1)
     assert "SearchInfeasible" in outcome.problems[0]
 
@@ -167,7 +179,7 @@ def test_traced_run_is_self_consistent(name):
 
 
 def test_sweep_operations_are_minimal_candidates():
-    _, _, outcome = run.run_pass(Sweep(seed=1, n=3, alphabet_size=2), 0)
+    _, _, outcome = run.run_pass(Sweep(seed=1, n=3, alphabet_size=2))
     assert outcome.problems == []
     assert outcome.attempted == outcome.outputs["minimal"] > 0
 

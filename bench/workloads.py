@@ -1,7 +1,7 @@
 """The four benchmark workloads and the oracles that check their verdicts.
 
-A workload is built from its seed (that is its set-up) and yields, per pass,
-a list of steps.  A step makes one call into a public entry point of the
+A workload is built from its seed (that is its set-up) and yields the list of
+steps that every pass repeats.  A step makes one call into a public entry point of the
 package, checks the result against an answer known independently of the code
 path it times, and returns an Outcome.  Verdicts are read from the report's
 fields, never from a digest of the output.
@@ -103,7 +103,7 @@ class Sweep:
         self.n = n
         self.argv = ["enumerate", "--n", str(n), "--alphabet-size", str(alphabet_size), "--json"]
 
-    def steps(self, index: int) -> list:
+    def steps(self) -> list:
         return [self.enumerate]
 
     def enumerate(self) -> Outcome:
@@ -132,28 +132,27 @@ SAMPLE_SETTINGS = (
 
 
 class Sample:
-    """Seeded ``harness.run`` campaigns in SampleMode, one per setting.  Each
-    pass draws fresh SampleMode seeds from the workload seed and the pass
-    index, so a run averages over many samples."""
+    """Seeded ``harness.run`` campaigns in SampleMode, one per setting.  The
+    SampleMode seeds derive from the workload seed alone, so every pass
+    repeats the same campaigns and what a run counts and checks does not
+    depend on how many passes fit in its time."""
 
     name = "sample"
 
     def __init__(self, seed: int, count: int = 50, settings=SAMPLE_SETTINGS) -> None:
-        self.seed = seed
-        self.count = count
-        self.settings = settings
-
-    def steps(self, index: int) -> list:
-        rng = random.Random(f"sample:{self.seed}:{index}")
-        return [
-            partial(self.campaign, harness.CampaignSpec(
+        rng = random.Random(f"sample:{seed}")
+        self.specs = [
+            harness.CampaignSpec(
                 n=n,
                 alphabet_size=a,
                 class_filter=klass,
-                mode=harness.SampleMode(count=self.count, seed=rng.randrange(2**31)),
-            ))
-            for klass, n, a in self.settings
+                mode=harness.SampleMode(count=count, seed=rng.randrange(2**31)),
+            )
+            for klass, n, a in settings
         ]
+
+    def steps(self) -> list:
+        return [partial(self.campaign, spec) for spec in self.specs]
 
     def campaign(self, spec: harness.CampaignSpec) -> Outcome:
         report = harness.run(spec)
@@ -212,7 +211,7 @@ class Closure:
                     )
                 self.items.append((klass, n, witness.build(klass, n), swap))
 
-    def steps(self, index: int) -> list:
+    def steps(self) -> list:
         return [partial(self.check, *item) for item in self.items]
 
     def check(self, klass: IdealClass, n: int, d, swap) -> Outcome:
@@ -258,7 +257,7 @@ class Generators:
         self.necessity = [(k, n, witness.build(k, n)) for k in IdealClass for n in necessity_sizes]
         self.counts = [(k, n, k_max, want, witness.build(k, n)) for k, n, k_max, want in counts]
 
-    def steps(self, index: int) -> list:
+    def steps(self) -> list:
         return [partial(self.check_necessity, *item) for item in self.necessity] + [
             partial(self.check_count, *item) for item in self.counts
         ]
