@@ -16,7 +16,11 @@ from .transform import Transformation
 
 DEFAULT_CAP = 2_000_000
 
-#: Largest semigroup minimal_generator_count will search without an override.
+#: Largest semigroup minimal_generator_count will decompose without an override.
+#: Finding the J-classes and their up-sets is polynomial in |S|, but inside
+#: each class the search still tries every k-subset of the class's elements
+#: not yet generated from above, up to the least k that works; the budget
+#: bounds |S| and with it the size of every class searched.
 GENERATOR_SEARCH_BUDGET = 100
 
 #: Relabeling search is factorial in the movable states; refuse beyond this.
@@ -160,23 +164,147 @@ def minimal_generator_count(
 ) -> int | None:
     """Least k <= k_max such that some k-subset of the elements generates s.
 
-    The search is exact: every subset of each size is tried, so the answer is
-    never an over-estimate and ``None`` means no subset of size <= k_max
-    generates.  Refuses semigroups larger than ``budget`` elements (override
-    deliberately if you can afford the combinatorics).
+    The rank of s is computed exactly by J-class decomposition (Froidure & Pin
+    1997; East, Egri-Nagy, Mitchell & Peresse 2019).  A product that lands in
+    a J-class J has all its factors, and all its prefixes, in the up-set of J,
+    so every generating set contains, for each J, a subset X of J such that X
+    and the classes strictly above J generate J; conversely such X's together
+    generate s, by induction down the J-order.  The rank is therefore the sum
+    over the classes, taken top-down, of the least |X|; each term is found by
+    trying the subsets of J in increasing size, with closures restricted to the
+    up-set of J.  ``None`` means the rank exceeds k_max.  Refuses semigroups
+    larger than ``budget`` elements (override deliberately: the search inside
+    a class is still exponential in that class's term).
     """
     size = s.size
     if size > budget:
         raise SearchInfeasible(
             f"semigroup has {size} elements, over the search budget {budget}"
         )
-    element_images = sorted(s.images)
-    for k in range(1, min(k_max, size) + 1):
-        for subset in combinations(element_images, k):
-            closed = _close_images(subset, stop_at=size)
-            if closed is not None and len(closed) == size:
-                return k
+    rank = 0
+    chosen: list[bytes] = []
+    for members, up_set in _j_classes(s):
+        extra = _fewest_generating(chosen, members, up_set, k_max - rank)
+        if extra is None:
+            return None
+        rank += len(extra)
+        chosen.extend(extra)
+    return rank
+
+
+def _j_classes(s: TransformationSemigroup) -> list[tuple[frozenset[bytes], frozenset[bytes]]]:
+    """The J-classes of s top-down, each with its up-set (itself and every
+    class above it).
+
+    The classes are the strongly connected components of the two-sided Cayley
+    graph (edges e -> e*g and e -> g*e over the generators), found by an
+    iterative Tarjan search.  Tarjan emits a component only after every
+    component below it, so the reversed emission order is top-down.
+    """
+    gens = [g.packed() for g in s.generators]
+    right = [g + bytes(256 - len(g)) for g in gens]
+    succ = {}
+    for e in sorted(s.images):
+        left = e + bytes(256 - len(e))
+        succ[e] = {e.translate(t) for t in right} | {g.translate(left) for g in gens}
+    index: dict[bytes, int] = {}
+    low: dict[bytes, int] = {}
+    stack: list[bytes] = []
+    on_stack: set[bytes] = set()
+    components: list[list[bytes]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    components.reverse()
+    class_of = {e: i for i, component in enumerate(components) for e in component}
+    # Up-sets as bitmasks of class indices; a class's parents all come
+    # before it, so its mask is complete when it is pushed to its children.
+    up = [1 << i for i in range(len(components))]
+    for i, component in enumerate(components):
+        for e in component:
+            for w in succ[e]:
+                up[class_of[w]] |= up[i]
+    return [
+        (
+            frozenset(component),
+            frozenset(e for e, j in class_of.items() if up[i] >> j & 1),
+        )
+        for i, component in enumerate(components)
+    ]
+
+
+def _fewest_generating(
+    chosen: Sequence[bytes],
+    members: frozenset[bytes],
+    up_set: frozenset[bytes],
+    limit: int,
+) -> tuple[bytes, ...] | None:
+    """Fewest elements of the class ``members`` that, with ``chosen``,
+    generate the whole class; None when more than ``limit`` are needed.
+
+    Elements already generated by ``chosen`` are never needed, so only the
+    others are tried.
+    """
+    reached = _close_within(chosen, up_set)
+    missing = sorted(members - reached)
+    if not missing:
+        return ()
+    for k in range(1, min(limit, len(missing)) + 1):
+        for extra in combinations(missing, k):
+            if members <= _close_within([*chosen, *extra], up_set):
+                return extra
     return None
+
+
+def _close_within(gens: Sequence[bytes], up_set: frozenset[bytes]) -> set[bytes]:
+    """The elements of ``up_set`` generated by ``gens``.
+
+    Exact for an up-set of the J-order: every prefix of a product that lands
+    in it lies in it, and so does every factor.
+    """
+    inside = [g for g in gens if g in up_set]
+    tables = [g + bytes(256 - len(g)) for g in inside]
+    seen = set(inside)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for e in frontier:
+            for table in tables:
+                c = e.translate(table)
+                if c in up_set and c not in seen:
+                    seen.add(c)
+                    new.append(c)
+        frontier = new
+    return seen
 
 
 def equal_up_to_relabeling(

@@ -8,9 +8,10 @@ recomputing orbits, and so on.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from synideal.dfa import Dfa
+from synideal.semigroup import TransformationSemigroup, _close_images
 from synideal.transform import Transformation
 
 
@@ -86,6 +87,20 @@ def naive_closure(gens: list[Transformation]) -> set[tuple[int, ...]]:
         if not new:
             return elems
         elems |= new
+
+
+def minimal_generator_count_by_subsets(s: TransformationSemigroup, k_max: int) -> int | None:
+    """Least k <= k_max such that some k-subset of the elements generates s,
+    found by closing every subset of each size in turn.  Exponential: keep
+    it to semigroups whose subsets up to the answer are enumerable."""
+    size = s.size
+    element_images = sorted(s.images)
+    for k in range(1, min(k_max, size) + 1):
+        for subset in combinations(element_images, k):
+            closed = _close_images(subset, stop_at=size)
+            if closed is not None and len(closed) == size:
+                return k
+    return None
 
 
 def sigma_star_prefix_dfa(d: Dfa) -> Dfa:

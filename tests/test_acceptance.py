@@ -162,10 +162,33 @@ def test_criterion_6_generator_facts():
 
         two_sided4 = transition_semigroup(build(IdealClass.TWO_SIDED, 4))
         measured = minimal_generator_count(two_sided4, k_max=6)
-        # the witness alphabet at n=4 has five letters, and indeed five
-        # elements suffice; the six-generator statement holds from n=5 up
         print(f"  two-sided n=4 exact minimal generator count: {measured}")
         assert measured == 5
+
+        two_sided5 = transition_semigroup(build(IdealClass.TWO_SIDED, 5))
+        assert two_sided5.size == 150
+        measured = minimal_generator_count(two_sided5, k_max=6, budget=two_sided5.size)
+        print(f"  two-sided n=5 exact minimal generator count: {measured}")
+        assert measured == 6
+
+
+# rank of each witness semigroup (= its alphabet size), by class and n
+WITNESS_RANKS = {
+    IdealClass.RIGHT: {3: 3, 4: 4, 5: 4},
+    IdealClass.LEFT: {3: 4, 4: 5, 5: 5},
+    IdealClass.TWO_SIDED: {3: 3, 4: 5, 5: 6},
+}
+
+
+def test_witness_alphabets_are_minimal():
+    with criterion(6, "each witness semigroup's rank equals its alphabet size, n=3..5", 60.0):
+        for klass, ranks in WITNESS_RANKS.items():
+            for n, rank in ranks.items():
+                d = build(klass, n)
+                s = transition_semigroup(d)
+                measured = minimal_generator_count(s, k_max=s.size, budget=s.size)
+                print(f"  {klass.value} n={n} |S|={s.size}: rank {measured}")
+                assert measured == rank == len(d.delta), (klass, n, measured)
 
 
 def _cases_preorder_monotone() -> int:

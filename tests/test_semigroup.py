@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from synideal.semigroup import (
@@ -14,13 +16,14 @@ from synideal.transform import (
     Transformation,
     compose,
     conjugate,
+    constant,
     full_monoid_generators,
     identity,
 )
 from synideal.witness import IdealClass, build
 from synideal.dfa import transition_semigroup
 
-from oracles import naive_closure
+from oracles import minimal_generator_count_by_subsets, naive_closure, random_transformation
 
 
 def T(*image):
@@ -128,6 +131,40 @@ class TestMinimalGeneratorCount:
 
     def test_full_monoid_n3_needs_three(self):
         assert minimal_generator_count(closure(full_monoid_generators(3)), k_max=3) == 3
+
+    def test_right_zero_class_needs_every_element(self):
+        # constants compose to the right factor: one J-class, nothing generated
+        s = closure([constant(3, q) for q in range(3)])
+        assert minimal_generator_count(s, k_max=3) == 3
+        assert minimal_generator_count(s, k_max=2) is None
+
+    def test_agrees_with_subset_search_on_random_closures(self):
+        rng = random.Random(5)
+        checked = 0
+        while checked < 300:
+            n = rng.randrange(2, 5)
+            gens = [random_transformation(rng, n) for _ in range(rng.randrange(1, 6))]
+            s = closure(gens, cap=40)
+            if isinstance(s, ClosureOverflow):
+                continue
+            want = minimal_generator_count_by_subsets(s, k_max=s.size)
+            assert minimal_generator_count(s, k_max=s.size) == want, gens
+            assert minimal_generator_count(s, k_max=want - 1) is None, gens
+            checked += 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("klass", list(IdealClass), ids=lambda k: k.value)
+    def test_agrees_with_subset_search_on_witnesses(self, klass, n):
+        s = transition_semigroup(build(klass, n))
+        # Left n=4 needs five: the subset search rules out every subset of
+        # up to four of its 67 elements (~8 * 10^5 closures), and its five
+        # letters generate it.  Searching on through the 9.6 * 10^6
+        # five-subsets would take minutes.
+        k_max = 4 if (klass, n) == (IdealClass.LEFT, 4) else s.size
+        want = minimal_generator_count_by_subsets(s, k_max=k_max)
+        assert minimal_generator_count(s, k_max=k_max) == want
+        if want is None:
+            assert minimal_generator_count(s, k_max=s.size) == len(s.generators) == k_max + 1
 
     def test_budget(self):
         s = transition_semigroup(build(IdealClass.RIGHT, 4))
