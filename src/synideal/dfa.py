@@ -63,6 +63,18 @@ class Dfa:
     def letter_index(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.alphabet)}
 
+    @cached_property
+    def transitions(self) -> "Transitions":
+        """The letters and initial state, packed."""
+        if self.n > 256:
+            raise ValueError("the packed form holds at most 256 states")
+        return Transitions(tuple(g.packed() for g in self.delta), self.initial)
+
+    @cached_property
+    def finals_mask(self) -> int:
+        """The final states as a mask, bit q for state q."""
+        return sum(1 << q for q in self.finals)
+
     def step(self, q: int, letter: str) -> int:
         return self.delta[self.letter_index[letter]].image[q]
 
@@ -252,38 +264,183 @@ def to_dot(d: Dfa) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the packed form: letters as bytes maps, state sets as int masks
+
+
+class Transitions:
+    """A DFA's letters and initial state without its final states, packed.
+
+    ``maps[a][q]`` is the image of state q under letter a, one ``bytes`` map
+    per letter (so at most 256 states); sets of states are ``int`` masks with
+    bit q for state q, and sets of state pairs are masks with bit ``x*n + y``
+    for the pair (x, y).  Every fact below depends on the letters alone, so an
+    exhaustive sweep computes it once per letter tuple and shares it across
+    all final sets; each is computed on first use.  Containment between the
+    languages of p and q under final states F fails exactly when some pair
+    reachable from (p, q) lies in ``crossing_pairs(n, F)``, so a union of pair
+    masks decides a whole family of containments with one AND.
+    """
+
+    def __init__(self, maps: Sequence[bytes], initial: int = 0) -> None:
+        self.maps = tuple(maps)
+        self.n = len(self.maps[0])
+        self.initial = initial
+
+    @cached_property
+    def successors(self) -> tuple[int, ...]:
+        """successors[q]: the states q.a over the letters a."""
+        out = [0] * self.n
+        for m in self.maps:
+            for q, r in enumerate(m):
+                out[q] |= 1 << r
+        return tuple(out)
+
+    @cached_property
+    def reach(self) -> tuple[int, ...]:
+        """reach[q]: the states q.w over all words w, the empty word included."""
+        out = []
+        for q in range(self.n):
+            seen = 1 << q
+            stack = [q]
+            while stack:
+                p = stack.pop()
+                for m in self.maps:
+                    r = m[p]
+                    if not seen >> r & 1:
+                        seen |= 1 << r
+                        stack.append(r)
+            out.append(seen)
+        return tuple(out)
+
+    @cached_property
+    def fixed(self) -> int:
+        """The states that every letter fixes."""
+        out = (1 << self.n) - 1
+        for m in self.maps:
+            for q, r in enumerate(m):
+                if q != r:
+                    out &= ~(1 << q)
+        return out
+
+    def _pairs_reachable(self, sources: Iterable[tuple[int, int]]) -> int:
+        """The pairs (p.w, q.w) over every word w, the empty word included,
+        and every source pair (p, q)."""
+        n, maps = self.n, self.maps
+        seen = 0
+        stack = []
+        for p, q in sources:
+            bit = 1 << (p * n + q)
+            if not seen & bit:
+                seen |= bit
+                stack.append((p, q))
+        while stack:
+            p, q = stack.pop()
+            for m in maps:
+                x, y = m[p], m[q]
+                bit = 1 << (x * n + y)
+                if not seen & bit:
+                    seen |= bit
+                    stack.append((x, y))
+        return seen
+
+    @cached_property
+    def initial_pairs(self) -> int:
+        """Pairs reachable from (initial, q) for any q: the initial state's
+        language lies in every state's iff none of them crosses."""
+        return self._pairs_reachable((self.initial, q) for q in range(self.n))
+
+    @cached_property
+    def initial_step_pairs(self) -> int:
+        """Pairs reachable from (initial, initial.a) for any letter a."""
+        i = self.initial
+        return self._pairs_reachable((i, m[i]) for m in self.maps)
+
+    @cached_property
+    def step_pairs(self) -> int:
+        """Pairs reachable from (q, q.a) for any state q and letter a."""
+        return self._pairs_reachable((q, r) for m in self.maps for q, r in enumerate(m))
+
+    @cached_property
+    def ur_depth(self) -> int | None:
+        """Length of the longest word whose quotient is uniquely reachable.
+
+        State q is uniquely reachable by wa iff its only incoming transition
+        is (p, a) with p uniquely reachable by w; the initial state is
+        uniquely reachable by the empty word iff nothing (including itself)
+        maps into it.  None when the language itself is not uniquely
+        reachable.
+        """
+        indegree = [0] * self.n
+        for m in self.maps:
+            for r in m:
+                indegree[r] += 1
+        if indegree[self.initial]:
+            return None
+        depth = {self.initial: 0}
+        queue = [self.initial]
+        for p in queue:
+            for m in self.maps:
+                q = m[p]
+                if q not in depth and indegree[q] == 1:
+                    depth[q] = depth[p] + 1
+                    queue.append(q)
+        return max(depth.values())
+
+
+def crossing_pairs(n: int, finals: int) -> int:
+    """The pairs (x, y) with x final and y not: a word leading (p, q) into one
+    of them puts the word in the language of p but not in that of q."""
+    nonfinal = ((1 << n) - 1) & ~finals
+    out = 0
+    for x in range(n):
+        if finals >> x & 1:
+            out |= nonfinal << (x * n)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reachability, minimization
 
 
-def reachable_states(d: Dfa) -> list[int]:
+def reachable_states(t: Transitions) -> list[int]:
     """States reachable from the initial state, in breadth-first order
     (letters explored in alphabet order)."""
-    order = [d.initial]
-    seen = {d.initial}
+    order = [t.initial]
+    seen = 1 << t.initial
     for q in order:
-        for g in d.delta:
-            r = g.image[q]
-            if r not in seen:
-                seen.add(r)
+        for m in t.maps:
+            r = m[q]
+            if not seen >> r & 1:
+                seen |= 1 << r
                 order.append(r)
     return order
 
 
-def _partition(d: Dfa, states: Sequence[int]) -> dict[int, int]:
-    """Moore refinement over the given states; returns state -> block id."""
-    block = {q: (1 if q in d.finals else 0) for q in states}
-    blocks = 2 if any(block.values()) and not all(block[q] for q in states) else 1
+def _partition(maps: Sequence[bytes], finals: int) -> bytes:
+    """Moore refinement of all states by language: state -> block id.
+
+    Blocks start as final / non-final; each round renumbers states by their
+    block and their letter successors' blocks (one ``bytes.translate`` per
+    letter), in order of first appearance, until the count stops growing or
+    every state has a block of its own.
+    """
+    n = len(maps[0])
+    # Final states start in block ord("1"), the others in block ord("0").
+    block = format(finals, f"0{n}b")[::-1].encode()
+    count = 2 if 0 < finals < (1 << n) - 1 else 1
+    pad = bytes(256 - n)
     while True:
-        signatures: dict[tuple, int] = {}
-        new_block = {}
-        for q in states:
-            sig = (block[q],) + tuple(block[g.image[q]] for g in d.delta)
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[q] = signatures[sig]
-        if len(signatures) == blocks:
-            return new_block
-        block, blocks = new_block, len(signatures)
+        table = block + pad
+        signatures = list(zip(block, *[m.translate(table) for m in maps]))
+        ids = dict.fromkeys(signatures)
+        if len(ids) == count:
+            return block
+        count = len(ids)
+        for i, sig in enumerate(ids):
+            ids[sig] = i
+        block = bytes(map(ids.__getitem__, signatures))
+        if count == n:
+            return block
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -293,38 +450,37 @@ def minimize(d: Dfa) -> Dfa:
     renumbered breadth-first from the initial state with letters explored in
     alphabet order, so equal languages yield identical automata.
     """
-    reach = reachable_states(d)
-    block = _partition(d, reach)
+    t = d.transitions
+    reach = reachable_states(t)
+    block = _partition(t.maps, d.finals_mask)
     # Representative per block, then canonical BFS numbering over blocks.
     rep: dict[int, int] = {}
     for q in reach:
         rep.setdefault(block[q], q)
-    number: dict[int, int] = {block[d.initial]: 0}
-    order = [block[d.initial]]
+    number: dict[int, int] = {block[t.initial]: 0}
+    order = [block[t.initial]]
     for b in order:
         q = rep[b]
-        for g in d.delta:
-            nb = block[g.image[q]]
+        for m in t.maps:
+            nb = block[m[q]]
             if nb not in number:
                 number[nb] = len(number)
                 order.append(nb)
-    m = len(order)
     delta = []
-    for g in d.delta:
-        img = [0] * m
+    for m in t.maps:
+        img = [0] * len(order)
         for b in order:
-            img[number[b]] = number[block[g.image[rep[b]]]]
+            img[number[b]] = number[block[m[rep[b]]]]
         delta.append(Transformation(tuple(img)))
     finals = frozenset(number[block[q]] for q in reach if q in d.finals)
     return Dfa(alphabet=d.alphabet, delta=tuple(delta), initial=0, finals=finals)
 
 
 def is_minimal(d: Dfa) -> bool:
-    reach = reachable_states(d)
-    if len(reach) != d.n:
+    t = d.transitions
+    if len(reachable_states(t)) != d.n:
         return False
-    block = _partition(d, reach)
-    return len(set(block.values())) == d.n
+    return len(set(_partition(t.maps, d.finals_mask))) == d.n
 
 
 # ---------------------------------------------------------------------------
@@ -360,34 +516,42 @@ def preorder(d: Dfa) -> StatePreorder:
     """The full containment relation, by backward propagation of bad pairs.
 
     A pair (p, q) is bad (p not <= q) iff p is final and q is not, or some
-    letter leads to a bad pair; the worklist closes the bad set, and leq is
-    its complement.  Agrees pointwise with ``language_containment``.
+    letter leads to a bad pair.  Rows are masks: ``bad[p]`` holds the q with
+    (p, q) bad, seeded with the non-final states for every final p; a worklist
+    of new bad pairs pushes each back through the letters' preimages, and leq
+    is the complement.  Agrees pointwise with ``language_containment``.  The
+    classification of a candidate needs only three unions of pair masks, not
+    the whole relation (see ``Transitions``); this is the full relation for
+    the chain length and the injection constructions.
     """
-    n = d.n
-    finals = d.finals
-    bad = [[False] * n for _ in range(n)]
-    stack = []
-    for x in range(n):
-        for y in range(n):
-            if x in finals and y not in finals:
-                bad[x][y] = True
-                stack.append((x, y))
-    pre: list[list[list[int]]] = []
-    for g in d.delta:
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for p in range(n):
-            rows[g.image[p]].append(p)
-        pre.append(rows)
+    t = d.transitions
+    n, finals = t.n, d.finals_mask
+    nonfinal = ((1 << n) - 1) & ~finals
+    bad = [nonfinal if finals >> p & 1 else 0 for p in range(n)]
+    stack = [(x, y) for x in range(n) if bad[x] for y in range(n) if nonfinal >> y & 1]
+    preimages = []
+    for m in t.maps:
+        rows = [0] * n
+        for p, r in enumerate(m):
+            rows[r] |= 1 << p
+        preimages.append(rows)
     while stack:
         x, y = stack.pop()
-        for rows in pre:
-            for p in rows[x]:
-                row = bad[p]
-                for q in rows[y]:
-                    if not row[q]:
-                        row[q] = True
-                        stack.append((p, q))
-    leq = tuple(tuple(not bad[p][q] for q in range(n)) for p in range(n))
+        for rows in preimages:
+            qs = rows[y]
+            ps = rows[x]
+            while ps:
+                low = ps & -ps
+                ps ^= low
+                p = low.bit_length() - 1
+                new = qs & ~bad[p]
+                if new:
+                    bad[p] |= new
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        stack.append((p, low.bit_length() - 1))
+    leq = tuple(tuple(not row >> q & 1 for q in range(n)) for row in bad)
     return StatePreorder(n=n, leq=leq)
 
 

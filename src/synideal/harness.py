@@ -19,12 +19,14 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
+from typing import Callable
 
 from .dfa import (
     Dfa,
+    Transitions,
     minimize,
-    preorder,
     reachable_states,
     to_text,
     transition_semigroup,
@@ -32,12 +34,11 @@ from .dfa import (
 )
 from .ideals import (
     ClassificationReport,
-    _unique_reachability_depth,
     classify_minimal,
     letter_ur_cells,
     special_quotient_bound,
 )
-from .injection import make_context, verify_injection
+from .injection import MIN_CONTEXT_N, make_context, verify_injection
 from .semigroup import (
     TransformationSemigroup,
     _close_images,
@@ -45,14 +46,12 @@ from .semigroup import (
     equal_up_to_relabeling,
 )
 from .transform import Transformation
-from .witness import IdealClass, bound, expected_semigroup
+from .witness import MIN_N, IdealClass, bound, expected_semigroup
 
 EXHAUSTIVE_BUDGET = 10**8
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 ALL_CHECKS = frozenset({"tightness", "uniqueness", "injection", "bounds"})
-
-_INJECTION_MIN_N = {IdealClass.LEFT: 3, IdealClass.TWO_SIDED: 4}
 
 
 class BudgetExceeded(RuntimeError):
@@ -189,115 +188,129 @@ def run(spec: CampaignSpec, progress: bool = False) -> CampaignReport:
     report = CampaignReport(spec=spec)
     classes = [spec.class_filter] if spec.class_filter else list(IdealClass)
     for klass in classes:
-        if spec.n >= _MIN_CLASS_N[klass]:
+        if spec.n >= MIN_N[klass]:
             report.per_class[klass.value] = ClassStats(bound=bound(klass, spec.n))
+    checks = _Checks(spec, report)
     if spec.mode == "exhaustive":
-        _run_exhaustive(spec, report, progress)
+        _run_exhaustive(spec, report, checks, progress)
     else:
-        _run_sample(spec, report)
+        _run_sample(spec, report, checks)
     return report
 
 
-_MIN_CLASS_N = {IdealClass.RIGHT: 1, IdealClass.LEFT: 1, IdealClass.TWO_SIDED: 2}
-
-
-def _expected_cached(cache: dict, klass: IdealClass, n: int) -> TransformationSemigroup:
-    if klass not in cache:
-        cache[klass] = expected_semigroup(klass, n)
-    return cache[klass]
-
-
-def _run_exhaustive(spec: CampaignSpec, report: CampaignReport, progress: bool) -> None:
+def _run_exhaustive(
+    spec: CampaignSpec, report: CampaignReport, checks: "_Checks", progress: bool
+) -> None:
     n = spec.n
     all_images = [bytes(img) for img in product(range(n), repeat=n)]
-    final_sets = [
-        frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1, 2**n)
-    ]
-    expected_cache: dict[IdealClass, TransformationSemigroup] = {}
-    classes = [spec.class_filter] if spec.class_filter else list(IdealClass)
-
     for size in range(1, spec.alphabet_size + 1):
         letters = tuple(_LETTERS[:size])
         if progress:
             print(f"alphabet size {size}...", file=sys.stderr, flush=True)
         for gen_images in combinations(all_images, size):
-            delta = tuple(Transformation(tuple(b)) for b in gen_images)
-            probe = Dfa(letters, delta, 0, frozenset({0}))
-            if len(reachable_states(probe)) != n:
-                report.examined += len(final_sets)
+            # Everything that depends on the letters alone (sigma, reach and
+            # pair masks, the ur depth) is computed once and shared by every
+            # final set.
+            t = Transitions(gen_images)
+            if len(reachable_states(t)) != n:
+                report.examined += 2**n - 1
                 continue
-            closed = _close_images(gen_images)
-            sigma = len(closed)
-            # Unique reachability depends only on transitions and the
-            # initial state, so it is shared across final sets.
-            ur = _unique_reachability_depth(probe)
-            for finals in final_sets:
+            sigma = len(_close_images(gen_images))
+            for finals in range(1, 2**n):
                 report.examined += 1
-                d = Dfa(letters, delta, 0, finals)
-                blocks = _partition(d, range(n))
-                if len(set(blocks.values())) != n:
+                if len(set(_partition(gen_images, finals))) != n:
                     continue
                 report.minimal += 1
-                po = preorder(d)
-                rep = classify_minimal(d, sigma=sigma, po=po, ur=ur)
-                _check_candidate(spec, report, d, rep, po, classes, expected_cache)
+                rep = classify_minimal(t, finals, sigma, memo=checks.bounds_memo)
+                checks(rep, partial(_candidate_dfa, letters, gen_images, finals))
 
 
-def _check_candidate(
-    spec: CampaignSpec,
-    report: CampaignReport,
-    d: Dfa,
-    rep: ClassificationReport,
-    po,
-    classes: list[IdealClass],
-    expected_cache: dict,
-) -> None:
-    n = spec.n
-    if "bounds" in spec.checks:
-        limit = special_quotient_bound(rep)
-        if rep.sigma > limit:
-            report.violations.append(
-                {"check": "bounds", "dfa": to_text(d), "sigma": rep.sigma, "bound": limit}
+def _candidate_dfa(letters: tuple[str, ...], gen_images: tuple[bytes, ...], finals: int) -> Dfa:
+    delta = tuple(Transformation(tuple(b)) for b in gen_images)
+    states = frozenset(q for q in range(len(gen_images[0])) if finals >> q & 1)
+    return Dfa(letters, delta, 0, states)
+
+
+class _Checks:
+    """The requested checks of one campaign, applied to each classified
+    minimal candidate, and what they share across candidates: the maximal
+    semigroup per class, the bound table passed to ``classify_minimal``, and
+    the bound limit and letter-ur cells, which depend only on a report's n,
+    flags and ur depth."""
+
+    def __init__(self, spec: CampaignSpec, report: CampaignReport) -> None:
+        self.spec = spec
+        self.report = report
+        self.tracked = [
+            (klass, _CLASS_FLAG[klass], report.per_class[klass.value])
+            for klass in IdealClass
+            if klass.value in report.per_class
+        ]
+        self.expected_cache: dict[IdealClass, TransformationSemigroup] = {}
+        self.bounds_memo: dict = {}
+        self.limits: dict = {}
+
+    def __call__(self, rep: ClassificationReport, candidate: Callable[[], Dfa]) -> None:
+        """``candidate`` builds the DFA; it is called only when a check needs
+        it (a violation, an exceedance, a maximiser or an injection context)."""
+        spec, report, n = self.spec, self.report, self.spec.n
+        built: list[Dfa] = []
+
+        def dfa() -> Dfa:
+            if not built:
+                built.append(candidate())
+            return built[0]
+
+        if "bounds" in spec.checks:
+            key = (
+                rep.n, rep.has_empty, rep.has_sigma_star, rep.has_eps, rep.has_sigma_plus,
+                rep.ur_depth,
             )
-        if n > 1 and not (n - 1 <= rep.sigma <= n**n):
-            report.violations.append(
-                {"check": "basic_bounds", "dfa": to_text(d), "sigma": rep.sigma}
-            )
-        for name, value in letter_ur_cells(rep):
-            if rep.sigma > value:
-                report.table_exceedances.append(
-                    {"cell": name, "value": value, "sigma": rep.sigma, "dfa": to_text(d)}
+            if key not in self.limits:
+                self.limits[key] = (special_quotient_bound(rep), letter_ur_cells(rep))
+            limit, cells = self.limits[key]
+            if rep.sigma > limit:
+                report.violations.append(
+                    {"check": "bounds", "dfa": to_text(dfa()), "sigma": rep.sigma, "bound": limit}
                 )
-
-    for klass in classes:
-        stats = report.per_class.get(klass.value)
-        if stats is None or not getattr(rep, _CLASS_FLAG[klass]):
-            continue
-        stats.count += 1
-        if rep.sigma > stats.max_sigma:
-            stats.max_sigma = rep.sigma
-        if "tightness" in spec.checks and rep.sigma > stats.bound:
-            report.violations.append(
-                {
-                    "check": "tightness",
-                    "class": klass.value,
-                    "dfa": to_text(d),
-                    "sigma": rep.sigma,
-                    "bound": stats.bound,
-                }
-            )
-        if rep.sigma == stats.bound:
-            stats.maximizers += 1
-            if "uniqueness" in spec.checks:
-                if _relabels_to_expected(d, klass, expected_cache):
-                    stats.maximizers_relabeled += 1
-                else:
-                    report.violations.append(
-                        {"check": "uniqueness", "class": klass.value, "dfa": to_text(d)}
+            if n > 1 and not (n - 1 <= rep.sigma <= n**n):
+                report.violations.append(
+                    {"check": "basic_bounds", "dfa": to_text(dfa()), "sigma": rep.sigma}
+                )
+            for name, value in cells:
+                if rep.sigma > value:
+                    report.table_exceedances.append(
+                        {"cell": name, "value": value, "sigma": rep.sigma, "dfa": to_text(dfa())}
                     )
-        if "injection" in spec.checks and klass in _INJECTION_MIN_N:
-            if n >= _INJECTION_MIN_N[klass]:
-                ctx = make_context(d, klass)
+
+        for klass, flag, stats in self.tracked:
+            if not getattr(rep, flag):
+                continue
+            stats.count += 1
+            if rep.sigma > stats.max_sigma:
+                stats.max_sigma = rep.sigma
+            if "tightness" in spec.checks and rep.sigma > stats.bound:
+                report.violations.append(
+                    {
+                        "check": "tightness",
+                        "class": klass.value,
+                        "dfa": to_text(dfa()),
+                        "sigma": rep.sigma,
+                        "bound": stats.bound,
+                    }
+                )
+            if rep.sigma == stats.bound:
+                stats.maximizers += 1
+                if "uniqueness" in spec.checks:
+                    if _relabels_to_expected(dfa(), klass, self.expected_cache):
+                        stats.maximizers_relabeled += 1
+                    else:
+                        report.violations.append(
+                            {"check": "uniqueness", "class": klass.value, "dfa": to_text(dfa())}
+                        )
+            injects = klass in MIN_CONTEXT_N and n >= MIN_CONTEXT_N[klass]
+            if "injection" in spec.checks and injects:
+                ctx = make_context(dfa(), klass, _expected_cached(self.expected_cache, klass, n))
                 inj = verify_injection(ctx)
                 report.injection_contexts += 1
                 if not inj.ok:
@@ -305,10 +318,16 @@ def _check_candidate(
                         {
                             "check": "injection",
                             "class": klass.value,
-                            "dfa": to_text(d),
+                            "dfa": to_text(dfa()),
                             "report": inj.to_json_dict(),
                         }
                     )
+
+
+def _expected_cached(cache: dict, klass: IdealClass, n: int) -> TransformationSemigroup:
+    if klass not in cache:
+        cache[klass] = expected_semigroup(klass, n)
+    return cache[klass]
 
 
 def _relabels_to_expected(d: Dfa, klass: IdealClass, expected_cache: dict) -> bool:
@@ -367,10 +386,15 @@ def _left_closure(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, delta, 0, finals)
 
 
+def _two_sided_closure(d: Dfa) -> Dfa:
+    """DFA of Sigma*.L.Sigma*."""
+    return _left_closure(_right_closure(d))
+
+
 _CLOSURES = {
-    IdealClass.RIGHT: lambda d: _right_closure(d),
-    IdealClass.LEFT: lambda d: _left_closure(d),
-    IdealClass.TWO_SIDED: lambda d: _left_closure(_right_closure(d)),
+    IdealClass.RIGHT: _right_closure,
+    IdealClass.LEFT: _left_closure,
+    IdealClass.TWO_SIDED: _two_sided_closure,
 }
 
 
@@ -406,22 +430,20 @@ def sample_ideal_dfa(
         candidate = minimize(close(base))
         if candidate.n != n:
             continue
-        po = preorder(candidate)
         result = transition_semigroup(candidate)
         if isinstance(result, TransformationSemigroup):
-            rep = classify_minimal(candidate, sigma=result.size, po=po)
+            rep = classify_minimal(candidate.transitions, candidate.finals_mask, result.size)
             if getattr(rep, flag):
                 return candidate
     return None
 
 
-def _run_sample(spec: CampaignSpec, report: CampaignReport) -> None:
+def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> None:
     if spec.class_filter is None:
         raise ValueError("sample mode needs a class filter")
     klass = spec.class_filter
     mode = spec.mode
     assert isinstance(mode, SampleMode)
-    expected_cache: dict[IdealClass, TransformationSemigroup] = {}
     for i in range(mode.count):
         d = sample_ideal_dfa(
             klass, spec.n, spec.alphabet_size, seed=mode.seed * 1_000_003 + i
@@ -434,8 +456,7 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport) -> None:
             continue
         report.samples_obtained += 1
         report.minimal += 1
-        po = preorder(d)
         result = transition_semigroup(d)
         assert isinstance(result, TransformationSemigroup)
-        rep = classify_minimal(d, sigma=result.size, po=po)
-        _check_candidate(spec, report, d, rep, po, [klass], expected_cache)
+        rep = classify_minimal(d.transitions, d.finals_mask, result.size, memo=checks.bounds_memo)
+        checks(rep, lambda: d)

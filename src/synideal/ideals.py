@@ -22,11 +22,12 @@ from dataclasses import dataclass, asdict
 
 from .dfa import (
     Dfa,
-    StatePreorder,
+    Transitions,
+    crossing_pairs,
     minimize,
-    preorder,
-    syntactic_complexity,
+    transition_semigroup,
 )
+from .semigroup import CapExceeded, ClosureOverflow
 
 
 @dataclass(frozen=True)
@@ -64,61 +65,67 @@ class ClassificationReport:
 def classify(d: Dfa) -> ClassificationReport:
     """Classify the language of ``d`` (minimizing first)."""
     m = minimize(d)
-    return classify_minimal(m, sigma=syntactic_complexity(m))
-
-
-_UNSET = object()
+    result = transition_semigroup(m)
+    if isinstance(result, ClosureOverflow):
+        raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
+    return classify_minimal(m.transitions, m.finals_mask, sigma=result.size)
 
 
 def classify_minimal(
-    m: Dfa,
-    sigma: int,
-    po: StatePreorder | None = None,
-    ur: "int | None" = _UNSET,  # type: ignore[assignment]
+    t: Transitions, finals: int, sigma: int, memo: dict | None = None
 ) -> ClassificationReport:
-    """Classification of an already-minimal DFA; ``po`` and ``ur`` may be
-    passed in when the caller has them precomputed (enumeration hot path)."""
-    n = m.n
-    if po is None:
-        po = preorder(m)
-    leq = po.leq
-    non_empty = bool(m.finals)
+    """Classification of the minimal DFA with letters and initial state ``t``
+    and final states ``finals`` (a mask), whose syntactic complexity is
+    ``sigma``.
 
-    right = non_empty and _final_sink(m) is not None
-    left = non_empty and all(leq[m.initial][g.image[m.initial]] for g in m.delta)
-    all_sided = non_empty and all(
-        leq[q][g.image[q]] for q in range(n) for g in m.delta
-    )
+    Every fact that depends on the letters alone comes from ``t``, computed
+    once per letter tuple: forward reach masks, the three unions of pair
+    masks that decide the left-ideal, all-sided and suffix-closed
+    containments, the fixed states and the unique-reachability depth.  What
+    depends on the final states is then a few integer ANDs: a containment
+    family holds iff its pair union misses ``crossing_pairs(n, finals)``; q is
+    dead iff ``reach[q] & finals`` is empty and all-accepting iff
+    ``reach[q]`` misses the non-final states.  The bound table is a pure
+    function of (n, flags, ur_depth); a caller classifying many candidates
+    passes the same ``memo`` dict to compute each row set once.
+    """
+    n = t.n
+    nonfinal = ((1 << n) - 1) & ~finals
+    cross = crossing_pairs(n, finals)
+    non_empty = finals != 0
+
+    right = non_empty and finals & (finals - 1) == 0 and finals & t.fixed != 0
+    left = non_empty and not t.initial_step_pairs & cross
+    all_sided = non_empty and not t.step_pairs & cross
     two_sided = right and left
 
-    alive = _coreachable(m, m.finals)
-    universal = _coreachable(m, frozenset(range(n)) - m.finals)
-    dead = [not alive[q] for q in range(n)]
-    # universal[q] currently means "can reach a non-final state"; invert.
-    universal = [not universal[q] for q in range(n)]
+    dead = universal = 0
+    for q, r in enumerate(t.reach):
+        if not r & finals:
+            dead |= 1 << q
+        if not r & nonfinal:
+            universal |= 1 << q
+    has_eps = has_sigma_plus = False
+    for q, s in enumerate(t.successors):
+        if finals >> q & 1:
+            has_eps = has_eps or not s & ~dead
+        else:
+            has_sigma_plus = has_sigma_plus or not s & ~universal
+    has_empty = dead != 0
+    has_sigma_star = universal != 0
+    ur_depth = t.ur_depth
+    key = (n, has_empty, has_sigma_star, has_eps, has_sigma_plus, ur_depth)
+    bounds = None if memo is None else memo.get(key)
+    if bounds is None:
+        flags = dict(zip(("empty", "sigma_star", "eps", "sigma_plus"), key[1:5]))
+        bounds = applicable_bounds(n, flags, ur_depth)
+        if memo is not None:
+            memo[key] = bounds
 
-    has_empty = any(dead)
-    has_sigma_star = any(universal)
-    has_eps = any(
-        q in m.finals and all(dead[g.image[q]] for g in m.delta) for q in range(n)
-    )
-    has_sigma_plus = any(
-        q not in m.finals and all(universal[g.image[q]] for g in m.delta)
-        for q in range(n)
-    )
-
-    ur_depth = _unique_reachability_depth(m) if ur is _UNSET else ur
-
-    flags = {
-        "empty": has_empty,
-        "sigma_star": has_sigma_star,
-        "eps": has_eps,
-        "sigma_plus": has_sigma_plus,
-    }
-    bounds = applicable_bounds(n, flags, ur_depth)
-
-    prefix_closed = _complement_prefix_closed(m)
-    suffix_closed = all(leq[m.initial][q] for q in range(n))
+    # The complement is prefix-closed iff no final state reaches a non-final
+    # one, and suffix-closed iff the initial language lies in every state's.
+    prefix_closed = not finals & ~universal
+    suffix_closed = not t.initial_pairs & cross
     return ClassificationReport(
         n=n,
         is_right_ideal=right,
@@ -136,73 +143,6 @@ def classify_minimal(
         sigma=sigma,
         applicable_bounds=bounds,
     )
-
-
-def _final_sink(m: Dfa) -> int | None:
-    """The unique final state if it is an all-accepting sink, else None."""
-    if len(m.finals) != 1:
-        return None
-    (f,) = m.finals
-    if all(g.image[f] == f for g in m.delta):
-        return f
-    return None
-
-
-def _coreachable(m: Dfa, targets: frozenset[int]) -> list[bool]:
-    """States from which some state in ``targets`` is reachable."""
-    n = m.n
-    flag = [q in targets for q in range(n)]
-    stack = [q for q in range(n) if flag[q]]
-    pre: list[list[int]] = [[] for _ in range(n)]
-    for g in m.delta:
-        for p in range(n):
-            pre[g.image[p]].append(p)
-    while stack:
-        q = stack.pop()
-        for p in pre[q]:
-            if not flag[p]:
-                flag[p] = True
-                stack.append(p)
-    return flag
-
-
-def _complement_prefix_closed(m: Dfa) -> bool:
-    """Whether the complement language is prefix-closed.
-
-    In the complement automaton, prefix-closed means no accepting state is
-    reachable from a reachable non-accepting one; equivalently every state of
-    ``m`` that can reach a non-final state is itself non-final.
-    """
-    can_reach_nonfinal = _coreachable(m, frozenset(range(m.n)) - m.finals)
-    return all(q not in m.finals for q in range(m.n) if can_reach_nonfinal[q])
-
-
-def _unique_reachability_depth(m: Dfa) -> int | None:
-    """Length of the longest word whose quotient is uniquely reachable.
-
-    State q is uniquely reachable by wa iff its only incoming transition is
-    (p, a) with p uniquely reachable by w; the initial state is uniquely
-    reachable by the empty word iff nothing (including itself) maps into it.
-    Returns None when the language itself is not uniquely reachable.
-    """
-    n = m.n
-    incoming: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    for ai, g in enumerate(m.delta):
-        for p in range(n):
-            incoming[g.image[p]].add((p, ai))
-    if incoming[m.initial]:
-        return None
-    depth = {m.initial: 0}
-    queue = [m.initial]
-    for p in queue:
-        for ai, g in enumerate(m.delta):
-            q = g.image[p]
-            if q in depth:
-                continue
-            if incoming[q] == {(p, ai)}:
-                depth[q] = depth[p] + 1
-                queue.append(q)
-    return max(depth.values())
 
 
 # ---------------------------------------------------------------------------

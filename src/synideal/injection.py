@@ -35,12 +35,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .dfa import Dfa, StatePreorder, minimize, preorder, transition_semigroup
-from .ideals import classify
-from .semigroup import ClosureOverflow, TransformationSemigroup
+from .ideals import classify_minimal
+from .semigroup import CapExceeded, ClosureOverflow, TransformationSemigroup
 from .transform import Transformation, classify_shape, conjugate
 from .witness import IdealClass, expected_semigroup
 
-_MIN_CONTEXT_N = {IdealClass.LEFT: 3, IdealClass.TWO_SIDED: 4}
+#: Smallest state count with an injection construction, per class.
+MIN_CONTEXT_N = {IdealClass.LEFT: 3, IdealClass.TWO_SIDED: 4}
 
 CASE_LABELS = {
     IdealClass.LEFT: ("1", "2", "3a", "3b", "3c"),
@@ -97,33 +98,41 @@ class InjectionContext:
         return self.po.strictly_less(p, q)
 
 
-def make_context(d: Dfa, klass: IdealClass) -> InjectionContext:
-    """Build an injection context, validating class membership and size."""
-    if klass not in _MIN_CONTEXT_N:
+def make_context(
+    d: Dfa, klass: IdealClass, S: TransformationSemigroup | None = None
+) -> InjectionContext:
+    """Build an injection context, validating class membership and size.
+
+    ``S`` is the maximal semigroup of the class at the minimal DFA's size;
+    a caller building many contexts passes the one it keeps, and otherwise
+    it is built here.  The DFA is minimised once and closed once.
+    """
+    if klass not in MIN_CONTEXT_N:
         raise ValueError(f"no injection is defined for class {klass.value}")
     m = minimize(d)
     n = m.n
-    if n < _MIN_CONTEXT_N[klass]:
+    if n < MIN_CONTEXT_N[klass]:
         raise ValueError(
-            f"{klass.value} injection needs n >= {_MIN_CONTEXT_N[klass]}; "
+            f"{klass.value} injection needs n >= {MIN_CONTEXT_N[klass]}; "
             f"smaller sizes are covered by exhaustive checks"
         )
-    report = classify(m)
-    if klass is IdealClass.LEFT and not report.is_left_ideal:
-        raise ValueError("DFA does not accept a left ideal")
-    if klass is IdealClass.TWO_SIDED:
-        if not report.is_two_sided_ideal:
-            raise ValueError("DFA does not accept a two-sided ideal")
+    if klass is IdealClass.TWO_SIDED and len(m.finals) == 1:
+        # Relabeling changes neither the classification nor sigma.
         m = _sink_to_top(m)
     result = transition_semigroup(m)
     if isinstance(result, ClosureOverflow):
-        raise RuntimeError("transition semigroup exceeded the element cap")
+        raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
+    report = classify_minimal(m.transitions, m.finals_mask, sigma=result.size)
+    if klass is IdealClass.LEFT and not report.is_left_ideal:
+        raise ValueError("DFA does not accept a left ideal")
+    if klass is IdealClass.TWO_SIDED and not report.is_two_sided_ideal:
+        raise ValueError("DFA does not accept a two-sided ideal")
     return InjectionContext(
         klass=klass,
         dfa=m,
         po=preorder(m),
         T=result,
-        S=expected_semigroup(klass, n),
+        S=expected_semigroup(klass, n) if S is None else S,
     )
 
 

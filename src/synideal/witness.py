@@ -29,12 +29,13 @@ class IdealClass(enum.Enum):
         raise ValueError(f"unknown ideal class {text!r}")
 
 
-_MIN_N = {IdealClass.RIGHT: 1, IdealClass.LEFT: 1, IdealClass.TWO_SIDED: 2}
+#: Smallest state count with a witness, per class.
+MIN_N = {IdealClass.RIGHT: 1, IdealClass.LEFT: 1, IdealClass.TWO_SIDED: 2}
 
 
 def _check_range(klass: IdealClass, n: int) -> None:
-    if n < _MIN_N[klass]:
-        raise ValueError(f"{klass.value} witness needs n >= {_MIN_N[klass]}")
+    if n < MIN_N[klass]:
+        raise ValueError(f"{klass.value} witness needs n >= {MIN_N[klass]}")
 
 
 def build(klass: IdealClass, n: int) -> Dfa:

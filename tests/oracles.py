@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from typing import Sequence
 
-from synideal.dfa import Dfa
+from synideal.dfa import Dfa, StatePreorder
+from synideal.ideals import ClassificationReport, applicable_bounds
 from synideal.semigroup import TransformationSemigroup, _close_images
 from synideal.transform import Transformation
 
@@ -188,3 +190,203 @@ def not_left_ideal_dfa(final: int = 1) -> Dfa:
         0,
         frozenset({final}),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the candidate kernels
+#
+# The dict-based Moore refinement, the backward bad-pair propagation and the
+# classification of a minimal DFA as the package computed them before the
+# packed kernels (``dfa._partition``, ``dfa.preorder``,
+# ``ideals.classify_minimal``) replaced them; kept verbatim, under new names,
+# as the references those kernels must agree with.
+
+
+def reference_partition(d: Dfa, states: Sequence[int]) -> dict[int, int]:
+    """Moore refinement over the given states; returns state -> block id."""
+    block = {q: (1 if q in d.finals else 0) for q in states}
+    blocks = 2 if any(block.values()) and not all(block[q] for q in states) else 1
+    while True:
+        signatures: dict[tuple, int] = {}
+        new_block = {}
+        for q in states:
+            sig = (block[q],) + tuple(block[g.image[q]] for g in d.delta)
+            if sig not in signatures:
+                signatures[sig] = len(signatures)
+            new_block[q] = signatures[sig]
+        if len(signatures) == blocks:
+            return new_block
+        block, blocks = new_block, len(signatures)
+
+
+def reference_preorder(d: Dfa) -> StatePreorder:
+    """The full containment relation, by backward propagation of bad pairs.
+
+    A pair (p, q) is bad (p not <= q) iff p is final and q is not, or some
+    letter leads to a bad pair; the worklist closes the bad set, and leq is
+    its complement.  Agrees pointwise with ``language_containment``.
+    """
+    n = d.n
+    finals = d.finals
+    bad = [[False] * n for _ in range(n)]
+    stack = []
+    for x in range(n):
+        for y in range(n):
+            if x in finals and y not in finals:
+                bad[x][y] = True
+                stack.append((x, y))
+    pre: list[list[list[int]]] = []
+    for g in d.delta:
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for p in range(n):
+            rows[g.image[p]].append(p)
+        pre.append(rows)
+    while stack:
+        x, y = stack.pop()
+        for rows in pre:
+            for p in rows[x]:
+                row = bad[p]
+                for q in rows[y]:
+                    if not row[q]:
+                        row[q] = True
+                        stack.append((p, q))
+    leq = tuple(tuple(not bad[p][q] for q in range(n)) for p in range(n))
+    return StatePreorder(n=n, leq=leq)
+
+
+_UNSET = object()
+
+
+def reference_classify_minimal(
+    m: Dfa,
+    sigma: int,
+    po: StatePreorder | None = None,
+    ur: "int | None" = _UNSET,  # type: ignore[assignment]
+) -> ClassificationReport:
+    """Classification of an already-minimal DFA; ``po`` and ``ur`` may be
+    passed in when the caller has them precomputed (enumeration hot path)."""
+    n = m.n
+    if po is None:
+        po = reference_preorder(m)
+    leq = po.leq
+    non_empty = bool(m.finals)
+
+    right = non_empty and _final_sink(m) is not None
+    left = non_empty and all(leq[m.initial][g.image[m.initial]] for g in m.delta)
+    all_sided = non_empty and all(
+        leq[q][g.image[q]] for q in range(n) for g in m.delta
+    )
+    two_sided = right and left
+
+    alive = _coreachable(m, m.finals)
+    universal = _coreachable(m, frozenset(range(n)) - m.finals)
+    dead = [not alive[q] for q in range(n)]
+    # universal[q] currently means "can reach a non-final state"; invert.
+    universal = [not universal[q] for q in range(n)]
+
+    has_empty = any(dead)
+    has_sigma_star = any(universal)
+    has_eps = any(
+        q in m.finals and all(dead[g.image[q]] for g in m.delta) for q in range(n)
+    )
+    has_sigma_plus = any(
+        q not in m.finals and all(universal[g.image[q]] for g in m.delta)
+        for q in range(n)
+    )
+
+    ur_depth = reference_ur_depth(m) if ur is _UNSET else ur
+
+    flags = {
+        "empty": has_empty,
+        "sigma_star": has_sigma_star,
+        "eps": has_eps,
+        "sigma_plus": has_sigma_plus,
+    }
+    bounds = applicable_bounds(n, flags, ur_depth)
+
+    prefix_closed = _complement_prefix_closed(m)
+    suffix_closed = all(leq[m.initial][q] for q in range(n))
+    return ClassificationReport(
+        n=n,
+        is_right_ideal=right,
+        is_left_ideal=left,
+        is_two_sided_ideal=two_sided,
+        is_all_sided_ideal=all_sided,
+        complement_prefix_closed=prefix_closed,
+        complement_suffix_closed=suffix_closed,
+        complement_factor_closed=prefix_closed and suffix_closed,
+        has_empty=has_empty,
+        has_sigma_star=has_sigma_star,
+        has_eps=has_eps,
+        has_sigma_plus=has_sigma_plus,
+        ur_depth=ur_depth,
+        sigma=sigma,
+        applicable_bounds=bounds,
+    )
+
+
+def _final_sink(m: Dfa) -> int | None:
+    """The unique final state if it is an all-accepting sink, else None."""
+    if len(m.finals) != 1:
+        return None
+    (f,) = m.finals
+    if all(g.image[f] == f for g in m.delta):
+        return f
+    return None
+
+
+def _coreachable(m: Dfa, targets: frozenset[int]) -> list[bool]:
+    """States from which some state in ``targets`` is reachable."""
+    n = m.n
+    flag = [q in targets for q in range(n)]
+    stack = [q for q in range(n) if flag[q]]
+    pre: list[list[int]] = [[] for _ in range(n)]
+    for g in m.delta:
+        for p in range(n):
+            pre[g.image[p]].append(p)
+    while stack:
+        q = stack.pop()
+        for p in pre[q]:
+            if not flag[p]:
+                flag[p] = True
+                stack.append(p)
+    return flag
+
+
+def _complement_prefix_closed(m: Dfa) -> bool:
+    """Whether the complement language is prefix-closed.
+
+    In the complement automaton, prefix-closed means no accepting state is
+    reachable from a reachable non-accepting one; equivalently every state of
+    ``m`` that can reach a non-final state is itself non-final.
+    """
+    can_reach_nonfinal = _coreachable(m, frozenset(range(m.n)) - m.finals)
+    return all(q not in m.finals for q in range(m.n) if can_reach_nonfinal[q])
+
+
+def reference_ur_depth(m: Dfa) -> int | None:
+    """Length of the longest word whose quotient is uniquely reachable.
+
+    State q is uniquely reachable by wa iff its only incoming transition is
+    (p, a) with p uniquely reachable by w; the initial state is uniquely
+    reachable by the empty word iff nothing (including itself) maps into it.
+    Returns None when the language itself is not uniquely reachable.
+    """
+    n = m.n
+    incoming: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    for ai, g in enumerate(m.delta):
+        for p in range(n):
+            incoming[g.image[p]].add((p, ai))
+    if incoming[m.initial]:
+        return None
+    depth = {m.initial: 0}
+    queue = [m.initial]
+    for p in queue:
+        for ai, g in enumerate(m.delta):
+            q = g.image[p]
+            if q in depth:
+                continue
+            if incoming[q] == {(p, ai)}:
+                depth[q] = depth[p] + 1
+                queue.append(q)
+    return max(depth.values())

@@ -113,6 +113,22 @@ def test_criterion_4_exhaustive_tightness_and_uniqueness():
             assert stats.maximizers_relabeled == stats.maximizers, klass
 
 
+def test_four_state_two_letter_sweep():
+    # The n=4, 2-letter exhaustive sweep's enumeration facts.  Its `bounds`
+    # violations (the ur_chain defect in ideals.applicable_bounds) are not
+    # pinned here; every other check must pass.
+    with criterion(4, "n=4 a=2 exhaustive sweep: counts, maxima and injection contexts", 120.0):
+        report = run(CampaignSpec(n=4, alphabet_size=2))
+        assert report.examined == 493_440
+        assert report.minimal == 168_132
+        per_class = {
+            name: (stats.count, stats.max_sigma) for name, stats in report.per_class.items()
+        }
+        assert per_class == {"right": (1458, 31), "left": (1128, 17), "two-sided": (228, 14)}
+        assert report.injection_contexts == 1356
+        assert {v["check"] for v in report.violations} <= {"bounds"}
+
+
 def test_criterion_5_injection_campaigns():
     with criterion(5, "sampled injection suites: 210 left + 110 two-sided contexts", 300.0):
         left_total = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -193,6 +194,20 @@ class TestEnumerate:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    # sha256 of the full n=3, 3-letter sweep output, recorded before the sweep
+    # moved onto the packed kernels; any refactor must keep it byte-identical
+    N3_A3_DIGESTS = {
+        "json": "6b61d05c6a307093115e7276745eb1e20e7484758c1b94986a078765ee7ca623",
+        "text": "db8cf8dfc0885f09cfebaf8fb9762f9c384ec4eb54a86c3dc57d0018372d1e1e",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(N3_A3_DIGESTS))
+    def test_three_state_sweep_output_is_unchanged(self, capsys, fmt):
+        args = ["enumerate", "--n", "3", "--alphabet-size", "3"]
+        code, out, _ = run_cli(capsys, *args, *(["--json"] if fmt == "json" else []))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.N3_A3_DIGESTS[fmt]
 
     def test_progress_goes_to_stderr(self, capsys):
         code, out, err = run_cli(

@@ -1,0 +1,117 @@
+"""The packed candidate kernels against the reference implementations they
+replaced and against containment decided by word search.
+
+``dfa._partition``, ``dfa.preorder`` and ``ideals.classify_minimal`` work on
+``bytes`` maps and ``int`` masks; ``oracles.reference_*`` are the dict-based
+versions.  Classification is compared on every DFA, minimal or not: each
+field is a statement about the given automaton's states, so the two must
+agree everywhere.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import pytest
+
+from synideal.dfa import Dfa, _partition, is_minimal, preorder
+from synideal.ideals import classify_minimal
+from synideal.transform import Transformation
+
+from oracles import (
+    containment_by_word_search,
+    random_dfa,
+    reference_classify_minimal,
+    reference_partition,
+    reference_preorder,
+)
+
+
+def _reachable(d: Dfa) -> list[int]:
+    seen = [d.initial]
+    for q in seen:
+        for g in d.delta:
+            if g.image[q] not in seen:
+                seen.append(g.image[q])
+    return seen
+
+
+def _check_agreement(d: Dfa, memo: dict) -> None:
+    n = d.n
+    states = range(n)
+
+    blocks = _partition(d.transitions.maps, d.finals_mask)
+    ref_blocks = reference_partition(d, states)
+    for p in states:
+        for q in states:
+            assert (blocks[p] == blocks[q]) == (ref_blocks[p] == ref_blocks[q]), (d, p, q)
+    reach = _reachable(d)
+    ref_minimal = len(reach) == n and len(set(reference_partition(d, reach).values())) == n
+    assert is_minimal(d) == ref_minimal, d
+
+    leq = preorder(d).leq
+    assert leq == reference_preorder(d).leq, d
+    for p in states:
+        for q in states:
+            assert leq[p][q] == containment_by_word_search(d, p, q), (d, p, q)
+
+    sigma = 7
+    expected = reference_classify_minimal(d, sigma)
+    assert classify_minimal(d.transitions, d.finals_mask, sigma) == expected, d
+    assert classify_minimal(d.transitions, d.finals_mask, sigma, memo=memo) == expected, d
+
+
+def _all_dfas(n: int, alphabet_size: int):
+    maps = [Transformation(img) for img in product(range(n), repeat=n)]
+    letters = tuple("ab"[:alphabet_size])
+    for delta in product(maps, repeat=alphabet_size):
+        for initial in range(n):
+            for mask in range(2**n):
+                finals = frozenset(q for q in range(n) if mask >> q & 1)
+                yield Dfa(letters, delta, initial, finals)
+
+
+@pytest.mark.parametrize("n,alphabet_size", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_every_small_dfa_agrees_with_the_references(n, alphabet_size):
+    # every 1- and 2-letter DFA with n <= 3: every letter tuple, initial
+    # state and final set
+    memo: dict = {}
+    count = 0
+    for d in _all_dfas(n, alphabet_size):
+        _check_agreement(d, memo)
+        count += 1
+    assert count == (n**n) ** alphabet_size * n * 2**n
+
+
+def test_random_dfas_agree_with_the_references():
+    rng = random.Random(20261018)
+    memo: dict = {}
+    shapes = {"empty": 0, "full": 0, "moved_initial": 0}
+    for i in range(500):
+        n = rng.randint(4, 6)
+        d = random_dfa(rng, n, rng.randint(1, 3))
+        if i % 10 == 0:
+            d = Dfa(d.alphabet, d.delta, d.initial, frozenset())
+        elif i % 10 == 1:
+            d = Dfa(d.alphabet, d.delta, d.initial, frozenset(range(n)))
+        shapes["empty"] += not d.finals
+        shapes["full"] += len(d.finals) == n
+        shapes["moved_initial"] += d.initial != 0
+        _check_agreement(d, memo)
+    assert min(shapes.values()) >= 50, shapes
+
+
+def test_partition_ids_number_blocks_in_order_of_first_appearance():
+    # a 3-state chain a: 0 -> 1 -> 2 -> 2, final {2}: all states distinct
+    assert _partition((bytes([1, 2, 2]),), 0b100) == bytes([0, 1, 2])
+    # two final states that no word tells apart share a block
+    blocks = _partition((bytes([1, 2, 1]),), 0b110)
+    assert blocks[1] == blocks[2] != blocks[0]
+
+
+def test_packing_refuses_more_than_256_states():
+    n = 257
+    d = Dfa(("a",), (Transformation(tuple(range(n))),), 0, frozenset())
+    with pytest.raises(ValueError, match="256"):
+        d.transitions
