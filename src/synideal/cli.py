@@ -47,13 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="synideal",
         description="Syntactic complexity workbench for ideal regular languages.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="cap on internal parallelism; results are independent of K",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("witness", help="print a witness DFA")
@@ -109,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return _dispatch(args)
     except (DfaParseError, ValueError) as exc:

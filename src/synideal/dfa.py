@@ -19,7 +19,7 @@ from .semigroup import (
     TransformationSemigroup,
     closure,
 )
-from .transform import Transformation
+from .transform import Transformation, conjugate
 
 
 class DfaParseError(ValueError):
@@ -483,6 +483,27 @@ def is_minimal(d: Dfa) -> bool:
     return len(set(_partition(t.maps, d.finals_mask))) == d.n
 
 
+def sink_to_top(d: Dfa) -> Dfa:
+    """The same DFA with its one final state relabeled n-1.
+
+    The final state and state n-1 swap labels; every other state keeps its
+    own, so the initial state 0 of a minimal ideal DFA with n >= 2 stays 0.
+    A DFA whose final state is already n-1 is returned as it is.
+    """
+    (f,) = d.finals
+    n = d.n
+    if f == n - 1:
+        return d
+    perm = list(range(n))
+    perm[f], perm[n - 1] = n - 1, f
+    return Dfa(
+        alphabet=d.alphabet,
+        delta=tuple(conjugate(g, perm) for g in d.delta),
+        initial=perm[d.initial],
+        finals=frozenset({n - 1}),
+    )
+
+
 # ---------------------------------------------------------------------------
 # the state preorder
 
@@ -579,15 +600,7 @@ def transition_semigroup(
     d: Dfa, cap: int | None = None
 ) -> TransformationSemigroup | ClosureOverflow:
     """Closure of the letter transformations (the maps of non-empty words)."""
-    result = closure(list(d.delta), cap=cap)
-    if isinstance(result, TransformationSemigroup):
-        return TransformationSemigroup(
-            n=result.n,
-            images=result.images,
-            generators=result.generators,
-            generator_labels=tuple(d.alphabet),
-        )
-    return result
+    return closure(list(d.delta), cap=cap)
 
 
 def syntactic_complexity(d: Dfa, cap: int | None = None) -> int:

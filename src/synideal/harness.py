@@ -28,6 +28,7 @@ from .dfa import (
     Transitions,
     minimize,
     reachable_states,
+    sink_to_top,
     to_text,
     transition_semigroup,
     _partition,
@@ -40,15 +41,18 @@ from .ideals import (
 )
 from .injection import MIN_CONTEXT_N, make_context, verify_injection
 from .semigroup import (
+    CapExceeded,
+    ClosureOverflow,
     TransformationSemigroup,
     _close_images,
-    _conjugated_images,
     equal_up_to_relabeling,
 )
 from .transform import Transformation
 from .witness import MIN_N, IdealClass, bound, expected_semigroup
 
 EXHAUSTIVE_BUDGET = 10**8
+#: Random DFAs ``sample_ideal_dfa`` draws before it gives up on one sample.
+SAMPLE_ATTEMPTS = 4000
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 ALL_CHECKS = frozenset({"tightness", "uniqueness", "injection", "bounds"})
@@ -76,6 +80,14 @@ class CampaignSpec:
         unknown = set(self.checks) - ALL_CHECKS
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if not 1 <= self.alphabet_size <= len(_LETTERS):
+            raise ValueError(
+                f"alphabet size must be in 1..{len(_LETTERS)}, got {self.alphabet_size}"
+            )
+        if isinstance(self.mode, SampleMode) and self.mode.count < 1:
+            raise ValueError(f"sample count must be at least 1, got {self.mode.count}")
         if self.mode == "exhaustive":
             cost = (self.n**self.n) ** self.alphabet_size * 2**self.n
             if cost > EXHAUSTIVE_BUDGET:
@@ -332,23 +344,15 @@ def _expected_cached(cache: dict, klass: IdealClass, n: int) -> TransformationSe
 
 def _relabels_to_expected(d: Dfa, klass: IdealClass, expected_cache: dict) -> bool:
     """Bound-meeting semigroups must relabel onto the maximal one, fixing the
-    initial state and (for classes with a final sink) the sink."""
-    n = d.n
-    result = transition_semigroup(d)
-    assert isinstance(result, TransformationSemigroup)
+    initial state and (for classes with a final sink) the sink, which is
+    relabeled n-1 first."""
     fixed = {0}
     if klass in (IdealClass.RIGHT, IdealClass.TWO_SIDED):
-        (f,) = d.finals
-        if f != n - 1:
-            perm = list(range(n))
-            perm[f], perm[n - 1] = n - 1, f
-            result = TransformationSemigroup(
-                n=n,
-                images=_conjugated_images(result.images, perm),
-                generators=result.generators,
-            )
-        fixed.add(n - 1)
-    target = _expected_cached(expected_cache, klass, n)
+        d = sink_to_top(d)
+        fixed.add(d.n - 1)
+    result = transition_semigroup(d)
+    assert isinstance(result, TransformationSemigroup)
+    target = _expected_cached(expected_cache, klass, d.n)
     return equal_up_to_relabeling(result, target, fixed) is not None
 
 
@@ -398,25 +402,22 @@ _CLOSURES = {
 }
 
 
-def sample_ideal_dfa(
-    klass: IdealClass,
-    n: int,
-    alphabet_size: int,
-    seed: int,
-    attempts: int = 4000,
-) -> Dfa | None:
-    """A random minimal DFA of the class with exactly n states, or None.
+def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -> Dfa | None:
+    """A random minimal DFA with exactly n states of a non-empty language
+    closed into the class, or None.
 
     Rejection sampling: draw a random complete DFA, close its language into
     the requested ideal class, minimize, and accept when exactly n states
-    remain and the classification confirms the class.  Deterministic in the
-    seed; None when the attempt budget runs out.
+    remain and some state is final.  L.Sigma*, Sigma*.L and Sigma*.L.Sigma*
+    are ideals of their class whenever they are non-empty, so nothing here
+    classifies the sample; the campaign classifies it once and reports a
+    sample outside the class as a ``sampler`` violation.  Deterministic in
+    the seed; None after ``SAMPLE_ATTEMPTS`` draws.
     """
     rng = random.Random(seed)
     letters = tuple(_LETTERS[:alphabet_size])
     close = _CLOSURES[klass]
-    flag = _CLASS_FLAG[klass]
-    for attempt in range(attempts):
+    for attempt in range(SAMPLE_ATTEMPTS):
         m = n + (attempt % 3) - 1 if n > 2 else n
         if m < 1:
             m = n
@@ -428,13 +429,8 @@ def sample_ideal_dfa(
         finals = frozenset(rng.sample(range(m), final_count))
         base = Dfa(letters, delta, 0, finals)
         candidate = minimize(close(base))
-        if candidate.n != n:
-            continue
-        result = transition_semigroup(candidate)
-        if isinstance(result, TransformationSemigroup):
-            rep = classify_minimal(candidate.transitions, candidate.finals_mask, result.size)
-            if getattr(rep, flag):
-                return candidate
+        if candidate.n == n and candidate.finals:
+            return candidate
     return None
 
 
@@ -457,6 +453,12 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> 
         report.samples_obtained += 1
         report.minimal += 1
         result = transition_semigroup(d)
-        assert isinstance(result, TransformationSemigroup)
+        if isinstance(result, ClosureOverflow):
+            raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
         rep = classify_minimal(d.transitions, d.finals_mask, result.size, memo=checks.bounds_memo)
+        if not getattr(rep, _CLASS_FLAG[klass]):
+            report.violations.append(
+                {"check": "sampler", "index": i, "detail": "not in the class", "dfa": to_text(d)}
+            )
+            continue
         checks(rep, lambda: d)

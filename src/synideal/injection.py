@@ -34,10 +34,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .dfa import Dfa, StatePreorder, minimize, preorder, transition_semigroup
+from .dfa import Dfa, StatePreorder, minimize, preorder, sink_to_top, transition_semigroup
 from .ideals import classify_minimal
 from .semigroup import CapExceeded, ClosureOverflow, TransformationSemigroup
-from .transform import Transformation, classify_shape, conjugate
+from .transform import Transformation, classify_shape
 from .witness import IdealClass, expected_semigroup
 
 #: Smallest state count with an injection construction, per class.
@@ -118,7 +118,7 @@ def make_context(
         )
     if klass is IdealClass.TWO_SIDED and len(m.finals) == 1:
         # Relabeling changes neither the classification nor sigma.
-        m = _sink_to_top(m)
+        m = sink_to_top(m)
     result = transition_semigroup(m)
     if isinstance(result, ClosureOverflow):
         raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
@@ -133,22 +133,6 @@ def make_context(
         po=preorder(m),
         T=result,
         S=expected_semigroup(klass, n) if S is None else S,
-    )
-
-
-def _sink_to_top(m: Dfa) -> Dfa:
-    """Relabel so the unique final sink is state n-1 (initial stays 0)."""
-    (f,) = m.finals
-    n = m.n
-    if f == n - 1:
-        return m
-    perm = list(range(n))
-    perm[f], perm[n - 1] = n - 1, f
-    return Dfa(
-        alphabet=m.alphabet,
-        delta=tuple(conjugate(g, perm) for g in m.delta),
-        initial=perm[m.initial],
-        finals=frozenset({n - 1}),
     )
 
 

@@ -57,7 +57,6 @@ class TransformationSemigroup:
     n: int
     images: frozenset[bytes]
     generators: tuple[Transformation, ...]
-    generator_labels: tuple[str, ...] | None = None
 
     @property
     def size(self) -> int:

@@ -165,10 +165,6 @@ def expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:
                         img[q] = n - 1
                     images.add(bytes(img))
         images.add(bytes([n - 1] * n))
-    witness = build(klass, n)
     return TransformationSemigroup(
-        n=n,
-        images=frozenset(images),
-        generators=tuple(witness.delta),
-        generator_labels=tuple(witness.alphabet),
+        n=n, images=frozenset(images), generators=tuple(build(klass, n).delta)
     )

@@ -209,6 +209,23 @@ class TestEnumerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.N3_A3_DIGESTS[fmt]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n", "0", "--alphabet-size", "1"],
+            ["--n", "-1", "--alphabet-size", "1"],
+            ["--n", "2", "--alphabet-size", "0"],
+            ["--n", "3", "--alphabet-size", "30", "--class", "left", "--mode", "sample"],
+            ["--n", "3", "--alphabet-size", "2", "--class", "left", "--mode", "sample",
+             "--count", "-3"],
+        ],
+        ids=["n-zero", "n-negative", "alphabet-zero", "alphabet-above-26", "count-negative"],
+    )
+    def test_out_of_range_spec_exit_2(self, capsys, args):
+        code, out, err = run_cli(capsys, "enumerate", *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be" in err
+
     def test_progress_goes_to_stderr(self, capsys):
         code, out, err = run_cli(
             capsys, "enumerate", "--n", "2", "--alphabet-size", "2", "--progress"
@@ -223,14 +240,3 @@ class TestExportDot:
         code, out, _ = run_cli(capsys, "export-dot", path)
         assert code == 0 and "doublecircle" in out
 
-
-class TestThreads:
-    def test_accepted_and_result_independent(self, capsys, dfa_file):
-        path = dfa_file(build(IdealClass.LEFT, 3))
-        _, out1, _ = run_cli(capsys, "--threads", "1", "semigroup", path)
-        _, out4, _ = run_cli(capsys, "--threads", "4", "semigroup", path)
-        assert out1 == out4
-
-    def test_rejects_zero(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--threads", "0", "bounds", "--class", "left", "--n-max", "2"])

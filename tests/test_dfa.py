@@ -15,6 +15,7 @@ from synideal.dfa import (
     parse_dfa_json,
     preorder,
     same_language,
+    sink_to_top,
     syntactic_complexity,
     to_dot,
     to_json_dict,
@@ -151,6 +152,25 @@ class TestMinimize:
             assert minimize(d) == minimize(relabeled)
 
 
+class TestSinkToTop:
+    def test_final_state_becomes_top(self):
+        rng = random.Random(41)
+        moved = 0
+        for _ in range(100):
+            d = random_dfa(rng, rng.randrange(2, 6), 2)
+            d = Dfa(d.alphabet, d.delta, 0, frozenset({rng.randrange(1, d.n)}))
+            top = sink_to_top(d)
+            assert top.finals == {d.n - 1} and top.initial == 0
+            assert same_language(d, top)
+            moved += top != d
+        assert moved
+
+    def test_final_state_already_on_top_is_unchanged(self):
+        w = build(IdealClass.TWO_SIDED, 4)
+        assert w.finals == {3}
+        assert sink_to_top(w) is w
+
+
 class TestContainment:
     def test_reflexive(self):
         d = trailing_runs_dfa(3)
@@ -268,7 +288,3 @@ class TestSemigroups:
         assert isinstance(result, ClosureOverflow)
         with pytest.raises(CapExceeded):
             syntactic_complexity(d, cap=5)
-
-    def test_labels_follow_alphabet(self):
-        w = build(IdealClass.LEFT, 3)
-        assert transition_semigroup(w).generator_labels == w.alphabet

@@ -1,8 +1,10 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
-from synideal.dfa import Dfa, is_minimal, minimize, same_language
+from synideal import harness
+from synideal.dfa import Dfa, is_minimal, minimize, parse_dfa, same_language
 from synideal.harness import (
     BudgetExceeded,
     CampaignSpec,
@@ -36,6 +38,15 @@ class TestSpec:
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             CampaignSpec(n=2, alphabet_size=1, mode="noisy")
+
+    def test_largest_alphabet_accepted(self):
+        spec = CampaignSpec(
+            n=2,
+            alphabet_size=26,
+            class_filter=IdealClass.RIGHT,
+            mode=SampleMode(count=1, seed=1),
+        )
+        assert run(spec).samples_obtained == 1
 
 
 class TestExhaustive:
@@ -224,3 +235,39 @@ class TestSampleCampaign:
             mode=SampleMode(count=10, seed=5),
         )
         assert run(spec).to_json() == run(spec).to_json()
+
+    def test_sample_outside_the_class_is_a_sampler_violation(self, monkeypatch):
+        # Without the left closure the sampler returns whatever minimal DFA it
+        # draws; the campaign's one classification must catch the samples
+        # that are not left ideals and report each with its DFA.
+        monkeypatch.setitem(harness._CLOSURES, IdealClass.LEFT, lambda d: d)
+        spec = CampaignSpec(
+            n=4,
+            alphabet_size=2,
+            class_filter=IdealClass.LEFT,
+            mode=SampleMode(count=20, seed=5),
+        )
+        rep = run(spec)
+        missed = [v for v in rep.violations if v["check"] == "sampler"]
+        assert missed and not rep.ok
+        assert rep.samples_obtained == 20
+        assert rep.per_class["left"].count + len(missed) == 20
+        for v in missed:
+            assert not classify(parse_dfa(v["dfa"])).is_left_ideal
+
+    # sha256 of harness.run(spec).to_json() for three seeded campaigns,
+    # recorded before the sampler stopped classifying its samples: the accept
+    # decisions, and with them the random stream, must stay the same
+    SAMPLE_DIGESTS = {
+        (IdealClass.LEFT, 4, 2): "cff4d6c8af7d219315bbab8c269831e7ff907a33c092f520c8458a4340778326",
+        (IdealClass.TWO_SIDED, 5, 3): "dd2e41f7857fc32f4eaebc6fa9954c5348e203a438860a5d42de39c5840ec4fb",
+        (IdealClass.RIGHT, 4, 2): "e5964e3226c54496162a2f52781fb8f207ae844ceb142c67b9a7839078b0830a",
+    }
+
+    @pytest.mark.parametrize("klass, n, a", sorted(SAMPLE_DIGESTS, key=str))
+    def test_sample_campaign_output_is_unchanged(self, klass, n, a):
+        spec = CampaignSpec(
+            n=n, alphabet_size=a, class_filter=klass, mode=SampleMode(count=30, seed=2)
+        )
+        digest = hashlib.sha256(run(spec).to_json().encode()).hexdigest()
+        assert digest == self.SAMPLE_DIGESTS[(klass, n, a)]
