@@ -9,7 +9,7 @@ the closure engine, so that ``expected_semigroup`` can cross-validate
 from __future__ import annotations
 
 import enum
-from itertools import combinations, product
+from itertools import chain, product
 
 from .dfa import Dfa
 from .semigroup import TransformationSemigroup
@@ -142,29 +142,23 @@ def expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:
     * two-sided: all maps fixing 0 and n-1; for each p in {1..n-2} all maps
       sending a subset of {1..n-2} together with n-1 to n-1 and everything
       else to p; and the constant (Q -> n-1).
+
+    Each family is an ``itertools.product`` enumeration of image sequences,
+    one factor per state (a single value where the state's image is forced),
+    packed straight into bytes.
     """
     _check_range(klass, n)
-    images: set[bytes] = set()
+    states = [range(n)]
     if klass is IdealClass.RIGHT:
-        for body in product(range(n), repeat=n - 1):
-            images.add(bytes(body) + bytes([n - 1]))
+        maps = product(*states * (n - 1), [n - 1])
     elif klass is IdealClass.LEFT:
-        for body in product(range(n), repeat=n - 1):
-            images.add(bytes([0]) + bytes(body))
-        for p in range(1, n):
-            images.add(bytes([p] * n))
+        maps = chain(product([0], *states * (n - 1)), ([p] * n for p in range(1, n)))
     else:
-        for body in product(range(n), repeat=n - 2):
-            images.add(bytes([0]) + bytes(body) + bytes([n - 1]))
-        for p in range(1, n - 1):
-            for size in range(n - 1):
-                for subset in combinations(range(1, n - 1), size):
-                    img = [p] * n
-                    img[n - 1] = n - 1
-                    for q in subset:
-                        img[q] = n - 1
-                    images.add(bytes(img))
-        images.add(bytes([n - 1] * n))
+        maps = chain(
+            product([0], *states * (n - 2), [n - 1]),
+            *(product([p], *[(p, n - 1)] * (n - 2), [n - 1]) for p in range(1, n - 1)),
+            [[n - 1] * n],
+        )
     return TransformationSemigroup(
-        n=n, images=frozenset(images), generators=tuple(build(klass, n).delta)
+        n=n, images=frozenset(map(bytes, maps)), generators=tuple(build(klass, n).delta)
     )

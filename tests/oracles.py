@@ -15,6 +15,7 @@ from synideal.dfa import Dfa, StatePreorder
 from synideal.ideals import ClassificationReport, applicable_bounds
 from synideal.semigroup import TransformationSemigroup, _close_images
 from synideal.transform import Transformation
+from synideal.witness import IdealClass, build
 
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:
@@ -103,6 +104,47 @@ def minimal_generator_count_by_subsets(s: TransformationSemigroup, k_max: int) -
             if closed is not None and len(closed) == size:
                 return k
     return None
+
+
+def reference_expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:
+    """The maximal transition semigroup of the class, by explicit loops that
+    assemble each image from its parts (the subset maps state by state)."""
+    images: set[bytes] = set()
+    if klass is IdealClass.RIGHT:
+        for body in product(range(n), repeat=n - 1):
+            images.add(bytes(body) + bytes([n - 1]))
+    elif klass is IdealClass.LEFT:
+        for body in product(range(n), repeat=n - 1):
+            images.add(bytes([0]) + bytes(body))
+        for p in range(1, n):
+            images.add(bytes([p] * n))
+    else:
+        for body in product(range(n), repeat=n - 2):
+            images.add(bytes([0]) + bytes(body) + bytes([n - 1]))
+        for p in range(1, n - 1):
+            for size in range(n - 1):
+                for subset in combinations(range(1, n - 1), size):
+                    img = [p] * n
+                    img[n - 1] = n - 1
+                    for q in subset:
+                        img[q] = n - 1
+                    images.add(bytes(img))
+        images.add(bytes([n - 1] * n))
+    return TransformationSemigroup(
+        n=n, images=frozenset(images), generators=tuple(build(klass, n).delta)
+    )
+
+
+def reference_conjugated_images(images: frozenset[bytes], perm: Sequence[int]) -> frozenset[bytes]:
+    """Conjugate each packed map by perm state by state:
+    ``new[perm[q]] = perm[image[q]]``."""
+    out = set()
+    for e in images:
+        img = bytearray(len(e))
+        for q, r in enumerate(e):
+            img[perm[q]] = perm[r]
+        out.add(bytes(img))
+    return frozenset(out)
 
 
 def sigma_star_prefix_dfa(d: Dfa) -> Dfa:

@@ -126,6 +126,14 @@ class TestSemigroupCommand:
         code, _, err = run_cli(capsys, "semigroup", path, "--cap", "5")
         assert code == 3 and "cap" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_exit_2(self, capsys, dfa_file, cap):
+        # Every closure has an element, so such a cap is bad input, not a
+        # budget the semigroup exceeded.
+        path = dfa_file(sigma_ladder_dfas()[27])
+        code, _, err = run_cli(capsys, "semigroup", path, "--cap", cap)
+        assert code == 2 and "cap" in err
+
 
 class TestBounds:
     def test_left_table(self, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -6,6 +7,8 @@ from synideal.semigroup import (
     ClosureOverflow,
     SearchInfeasible,
     TransformationSemigroup,
+    _close_images,
+    _conjugated_images,
     closure,
     contains,
     equal_up_to_relabeling,
@@ -23,7 +26,12 @@ from synideal.transform import (
 from synideal.witness import IdealClass, build
 from synideal.dfa import transition_semigroup
 
-from oracles import minimal_generator_count_by_subsets, naive_closure, random_transformation
+from oracles import (
+    minimal_generator_count_by_subsets,
+    naive_closure,
+    random_transformation,
+    reference_conjugated_images,
+)
 
 
 def T(*image):
@@ -82,6 +90,35 @@ class TestClosure:
         result = closure(full_monoid_generators(4), cap=256)
         assert isinstance(result, TransformationSemigroup)
         assert result.size == 256
+
+    def test_cap_is_exact_on_the_right_witness(self):
+        # cap and stop_at are checked once per generator pass; the answer
+        # must still turn on the exact size.
+        gens = build(IdealClass.RIGHT, 5).delta
+        assert isinstance(closure(gens, cap=624), ClosureOverflow)
+        s = closure(gens, cap=625)
+        assert isinstance(s, TransformationSemigroup) and s.size == 625
+
+    def test_stop_at_returns_enough_and_no_more_than_the_closure(self):
+        gens = [g.packed() for g in build(IdealClass.RIGHT, 5).delta]
+        full = _close_images(gens)
+        assert len(full) == 625
+        for k in (1, 4, 5, 100, 600, 625, 700):
+            part = _close_images(gens, stop_at=k)
+            assert len(part) >= min(k, 625)
+            assert part <= full
+
+    def test_cap_below_the_generator_count(self):
+        # Three distinct generators that are already closed: nothing new is
+        # ever produced, yet the closure has more than two elements.
+        gens = [identity(3), constant(3, 0), constant(3, 1)]
+        assert isinstance(closure(gens, cap=2), ClosureOverflow)
+        assert closure(gens, cap=3).size == 3
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_non_positive_cap_is_a_value_error(self, cap):
+        with pytest.raises(ValueError):
+            closure([identity(2)], cap=cap)
 
 
 class TestContains:
@@ -221,6 +258,46 @@ class TestRelabeling:
         s = closure([identity(8)])
         with pytest.raises(SearchInfeasible):
             equal_up_to_relabeling(s, s)
+
+    def test_generators_in_target_is_not_a_proof(self):
+        # t holds the conjugates of s's generators under perm, but one other
+        # element of the conjugate is swapped for a map outside it, so no
+        # permutation conjugates s onto t.
+        s = closure([T(1, 2, 3, 3), T(0, 0, 2, 1)])
+        perm = (2, 0, 3, 1)
+        conjugate_images = _conjugated_images(s.images, perm)
+        moved_gens = {conjugate(g, perm).packed() for g in s.generators}
+        dropped = min(conjugate_images - moved_gens)
+        added = min(e for e in map(bytes, product(range(4), repeat=4)) if e not in conjugate_images)
+        t = TransformationSemigroup(
+            n=4, images=(conjugate_images - {dropped}) | {added}, generators=s.generators
+        )
+        assert t.size == s.size and moved_gens <= t.images
+        assert all(reference_conjugated_images(s.images, p) != t.images for p in permutations(range(4)))
+        assert equal_up_to_relabeling(s, t) is None
+
+    def test_found_permutation_conjugates_onto_the_target(self):
+        rng = random.Random(11)
+        for i in range(60):
+            n = 1 + i % 5
+            s = closure([random_transformation(rng, n) for _ in range(2)])
+            perm = rng.sample(range(n), n)
+            target = TransformationSemigroup(
+                n=n, images=reference_conjugated_images(s.images, perm), generators=s.generators
+            )
+            found = equal_up_to_relabeling(s, target)
+            assert found is not None
+            assert reference_conjugated_images(s.images, found) == target.images
+
+
+class TestConjugatedImages:
+    def test_matches_state_by_state_conjugation(self):
+        rng = random.Random(5)
+        for i in range(240):
+            n = 1 + i % 6
+            s = closure([random_transformation(rng, n) for _ in range(rng.randint(1, 2))])
+            perm = list(range(n)) if i % 12 < 6 else rng.sample(range(n), n)
+            assert _conjugated_images(s.images, perm) == reference_conjugated_images(s.images, perm)
 
 
 class TestSerialization:

@@ -4,7 +4,9 @@ from synideal.dfa import is_minimal, max_chain_length, preorder, transition_semi
 from synideal.ideals import classify
 from synideal.semigroup import generator_necessity
 from synideal.transform import Transformation, identity
-from synideal.witness import IdealClass, bound, build, expected_semigroup
+from synideal.witness import MIN_N, IdealClass, bound, build, expected_semigroup
+
+from oracles import reference_expected_semigroup
 
 
 def T(*image):
@@ -103,6 +105,13 @@ class TestExpectedSemigroup:
             exp = expected_semigroup(klass, n)
             assert got.size == exp.size == size == bound(klass, n)
             assert got.images == exp.images
+
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_matches_reference_enumeration(self, klass):
+        for n in range(MIN_N[klass], 8):
+            exp = expected_semigroup(klass, n)
+            ref = reference_expected_semigroup(klass, n)
+            assert exp.images == ref.images and exp.generators == ref.generators
 
 
 class TestWitnessShape:
