@@ -26,6 +26,11 @@ index satisfying the conditions is chosen, making f a function.  The
 constructions only promise injectivity and image containment for semigroups
 of genuine ideals; ``verify_injection`` checks both and reports any
 counterexample loudly instead of patching over it.
+
+The cases run on packed maps (``bytes``), with the preorder held as per-state
+int masks on the context; one pass per element finds its case and builds
+f(t).  ``Transformation`` objects appear only at the API edge (``apply_f``,
+``classify_case``) and in the text of violations and collisions.
 """
 
 from __future__ import annotations
@@ -33,11 +38,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .dfa import Dfa, StatePreorder, minimize, preorder, sink_to_top, transition_semigroup
 from .ideals import classify_minimal
 from .semigroup import CapExceeded, ClosureOverflow, TransformationSemigroup
-from .transform import Transformation, classify_shape
+from .transform import Transformation
 from .witness import IdealClass, expected_semigroup
 
 #: Smallest state count with an injection construction, per class.
@@ -94,8 +100,19 @@ class InjectionContext:
     def n(self) -> int:
         return self.dfa.n
 
-    def less(self, p: int, q: int) -> bool:
-        return self.po.strictly_less(p, q)
+    @cached_property
+    def above(self) -> tuple[int, ...]:
+        """Bit q of ``above[p]`` is set iff p is strictly below q."""
+        states = range(self.n)
+        less = self.po.strictly_less
+        return tuple(sum(1 << q for q in states if less(p, q)) for p in states)
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """Bit q of ``up[p]`` is set iff p <= q.  Case 2c skips these states;
+        unlike ``above`` this also covers states equivalent to p, which a
+        preorder that is not antisymmetric can have."""
+        return tuple(sum(1 << q for q, le in enumerate(row) if le) for row in self.po.leq)
 
 
 def make_context(
@@ -136,157 +153,159 @@ def make_context(
     )
 
 
-def _orbit_chain(ctx: InjectionContext, t: Transformation, p: int) -> list[int]:
-    """The orbit p, pt, ..., pt^k ending at a fixed point, asserting the
+def _unpacked(e: bytes) -> Transformation:
+    return Transformation(tuple(e))
+
+
+def _text(e: bytes) -> str:
+    return str(_unpacked(e))
+
+
+def _violation(kind: str, e: bytes, detail: str = "") -> InjectionViolation:
+    return InjectionViolation(kind, _unpacked(e), detail)
+
+
+def _orbit_chain(ctx: InjectionContext, e: bytes, p: int) -> list[int]:
+    """The orbit p, pe, ..., pe^k ending at a fixed point, asserting the
     promised strict climb in the preorder at every step."""
+    above = ctx.above
     chain = [p]
     q = p
     for _ in range(ctx.n + 1):
-        r = t.image[q]
+        r = e[q]
         if r == q:
             return chain
-        if not ctx.less(q, r):
-            raise InjectionViolation(
-                "chain_not_ascending", t, f"{q} -> {r} does not climb"
-            )
+        if not above[q] >> r & 1:
+            raise _violation("chain_not_ascending", e, f"{q} -> {r} does not climb")
         chain.append(r)
         q = r
-    raise InjectionViolation("chain_not_terminating", t, "orbit found no fixed point")
+    raise _violation("chain_not_terminating", e, "orbit found no fixed point")
+
+
+def _case_image(ctx: InjectionContext, e: bytes) -> tuple[str, bytes]:
+    """The first matching case of e (a packed member of ctx.T) and the packed
+    image f(e), classified and built in one pass and checked against S."""
+    if e in ctx.S.images:
+        return "1", e
+    n = ctx.n
+    top = n - 1
+    two_sided = ctx.klass is IdealClass.TWO_SIDED
+    p = e[0]
+    if p == 0:
+        # Maps fixing 0 always lie in the maximal semigroup.
+        raise _violation("fixes_initial_outside_witness", e)
+    img = bytearray(e)
+    img[0] = 0
+    if e[p] != p:
+        chain = _orbit_chain(ctx, e, p)
+        if not two_sided or chain[-1] != top:
+            label = "2a" if two_sided else "2"
+            img[chain[-1]] = p
+            _check_case2_cycle(ctx, e, img, chain)
+        elif len(chain) >= 3:
+            label = "2b"
+            for i in range(1, len(chain) - 1):
+                img[chain[i]] = chain[i - 1]
+            img[p] = top
+        else:
+            label = "2c"
+            r = _pick_case2c_state(ctx, e, p)
+            rt = e[r]
+            img[p] = rt
+            img[rt] = p
+            img[r] = 0
+    else:
+        fixed = [q for q in range(n) if e[q] == q]
+        # e^m with m >= n - 1 sends every state onto its cycle.
+        power, m, pad = e, 1, bytes(256 - n)
+        while m < n:
+            power, m = power.translate(power + pad), 2 * m
+        cyclic = set(power).difference(fixed)
+        excluded = (p, top) if two_sided else (p,)
+        others = [q for q in fixed if q not in excluded]
+        above = ctx.above
+        returning = [q for q in range(n) if above[p] >> q & 1 and e[q] == p]
+        if cyclic:
+            label = "3a"
+            img[p] = min(cyclic)
+        elif others:
+            label = "3b"
+            for q in others:
+                img[q] = 0
+        elif returning:
+            label = "3c"
+            img[p] = returning[0]
+            for q in returning:
+                img[q] = 0
+        elif two_sided and any(
+            above[p] >> q & 1 and above[q] >> top & 1 and e[q] == top for q in range(n)
+        ):
+            label = "3d"
+            for q in range(n):
+                if e[q] == top:
+                    img[q] = q
+            img[p] = top
+        else:
+            raise _violation("coverage", e, "no case matches")
+    s = bytes(img)
+    if s not in ctx.S.images:
+        raise _violation("image_outside_witness", e, f"f(t)={_unpacked(s)}")
+    return label, s
 
 
 def classify_case(ctx: InjectionContext, t: Transformation) -> CaseTag:
-    """The first matching case for t (a member of ctx.T)."""
-    if t.packed() not in ctx.T.images:
-        raise ValueError(f"{t} is not in the transition semigroup")
-    if t.packed() in ctx.S.images:
-        return CaseTag(ctx.klass, "1")
-    n = ctx.n
-    p = t.image[0]
-    if p == 0:
-        # Maps fixing 0 always lie in the maximal semigroup.
-        raise InjectionViolation("fixes_initial_outside_witness", t)
-    if t.image[p] != p:
-        if ctx.klass is IdealClass.LEFT:
-            return CaseTag(ctx.klass, "2")
-        chain = _orbit_chain(ctx, t, p)
-        top, k = chain[-1], len(chain) - 1
-        if top != n - 1:
-            return CaseTag(ctx.klass, "2a")
-        if k >= 2:
-            return CaseTag(ctx.klass, "2b")
-        return CaseTag(ctx.klass, "2c")
-    shape = classify_shape(t)
-    if shape.has_cycle:
-        return CaseTag(ctx.klass, "3a")
-    excluded = {p} if ctx.klass is IdealClass.LEFT else {p, n - 1}
-    if any(q not in excluded for q in shape.fixed_points):
-        return CaseTag(ctx.klass, "3b")
-    if any(ctx.less(p, q) and t.image[q] == p for q in range(n)):
-        return CaseTag(ctx.klass, "3c")
-    if ctx.klass is IdealClass.TWO_SIDED and any(
-        ctx.less(p, q) and ctx.less(q, n - 1) and t.image[q] == n - 1
-        for q in range(n)
-    ):
-        return CaseTag(ctx.klass, "3d")
-    raise InjectionViolation("coverage", t, "no case matches")
+    """The first matching case for t (a member of ctx.T).
+
+    The case is read off ``apply_f``, so besides the classification failures
+    this also raises the construction failures ``no_case2c_state`` and
+    ``image_outside_witness``; neither occurs for a genuine ideal.
+    """
+    return apply_f(ctx, t)[1]
 
 
 def apply_f(ctx: InjectionContext, t: Transformation) -> tuple[Transformation, CaseTag]:
     """The image f(t), built per the matched case, checked against S."""
-    tag = classify_case(ctx, t)
-    n = ctx.n
-    img = list(t.image)
-    p = t.image[0]
-
-    if tag.label == "1":
-        s = t
-    elif tag.label in ("2", "2a"):
-        chain = _orbit_chain(ctx, t, p)
-        img[0] = 0
-        img[chain[-1]] = p
-        s = Transformation(tuple(img))
-        _check_case2_cycle(ctx, t, s, chain)
-    elif tag.label == "2b":
-        chain = _orbit_chain(ctx, t, p)
-        img[0] = 0
-        for i in range(1, len(chain) - 1):
-            img[chain[i]] = chain[i - 1]
-        img[p] = n - 1
-        s = Transformation(tuple(img))
-    elif tag.label == "2c":
-        r = _pick_case2c_state(ctx, t, p)
-        rt = t.image[r]
-        img[0] = 0
-        img[p] = rt
-        img[rt] = p
-        img[r] = 0
-        s = Transformation(tuple(img))
-    elif tag.label == "3a":
-        shape = classify_shape(t)
-        r = min(min(c) for c in shape.cycles)
-        img[0] = 0
-        img[p] = r
-        s = Transformation(tuple(img))
-    elif tag.label == "3b":
-        excluded = {p} if ctx.klass is IdealClass.LEFT else {p, n - 1}
-        img[0] = 0
-        for q in classify_shape(t).fixed_points:
-            if q not in excluded:
-                img[q] = 0
-        s = Transformation(tuple(img))
-    elif tag.label == "3c":
-        r = min(q for q in range(n) if ctx.less(p, q) and t.image[q] == p)
-        img[0] = 0
-        img[p] = r
-        for q in range(n):
-            if ctx.less(p, q) and t.image[q] == p:
-                img[q] = 0
-        s = Transformation(tuple(img))
-    else:  # 3d
-        img[0] = 0
-        for q in range(n):
-            if t.image[q] == n - 1:
-                img[q] = q
-        img[p] = n - 1
-        s = Transformation(tuple(img))
-
-    if s.packed() not in ctx.S.images:
-        raise InjectionViolation("image_outside_witness", t, f"f(t)={s}")
-    return s, tag
+    e = t.packed()
+    if e not in ctx.T.images:
+        raise ValueError(f"{t} is not in the transition semigroup")
+    label, s = _case_image(ctx, e)
+    return _unpacked(s), CaseTag(ctx.klass, label)
 
 
-def _pick_case2c_state(ctx: InjectionContext, t: Transformation, p: int) -> int:
+def _pick_case2c_state(ctx: InjectionContext, e: bytes, p: int) -> int:
     """Case 2c needs the smallest r outside {0, p, n-1} that is not above p
     and whose image lies strictly between p and n-1."""
-    n = ctx.n
-    for r in range(n):
-        if r in (0, p, n - 1) or ctx.po.leq[p][r]:
+    top = ctx.n - 1
+    skip = ctx.up[p] | 1 | 1 << p | 1 << top
+    above_p = ctx.above[p]
+    for r in range(ctx.n):
+        if skip >> r & 1:
             continue
-        rt = t.image[r]
-        if ctx.less(p, rt) and rt != n - 1:
+        rt = e[r]
+        if above_p >> rt & 1 and rt != top:
             return r
-    raise InjectionViolation("no_case2c_state", t)
+    raise _violation("no_case2c_state", e)
 
 
 def _check_case2_cycle(
-    ctx: InjectionContext, t: Transformation, s: Transformation, chain: list[int]
+    ctx: InjectionContext, e: bytes, s: bytearray, chain: list[int]
 ) -> None:
     """The case-2 image must contain the chain as a cycle, strictly ordered
     by containment with p as its least element (the distinctness arguments
     lean on exactly this shape)."""
     p = chain[0]
     orbit = [p]
-    q = s.image[p]
+    q = s[p]
     while q != p:
         orbit.append(q)
         if len(orbit) > ctx.n:
-            raise InjectionViolation("case2_shape", t, "image has no cycle through p")
-        q = s.image[q]
+            raise _violation("case2_shape", e, "image has no cycle through p")
+        q = s[q]
     if orbit != chain:
-        raise InjectionViolation("case2_shape", t, f"cycle {orbit} != chain {chain}")
+        raise _violation("case2_shape", e, f"cycle {orbit} != chain {chain}")
     for a, b in zip(chain, chain[1:]):
-        if not ctx.less(a, b):
-            raise InjectionViolation("case2_shape", t, "cycle not strictly ordered")
+        if not ctx.above[a] >> b & 1:
+            raise _violation("case2_shape", e, "cycle not strictly ordered")
 
 
 @dataclass
@@ -356,23 +375,22 @@ def verify_injection(ctx: InjectionContext) -> InjectionReport:
     report = InjectionReport(
         klass=ctx.klass, n=ctx.n, size_T=ctx.T.size, size_S=ctx.S.size
     )
-    seen: dict[bytes, Transformation] = {}
-    for t in ctx.T.elements:
+    seen: dict[bytes, bytes] = {}
+    for e in sorted(ctx.T.images):
         try:
-            s, tag = apply_f(ctx, t)
+            label, s = _case_image(ctx, e)
         except InjectionViolation as exc:
             report.violations.append(
                 {"kind": exc.kind, "t": str(exc.t), "detail": exc.detail}
             )
             continue
-        report.case_counts[tag.label] += 1
-        if tag.label == "1" and s != t:
+        report.case_counts[label] += 1
+        if label == "1" and s != e:
             report.violations.append(
-                {"kind": "not_fixed_on_witness", "t": str(t), "detail": str(s)}
+                {"kind": "not_fixed_on_witness", "t": _text(e), "detail": _text(s)}
             )
-        key = s.packed()
-        if key in seen:
-            report.collisions.append((str(s), str(seen[key]), str(t)))
+        if s in seen:
+            report.collisions.append((_text(s), _text(seen[s]), _text(e)))
         else:
-            seen[key] = t
+            seen[s] = e
     return report

@@ -18,7 +18,9 @@ from typing import Callable, Iterable, Sequence
 
 from .transform import Transformation
 
-DEFAULT_CAP = 2_000_000
+#: Default element cap of a closure: just above the largest witness semigroup
+#: at n <= 8 (the left ideal one, 2,097,159 elements).
+DEFAULT_CAP = 2_100_000
 
 #: Largest semigroup minimal_generator_count will decompose without an override.
 #: Finding the J-classes and their up-sets is polynomial in |S|, but inside

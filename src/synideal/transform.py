@@ -157,77 +157,6 @@ def format_notation(t: Transformation) -> str:
     return "[" + ",".join(str(q) for q in t.image) + "]"
 
 
-def is_initially_aperiodic(t: Transformation, q0: int) -> bool:
-    """Whether the orbit q0, q0 t, q0 t^2, ... has period 1.
-
-    The orbit is eventually periodic; the period is j - i for the first
-    repetition q0 t^j = q0 t^i with i < j.  Period 1 means the orbit runs into
-    a fixed point of t.
-    """
-    _check_state(q0, t.n)
-    seen: dict[int, int] = {}
-    q = q0
-    step = 0
-    while q not in seen:
-        seen[q] = step
-        q = t.image[q]
-        step += 1
-    return step - seen[q] == 1
-
-
-@dataclass(frozen=True, slots=True)
-class Shape:
-    """Orbit structure of a transformation."""
-
-    is_identity: bool
-    is_constant: bool
-    fixed_points: tuple[int, ...]
-    has_cycle: bool
-    cycles: tuple[tuple[int, ...], ...]
-
-
-def classify_shape(t: Transformation) -> Shape:
-    """Fixed points and cycles (length >= 2) of the functional graph of t."""
-    n = t.n
-    img = t.image
-    fixed = tuple(q for q in range(n) if img[q] == q)
-    cycles: list[tuple[int, ...]] = []
-    on_cycle: set[int] = set()
-    for q in range(n):
-        # After n steps every orbit has entered its cycle.
-        x = q
-        for _ in range(n):
-            x = img[x]
-        if x in on_cycle or img[x] == x:
-            continue
-        cyc = [x]
-        y = img[x]
-        while y != x:
-            cyc.append(y)
-            y = img[y]
-        on_cycle.update(cyc)
-        start = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[start:] + cyc[:start]))
-    cycles.sort()
-    return Shape(
-        is_identity=len(fixed) == n,
-        is_constant=len(set(img)) == 1,
-        fixed_points=fixed,
-        has_cycle=bool(cycles),
-        cycles=tuple(cycles),
-    )
-
-
-def full_monoid_generators(n: int) -> list[Transformation]:
-    """Generators of all n^n transformations: an n-cycle, a transposition,
-    and the rank n-1 collapse (n-1 -> 0)."""
-    if n == 1:
-        return [identity(1)]
-    if n == 2:
-        return [cycle(2, (0, 1)), point(2, 1, 0)]
-    return [cycle(n, tuple(range(n))), cycle(n, (0, 1)), point(n, n - 1, 0)]
-
-
 def _check_state(q: int, n: int) -> None:
     if not (isinstance(q, int) and 0 <= q < n):
         raise NotationError(f"state {q!r} out of range [0, {n})")

@@ -8,13 +8,20 @@ recomputing orbits, and so on.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
 from synideal.dfa import Dfa, StatePreorder
 from synideal.ideals import ClassificationReport, applicable_bounds
+from synideal.injection import (
+    CaseTag,
+    InjectionContext,
+    InjectionReport,
+    InjectionViolation,
+)
 from synideal.semigroup import TransformationSemigroup, _close_images
-from synideal.transform import Transformation
+from synideal.transform import NotationError, Transformation, cycle, identity, point
 from synideal.witness import IdealClass, build
 
 
@@ -432,3 +439,276 @@ def reference_ur_depth(m: Dfa) -> int | None:
                 depth[q] = depth[p] + 1
                 queue.append(q)
     return max(depth.values())
+
+
+# ---------------------------------------------------------------------------
+# transformation helpers used only by tests
+#
+# Orbit shape, initial aperiodicity and the full-monoid generators, as
+# ``synideal.transform`` defined them before the injection case analysis
+# moved onto packed maps and left them without a caller in the package.
+
+
+def is_initially_aperiodic(t: Transformation, q0: int) -> bool:
+    """Whether the orbit q0, q0 t, q0 t^2, ... has period 1.
+
+    The orbit is eventually periodic; the period is j - i for the first
+    repetition q0 t^j = q0 t^i with i < j.  Period 1 means the orbit runs into
+    a fixed point of t.
+    """
+    if not (isinstance(q0, int) and 0 <= q0 < t.n):
+        raise NotationError(f"state {q0!r} out of range [0, {t.n})")
+    seen: dict[int, int] = {}
+    q = q0
+    step = 0
+    while q not in seen:
+        seen[q] = step
+        q = t.image[q]
+        step += 1
+    return step - seen[q] == 1
+
+
+@dataclass(frozen=True, slots=True)
+class Shape:
+    """Orbit structure of a transformation."""
+
+    is_identity: bool
+    is_constant: bool
+    fixed_points: tuple[int, ...]
+    has_cycle: bool
+    cycles: tuple[tuple[int, ...], ...]
+
+
+def classify_shape(t: Transformation) -> Shape:
+    """Fixed points and cycles (length >= 2) of the functional graph of t."""
+    n = t.n
+    img = t.image
+    fixed = tuple(q for q in range(n) if img[q] == q)
+    cycles: list[tuple[int, ...]] = []
+    on_cycle: set[int] = set()
+    for q in range(n):
+        # After n steps every orbit has entered its cycle.
+        x = q
+        for _ in range(n):
+            x = img[x]
+        if x in on_cycle or img[x] == x:
+            continue
+        cyc = [x]
+        y = img[x]
+        while y != x:
+            cyc.append(y)
+            y = img[y]
+        on_cycle.update(cyc)
+        start = cyc.index(min(cyc))
+        cycles.append(tuple(cyc[start:] + cyc[:start]))
+    cycles.sort()
+    return Shape(
+        is_identity=len(fixed) == n,
+        is_constant=len(set(img)) == 1,
+        fixed_points=fixed,
+        has_cycle=bool(cycles),
+        cycles=tuple(cycles),
+    )
+
+
+def full_monoid_generators(n: int) -> list[Transformation]:
+    """Generators of all n^n transformations: an n-cycle, a transposition,
+    and the rank n-1 collapse (n-1 -> 0)."""
+    if n == 1:
+        return [identity(1)]
+    if n == 2:
+        return [cycle(2, (0, 1)), point(2, 1, 0)]
+    return [cycle(n, tuple(range(n))), cycle(n, (0, 1)), point(n, n - 1, 0)]
+
+
+# ---------------------------------------------------------------------------
+# reference implementation of the injection case analysis
+#
+# The two-pass case analysis on ``Transformation`` objects, as
+# ``synideal.injection`` computed it before ``_case_image`` classified and
+# built f(t) in one pass on packed maps; kept verbatim, under new names, as
+# the reference ``verify_injection`` must agree with.
+
+
+def _less(ctx: InjectionContext, p: int, q: int) -> bool:
+    return ctx.po.strictly_less(p, q)
+
+
+def _reference_orbit_chain(ctx: InjectionContext, t: Transformation, p: int) -> list[int]:
+    """The orbit p, pt, ..., pt^k ending at a fixed point, asserting the
+    promised strict climb in the preorder at every step."""
+    chain = [p]
+    q = p
+    for _ in range(ctx.n + 1):
+        r = t.image[q]
+        if r == q:
+            return chain
+        if not _less(ctx, q, r):
+            raise InjectionViolation(
+                "chain_not_ascending", t, f"{q} -> {r} does not climb"
+            )
+        chain.append(r)
+        q = r
+    raise InjectionViolation("chain_not_terminating", t, "orbit found no fixed point")
+
+
+def reference_classify_case(ctx: InjectionContext, t: Transformation) -> CaseTag:
+    """The first matching case for t (a member of ctx.T)."""
+    if t.packed() not in ctx.T.images:
+        raise ValueError(f"{t} is not in the transition semigroup")
+    if t.packed() in ctx.S.images:
+        return CaseTag(ctx.klass, "1")
+    n = ctx.n
+    p = t.image[0]
+    if p == 0:
+        # Maps fixing 0 always lie in the maximal semigroup.
+        raise InjectionViolation("fixes_initial_outside_witness", t)
+    if t.image[p] != p:
+        if ctx.klass is IdealClass.LEFT:
+            return CaseTag(ctx.klass, "2")
+        chain = _reference_orbit_chain(ctx, t, p)
+        top, k = chain[-1], len(chain) - 1
+        if top != n - 1:
+            return CaseTag(ctx.klass, "2a")
+        if k >= 2:
+            return CaseTag(ctx.klass, "2b")
+        return CaseTag(ctx.klass, "2c")
+    shape = classify_shape(t)
+    if shape.has_cycle:
+        return CaseTag(ctx.klass, "3a")
+    excluded = {p} if ctx.klass is IdealClass.LEFT else {p, n - 1}
+    if any(q not in excluded for q in shape.fixed_points):
+        return CaseTag(ctx.klass, "3b")
+    if any(_less(ctx, p, q) and t.image[q] == p for q in range(n)):
+        return CaseTag(ctx.klass, "3c")
+    if ctx.klass is IdealClass.TWO_SIDED and any(
+        _less(ctx, p, q) and _less(ctx, q, n - 1) and t.image[q] == n - 1
+        for q in range(n)
+    ):
+        return CaseTag(ctx.klass, "3d")
+    raise InjectionViolation("coverage", t, "no case matches")
+
+
+def reference_apply_f(ctx: InjectionContext, t: Transformation) -> tuple[Transformation, CaseTag]:
+    """The image f(t), built per the matched case, checked against S."""
+    tag = reference_classify_case(ctx, t)
+    n = ctx.n
+    img = list(t.image)
+    p = t.image[0]
+
+    if tag.label == "1":
+        s = t
+    elif tag.label in ("2", "2a"):
+        chain = _reference_orbit_chain(ctx, t, p)
+        img[0] = 0
+        img[chain[-1]] = p
+        s = Transformation(tuple(img))
+        _reference_check_case2_cycle(ctx, t, s, chain)
+    elif tag.label == "2b":
+        chain = _reference_orbit_chain(ctx, t, p)
+        img[0] = 0
+        for i in range(1, len(chain) - 1):
+            img[chain[i]] = chain[i - 1]
+        img[p] = n - 1
+        s = Transformation(tuple(img))
+    elif tag.label == "2c":
+        r = _reference_pick_case2c_state(ctx, t, p)
+        rt = t.image[r]
+        img[0] = 0
+        img[p] = rt
+        img[rt] = p
+        img[r] = 0
+        s = Transformation(tuple(img))
+    elif tag.label == "3a":
+        shape = classify_shape(t)
+        r = min(min(c) for c in shape.cycles)
+        img[0] = 0
+        img[p] = r
+        s = Transformation(tuple(img))
+    elif tag.label == "3b":
+        excluded = {p} if ctx.klass is IdealClass.LEFT else {p, n - 1}
+        img[0] = 0
+        for q in classify_shape(t).fixed_points:
+            if q not in excluded:
+                img[q] = 0
+        s = Transformation(tuple(img))
+    elif tag.label == "3c":
+        r = min(q for q in range(n) if _less(ctx, p, q) and t.image[q] == p)
+        img[0] = 0
+        img[p] = r
+        for q in range(n):
+            if _less(ctx, p, q) and t.image[q] == p:
+                img[q] = 0
+        s = Transformation(tuple(img))
+    else:  # 3d
+        img[0] = 0
+        for q in range(n):
+            if t.image[q] == n - 1:
+                img[q] = q
+        img[p] = n - 1
+        s = Transformation(tuple(img))
+
+    if s.packed() not in ctx.S.images:
+        raise InjectionViolation("image_outside_witness", t, f"f(t)={s}")
+    return s, tag
+
+
+def _reference_pick_case2c_state(ctx: InjectionContext, t: Transformation, p: int) -> int:
+    """Case 2c needs the smallest r outside {0, p, n-1} that is not above p
+    and whose image lies strictly between p and n-1."""
+    n = ctx.n
+    for r in range(n):
+        if r in (0, p, n - 1) or ctx.po.leq[p][r]:
+            continue
+        rt = t.image[r]
+        if _less(ctx, p, rt) and rt != n - 1:
+            return r
+    raise InjectionViolation("no_case2c_state", t)
+
+
+def _reference_check_case2_cycle(
+    ctx: InjectionContext, t: Transformation, s: Transformation, chain: list[int]
+) -> None:
+    """The case-2 image must contain the chain as a cycle, strictly ordered
+    by containment with p as its least element (the distinctness arguments
+    lean on exactly this shape)."""
+    p = chain[0]
+    orbit = [p]
+    q = s.image[p]
+    while q != p:
+        orbit.append(q)
+        if len(orbit) > ctx.n:
+            raise InjectionViolation("case2_shape", t, "image has no cycle through p")
+        q = s.image[q]
+    if orbit != chain:
+        raise InjectionViolation("case2_shape", t, f"cycle {orbit} != chain {chain}")
+    for a, b in zip(chain, chain[1:]):
+        if not _less(ctx, a, b):
+            raise InjectionViolation("case2_shape", t, "cycle not strictly ordered")
+
+
+def reference_verify_injection(ctx: InjectionContext) -> InjectionReport:
+    """Run f over all of T: totality, image containment, injectivity."""
+    report = InjectionReport(
+        klass=ctx.klass, n=ctx.n, size_T=ctx.T.size, size_S=ctx.S.size
+    )
+    seen: dict[bytes, Transformation] = {}
+    for t in ctx.T.elements:
+        try:
+            s, tag = reference_apply_f(ctx, t)
+        except InjectionViolation as exc:
+            report.violations.append(
+                {"kind": exc.kind, "t": str(exc.t), "detail": exc.detail}
+            )
+            continue
+        report.case_counts[tag.label] += 1
+        if tag.label == "1" and s != t:
+            report.violations.append(
+                {"kind": "not_fixed_on_witness", "t": str(t), "detail": str(s)}
+            )
+        key = s.packed()
+        if key in seen:
+            report.collisions.append((str(s), str(seen[key]), str(t)))
+        else:
+            seen[key] = t
+    return report

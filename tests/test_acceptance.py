@@ -20,19 +20,14 @@ from synideal.dfa import (
 from synideal.harness import CampaignSpec, SampleMode, run, sample_ideal_dfa
 from synideal.ideals import classify, special_quotient_bound
 from synideal.semigroup import closure, generator_necessity, minimal_generator_count
-from synideal.transform import (
-    compose,
-    format_notation,
-    full_monoid_generators,
-    identity,
-    is_initially_aperiodic,
-    parse_notation,
-)
+from synideal.transform import compose, format_notation, identity, parse_notation
 from synideal.witness import IdealClass, bound, build, expected_semigroup
 
 from oracles import (
     containment_by_word_search,
     containment_by_words,
+    full_monoid_generators,
+    is_initially_aperiodic,
     random_dfa,
     random_transformation,
     sigma_ladder_dfas,

@@ -15,10 +15,10 @@ from synideal.harness import (
     sample_ideal_dfa,
 )
 from synideal.ideals import classify
-from synideal.transform import Transformation, is_initially_aperiodic
+from synideal.transform import Transformation
 from synideal.witness import IdealClass, build
 
-from oracles import random_dfa, sigma_star_prefix_dfa
+from oracles import is_initially_aperiodic, random_dfa, sigma_star_prefix_dfa
 import random
 
 

@@ -1,6 +1,11 @@
+import dataclasses
+import random
+from collections import Counter
+from itertools import product
+
 import pytest
 
-from synideal.dfa import Dfa
+from synideal.dfa import Dfa, StatePreorder
 from synideal.harness import sample_ideal_dfa
 from synideal.injection import (
     CASE_LABELS,
@@ -10,8 +15,11 @@ from synideal.injection import (
     make_context,
     verify_injection,
 )
+from synideal.semigroup import TransformationSemigroup
 from synideal.transform import Transformation
 from synideal.witness import IdealClass, build
+
+from oracles import reference_verify_injection
 
 
 def T(*image):
@@ -164,3 +172,78 @@ class TestVerify:
         data = rep.to_json_dict()
         assert data["ok"] is True and data["case_counts"]["2"] == 1
         assert "injection left n=3" in rep.to_text()
+
+
+class TestAgainstReference:
+    """The one-pass packed case analysis against the two-pass reference on
+    ``Transformation`` objects, on sampled ideals and on contexts broken on
+    purpose so that every violation path is taken."""
+
+    SEEDS = range(8)
+    CONTEXTS = [
+        (klass, n, a)
+        for klass, ns in ((IdealClass.LEFT, (3, 4, 5, 6)), (IdealClass.TWO_SIDED, (4, 5, 6)))
+        for n in ns
+        for a in (2, 3)
+    ]
+
+    @staticmethod
+    def _without_a_fifth_of_S(ctx, rng):
+        images = sorted(ctx.S.images)
+        dropped = set(rng.sample(images, len(images) // 5))
+        S = dataclasses.replace(ctx.S, images=frozenset(images) - dropped)
+        return dataclasses.replace(ctx, S=S)
+
+    @staticmethod
+    def _with_perturbed_preorder(ctx, rng):
+        n = ctx.n
+        leq = [list(row) for row in ctx.po.leq]
+        for _ in range(2 * n):
+            p, q = rng.randrange(n), rng.randrange(n)
+            if p != q:  # stays reflexive
+                leq[p][q] = not leq[p][q]
+        po = StatePreorder(n=n, leq=tuple(map(tuple, leq)))
+        return dataclasses.replace(ctx, po=po)
+
+    def test_reports_match_the_reference(self):
+        kinds = Counter()
+        for klass, n, a in self.CONTEXTS:
+            for seed in self.SEEDS:
+                d = sample_ideal_dfa(klass, n, a, seed=seed)
+                assert d is not None
+                ctx = make_context(d, klass)
+                for variant in (
+                    ctx,
+                    self._without_a_fifth_of_S(ctx, random.Random(seed)),
+                    self._with_perturbed_preorder(ctx, random.Random(seed)),
+                ):
+                    rep = verify_injection(variant)
+                    assert rep.to_json() == reference_verify_injection(variant).to_json()
+                    kinds.update(v["kind"] for v in rep.violations)
+        for kind in (
+            "image_outside_witness",
+            "coverage",
+            "fixes_initial_outside_witness",
+            "no_case2c_state",
+            "chain_not_ascending",
+        ):
+            assert kinds[kind] > 0, kind
+
+    @pytest.mark.parametrize("klass,n", [
+        (IdealClass.LEFT, 3),
+        (IdealClass.LEFT, 4),
+        (IdealClass.LEFT, 5),
+        (IdealClass.TWO_SIDED, 4),
+        (IdealClass.TWO_SIDED, 5),
+    ])
+    def test_every_map_matches_the_reference(self, klass, n):
+        # T replaced by all n^n maps: orbit shapes (long tails, several
+        # cycles) that the transition semigroups of ideals rarely hold, and
+        # collisions of f.
+        ctx = make_context(sample_ideal_dfa(klass, n, 2, seed=0), klass)
+        every = frozenset(bytes(img) for img in product(range(n), repeat=n))
+        T_all = TransformationSemigroup(n=n, images=every, generators=ctx.T.generators)
+        ctx = dataclasses.replace(ctx, T=T_all)
+        rep = verify_injection(ctx)
+        assert rep.to_json() == reference_verify_injection(ctx).to_json()
+        assert rep.collisions

@@ -7,17 +7,17 @@ from synideal.harness import sample_ideal_dfa
 from synideal.semigroup import closure
 from synideal.transform import (
     Transformation,
-    classify_shape,
     compose,
     format_notation,
     identity,
-    is_initially_aperiodic,
     parse_notation,
 )
 from synideal.witness import IdealClass, build
 
 from oracles import (
+    classify_shape,
     containment_by_words,
+    is_initially_aperiodic,
     orbit_reaches_fixed_point,
     random_dfa,
 )

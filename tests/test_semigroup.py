@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from synideal.semigroup import (
+    DEFAULT_CAP,
     ClosureOverflow,
     SearchInfeasible,
     TransformationSemigroup,
@@ -20,13 +21,13 @@ from synideal.transform import (
     compose,
     conjugate,
     constant,
-    full_monoid_generators,
     identity,
 )
-from synideal.witness import IdealClass, build
+from synideal.witness import MIN_N, IdealClass, bound, build
 from synideal.dfa import transition_semigroup
 
 from oracles import (
+    full_monoid_generators,
     minimal_generator_count_by_subsets,
     naive_closure,
     random_transformation,
@@ -39,6 +40,11 @@ def T(*image):
 
 
 class TestClosure:
+    def test_default_cap_holds_every_witness_up_to_n8(self):
+        for klass, lo in MIN_N.items():
+            for n in range(lo, 9):
+                assert DEFAULT_CAP >= bound(klass, n), (klass, n)
+
     def test_full_monoid_n3(self):
         s = closure(full_monoid_generators(3))
         assert s.size == 27

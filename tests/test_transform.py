@@ -3,18 +3,17 @@ import pytest
 from synideal.transform import (
     NotationError,
     Transformation,
-    classify_shape,
     compose,
     conjugate,
     constant,
     cycle,
     format_notation,
-    full_monoid_generators,
     identity,
-    is_initially_aperiodic,
     parse_notation,
     point,
 )
+
+from oracles import classify_shape, full_monoid_generators, is_initially_aperiodic
 
 
 def T(*image):
