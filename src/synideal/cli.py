@@ -195,7 +195,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     d = minimize(_load_dfa(args.file))
-    report = ideals.classify(d)
+    result = dfa_mod.transition_semigroup(d)
+    if isinstance(result, ClosureOverflow):
+        raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
+    report = ideals.classify_minimal(d.transitions, d.finals_mask, result.size)
     chain = max_chain_length(preorder(d))
     classes = []
     for klass, flag in [

@@ -443,37 +443,53 @@ def _partition(maps: Sequence[bytes], finals: int) -> bytes:
             return block
 
 
+def minimal_maps(
+    maps: Sequence[bytes], finals: int, initial: int = 0
+) -> tuple[tuple[bytes, ...], int]:
+    """The canonical minimal DFA of a packed DFA, packed: its letter maps and
+    its final states as a mask, with initial state 0.
+
+    ``_partition`` merges equivalent states; the blocks reachable from the
+    initial state's block are numbered breadth-first, letters explored in
+    order, so unreachable states drop out and equal languages yield
+    identical maps.
+    """
+    block = _partition(maps, finals)
+    number = {block[initial]: 0}
+    reps = [initial]
+    for q in reps:
+        for m in maps:
+            r = m[q]
+            if block[r] not in number:
+                number[block[r]] = len(reps)
+                reps.append(r)
+    # New state of every state whose block is reached; only those are read.
+    label = [number.get(b, 0) for b in block]
+    out = tuple(bytes([label[m[q]] for q in reps]) for m in maps)
+    return out, sum(1 << i for i, q in enumerate(reps) if finals >> q & 1)
+
+
+def from_maps(alphabet: Sequence[str], maps: Sequence[bytes], finals: int) -> Dfa:
+    """The DFA with letter maps ``maps``, final states ``finals`` (a mask) and
+    initial state 0."""
+    n = len(maps[0])
+    return Dfa(
+        alphabet=tuple(alphabet),
+        delta=tuple(Transformation(tuple(m)) for m in maps),
+        initial=0,
+        finals=frozenset(q for q in range(n) if finals >> q & 1),
+    )
+
+
 def minimize(d: Dfa) -> Dfa:
-    """The canonical minimal DFA for the same language.
+    """The canonical minimal DFA for the same language: ``minimal_maps`` on
+    the packed form, so at most 256 states (``ValueError`` above).
 
     Unreachable states are dropped, equivalent states merged, and the result
     renumbered breadth-first from the initial state with letters explored in
     alphabet order, so equal languages yield identical automata.
     """
-    t = d.transitions
-    reach = reachable_states(t)
-    block = _partition(t.maps, d.finals_mask)
-    # Representative per block, then canonical BFS numbering over blocks.
-    rep: dict[int, int] = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    number: dict[int, int] = {block[t.initial]: 0}
-    order = [block[t.initial]]
-    for b in order:
-        q = rep[b]
-        for m in t.maps:
-            nb = block[m[q]]
-            if nb not in number:
-                number[nb] = len(number)
-                order.append(nb)
-    delta = []
-    for m in t.maps:
-        img = [0] * len(order)
-        for b in order:
-            img[number[b]] = number[block[m[rep[b]]]]
-        delta.append(Transformation(tuple(img)))
-    finals = frozenset(number[block[q]] for q in reach if q in d.finals)
-    return Dfa(alphabet=d.alphabet, delta=tuple(delta), initial=0, finals=finals)
+    return from_maps(d.alphabet, *minimal_maps(d.transitions.maps, d.finals_mask, d.initial))
 
 
 def is_minimal(d: Dfa) -> bool:

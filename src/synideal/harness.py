@@ -26,7 +26,8 @@ from typing import Callable
 from .dfa import (
     Dfa,
     Transitions,
-    minimize,
+    from_maps,
+    minimal_maps,
     reachable_states,
     sink_to_top,
     to_text,
@@ -47,7 +48,6 @@ from .semigroup import (
     _close_images,
     equal_up_to_relabeling,
 )
-from .transform import Transformation
 from .witness import MIN_N, IdealClass, bound, expected_semigroup
 
 EXHAUSTIVE_BUDGET = 10**8
@@ -234,13 +234,7 @@ def _run_exhaustive(
                     continue
                 report.minimal += 1
                 rep = classify_minimal(t, finals, sigma, memo=checks.bounds_memo)
-                checks(rep, partial(_candidate_dfa, letters, gen_images, finals))
-
-
-def _candidate_dfa(letters: tuple[str, ...], gen_images: tuple[bytes, ...], finals: int) -> Dfa:
-    delta = tuple(Transformation(tuple(b)) for b in gen_images)
-    states = frozenset(q for q in range(len(gen_images[0])) if finals >> q & 1)
-    return Dfa(letters, delta, 0, states)
+                checks(rep, partial(from_maps, letters, gen_images, finals))
 
 
 class _Checks:
@@ -360,39 +354,49 @@ def _relabels_to_expected(d: Dfa, klass: IdealClass, expected_cache: dict) -> bo
 # seeded sampling of ideal DFAs
 
 
-def _right_closure(d: Dfa) -> Dfa:
-    """DFA of L.Sigma*: final states become absorbing."""
-    delta = []
-    for g in d.delta:
-        delta.append(
-            Transformation(
-                tuple(q if q in d.finals else g.image[q] for q in range(d.n))
-            )
-        )
-    return Dfa(d.alphabet, tuple(delta), d.initial, d.finals)
+def _right_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ...], int]:
+    """L.Sigma*: the final states become absorbing."""
+    absorbing = [q for q in range(len(maps[0])) if finals >> q & 1]
+    out = []
+    for m in maps:
+        row = bytearray(m)
+        for q in absorbing:
+            row[q] = q
+        out.append(bytes(row))
+    return tuple(out), finals
 
 
-def _left_closure(d: Dfa) -> Dfa:
-    """DFA of Sigma*.L by subset construction over suffix-run sets."""
-    start = frozenset({d.initial})
-    number = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in d.alphabet]
+def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ...], int]:
+    """Sigma*.L by subset construction over suffix-run sets, from initial
+    state 0: a subset is a mask, and every successor subset holds state 0.
+    Raises ``ValueError`` above 256 subsets, like the packed form."""
+    n = len(maps[0])
+    bits = [[1 << r for r in m] for m in maps]
+    number = {1: 0}
+    order = [1]
+    rows: list[list[int]] = [[] for _ in maps]
     for subset in order:
-        for ai, g in enumerate(d.delta):
-            nxt = frozenset(g.image[q] for q in subset) | {d.initial}
-            if nxt not in number:
-                number[nxt] = len(number)
+        states = [q for q in range(n) if subset >> q & 1]
+        for row, bit in zip(rows, bits):
+            nxt = 1
+            for q in states:
+                nxt |= bit[q]
+            i = number.get(nxt)
+            if i is None:
+                i = number[nxt] = len(order)
                 order.append(nxt)
-            rows[ai].append(number[nxt])
-    delta = tuple(Transformation(tuple(row)) for row in rows)
-    finals = frozenset(i for i, subset in enumerate(order) if subset & d.finals)
-    return Dfa(d.alphabet, delta, 0, finals)
+            row.append(i)
+    if len(order) > 256:
+        raise ValueError("the packed form holds at most 256 states")
+    return (
+        tuple(map(bytes, rows)),
+        sum(1 << i for i, subset in enumerate(order) if subset & finals),
+    )
 
 
-def _two_sided_closure(d: Dfa) -> Dfa:
-    """DFA of Sigma*.L.Sigma*."""
-    return _left_closure(_right_closure(d))
+def _two_sided_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ...], int]:
+    """Sigma*.L.Sigma*."""
+    return _left_closure(*_right_closure(maps, finals))
 
 
 _CLOSURES = {
@@ -406,31 +410,37 @@ def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -
     """A random minimal DFA with exactly n states of a non-empty language
     closed into the class, or None.
 
-    Rejection sampling: draw a random complete DFA, close its language into
-    the requested ideal class, minimize, and accept when exactly n states
-    remain and some state is final.  L.Sigma*, Sigma*.L and Sigma*.L.Sigma*
-    are ideals of their class whenever they are non-empty, so nothing here
-    classifies the sample; the campaign classifies it once and reports a
-    sample outside the class as a ``sampler`` violation.  Deterministic in
-    the seed; None after ``SAMPLE_ATTEMPTS`` draws.
+    Rejection sampling: draw a random complete DFA with initial state 0,
+    close its language into the requested ideal class, minimize, and accept
+    when exactly n states remain and some state is final.  Each draw stays
+    packed (``bytes`` letter maps and a finals mask) from the random letters
+    through ``dfa.minimal_maps``; only the accepted sample becomes a ``Dfa``.
+    L.Sigma*, Sigma*.L and Sigma*.L.Sigma* are ideals of their class whenever
+    they are non-empty, so nothing here classifies the sample; the campaign
+    classifies it once and reports a sample outside the class as a
+    ``sampler`` violation.  Deterministic in the seed; None after
+    ``SAMPLE_ATTEMPTS`` draws.  Raises ``ValueError`` when a draw or its
+    closure would exceed the packed form's 256 states.
     """
     rng = random.Random(seed)
-    letters = tuple(_LETTERS[:alphabet_size])
+    randrange = rng.randrange
+    letters = _LETTERS[:alphabet_size]
     close = _CLOSURES[klass]
     for attempt in range(SAMPLE_ATTEMPTS):
         m = n + (attempt % 3) - 1 if n > 2 else n
         if m < 1:
             m = n
-        delta = tuple(
-            Transformation(tuple(rng.randrange(m) for _ in range(m)))
-            for _ in letters
-        )
-        final_count = 1 if m == 1 else 1 + rng.randrange(2)
-        finals = frozenset(rng.sample(range(m), final_count))
-        base = Dfa(letters, delta, 0, finals)
-        candidate = minimize(close(base))
-        if candidate.n == n and candidate.finals:
-            return candidate
+        if m > 256:
+            raise ValueError("the packed form holds at most 256 states")
+        states = range(m)
+        maps = tuple(bytes([randrange(m) for _ in states]) for _ in letters)
+        final_count = 1 if m == 1 else 1 + randrange(2)
+        finals = 0
+        for q in rng.sample(states, final_count):
+            finals |= 1 << q
+        maps, finals = minimal_maps(*close(maps, finals))
+        if len(maps[0]) == n and finals:
+            return from_maps(letters, maps, finals)
     return None
 
 

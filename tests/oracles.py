@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from synideal.dfa import Dfa, StatePreorder
+from synideal.dfa import Dfa, StatePreorder, minimize
+from synideal.harness import SAMPLE_ATTEMPTS
 from synideal.ideals import ClassificationReport, applicable_bounds
 from synideal.injection import (
     CaseTag,
@@ -712,3 +713,56 @@ def reference_verify_injection(ctx: InjectionContext) -> InjectionReport:
         else:
             seen[key] = t
     return report
+
+
+# ---------------------------------------------------------------------------
+# reference implementation of the ideal sampler
+#
+# The closures and the rejection-sampling loop on ``Dfa`` objects, as
+# ``synideal.harness`` computed them before each draw stayed packed from the
+# random letters to the accept test; kept verbatim, under new names, as the
+# reference ``sample_ideal_dfa`` and its packed closures must agree with.
+# The former left closure was the same subset construction as
+# ``sigma_star_prefix_dfa``.
+
+
+def reference_right_closure(d: Dfa) -> Dfa:
+    """DFA of L.Sigma*: final states become absorbing."""
+    delta = []
+    for g in d.delta:
+        delta.append(
+            Transformation(
+                tuple(q if q in d.finals else g.image[q] for q in range(d.n))
+            )
+        )
+    return Dfa(d.alphabet, tuple(delta), d.initial, d.finals)
+
+
+reference_left_closure = sigma_star_prefix_dfa
+
+REFERENCE_CLOSURES = {
+    IdealClass.RIGHT: reference_right_closure,
+    IdealClass.LEFT: reference_left_closure,
+    IdealClass.TWO_SIDED: lambda d: reference_left_closure(reference_right_closure(d)),
+}
+
+
+def reference_sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -> Dfa | None:
+    rng = random.Random(seed)
+    letters = tuple("abcdefghijklmnopqrstuvwxyz"[:alphabet_size])
+    close = REFERENCE_CLOSURES[klass]
+    for attempt in range(SAMPLE_ATTEMPTS):
+        m = n + (attempt % 3) - 1 if n > 2 else n
+        if m < 1:
+            m = n
+        delta = tuple(
+            Transformation(tuple(rng.randrange(m) for _ in range(m)))
+            for _ in letters
+        )
+        final_count = 1 if m == 1 else 1 + rng.randrange(2)
+        finals = frozenset(rng.sample(range(m), final_count))
+        base = Dfa(letters, delta, 0, finals)
+        candidate = minimize(close(base))
+        if candidate.n == n and candidate.finals:
+            return candidate
+    return None

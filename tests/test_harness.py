@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from synideal import harness
-from synideal.dfa import Dfa, is_minimal, minimize, parse_dfa, same_language
+from synideal.dfa import Dfa, from_maps, is_minimal, minimize, parse_dfa, same_language
 from synideal.harness import (
     BudgetExceeded,
     CampaignSpec,
@@ -15,7 +15,7 @@ from synideal.harness import (
     sample_ideal_dfa,
 )
 from synideal.ideals import classify
-from synideal.transform import Transformation
+from synideal.transform import Transformation, conjugate
 from synideal.witness import IdealClass, build
 
 from oracles import is_initially_aperiodic, random_dfa, sigma_star_prefix_dfa
@@ -130,7 +130,6 @@ class TestMaximizerRelabeling:
         # it to the maximal semigroup
         from itertools import permutations
         from synideal.harness import _relabels_to_expected
-        from synideal.transform import conjugate
 
         w = build(klass, 4)
         for tail in permutations(range(1, 4)):
@@ -160,12 +159,21 @@ class TestMaximizerRelabeling:
         assert _relabels_to_expected(m, klass, {})
 
 
+def _packed(d: Dfa) -> tuple[tuple[bytes, ...], int]:
+    """``d`` packed, with its initial state relabeled 0 (the closures start
+    from state 0); the language is unchanged."""
+    perm = list(range(d.n))
+    perm[0], perm[d.initial] = d.initial, 0
+    maps = tuple(bytes(conjugate(g, perm).image) for g in d.delta)
+    return maps, sum(1 << perm[q] for q in d.finals)
+
+
 class TestClosures:
     def test_right_closure_absorbs(self):
         rng = random.Random(5)
         for _ in range(50):
             d = random_dfa(rng, 4, 2)
-            closed = _right_closure(d)
+            closed = from_maps(d.alphabet, *_right_closure(*_packed(d)))
             rep = classify(closed)
             # empty languages (unreachable finals) are correctly not ideals
             assert rep.is_right_ideal == bool(minimize(d).finals)
@@ -174,14 +182,16 @@ class TestClosures:
         rng = random.Random(6)
         for _ in range(50):
             d = random_dfa(rng, 4, 2)
-            assert same_language(_left_closure(d), sigma_star_prefix_dfa(d))
+            closed = from_maps(d.alphabet, *_left_closure(*_packed(d)))
+            assert same_language(closed, sigma_star_prefix_dfa(d))
 
     def test_left_closure_is_left_ideal(self):
         rng = random.Random(7)
         for _ in range(50):
             d = random_dfa(rng, 4, 2)
             expected = bool(minimize(d).finals)
-            assert classify(_left_closure(d)).is_left_ideal == expected
+            closed = from_maps(d.alphabet, *_left_closure(*_packed(d)))
+            assert classify(closed).is_left_ideal == expected
 
 
 class TestSampler:
@@ -240,7 +250,7 @@ class TestSampleCampaign:
         # Without the left closure the sampler returns whatever minimal DFA it
         # draws; the campaign's one classification must catch the samples
         # that are not left ideals and report each with its DFA.
-        monkeypatch.setitem(harness._CLOSURES, IdealClass.LEFT, lambda d: d)
+        monkeypatch.setitem(harness._CLOSURES, IdealClass.LEFT, lambda maps, finals: (maps, finals))
         spec = CampaignSpec(
             n=4,
             alphabet_size=2,

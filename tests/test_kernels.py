@@ -1,11 +1,12 @@
 """The packed candidate kernels against the reference implementations they
 replaced and against containment decided by word search.
 
-``dfa._partition``, ``dfa.preorder`` and ``ideals.classify_minimal`` work on
-``bytes`` maps and ``int`` masks; ``oracles.reference_*`` are the dict-based
-versions.  Classification is compared on every DFA, minimal or not: each
-field is a statement about the given automaton's states, so the two must
-agree everywhere.
+``dfa._partition``, ``dfa.minimal_maps``, ``dfa.preorder``,
+``ideals.classify_minimal`` and the ideal sampler with its closures work on
+``bytes`` maps and ``int`` masks; ``oracles.reference_*`` are the dict- and
+``Dfa``-based versions.  Classification is compared on every DFA, minimal or
+not: each field is a statement about the given automaton's states, so the
+two must agree everywhere.
 """
 
 from __future__ import annotations
@@ -15,16 +16,29 @@ from itertools import product
 
 import pytest
 
-from synideal.dfa import Dfa, _partition, is_minimal, preorder
+from synideal.dfa import (
+    Dfa,
+    _partition,
+    from_maps,
+    is_minimal,
+    minimal_maps,
+    minimize,
+    preorder,
+    same_language,
+)
+from synideal.harness import _CLOSURES, _left_closure, sample_ideal_dfa
 from synideal.ideals import classify_minimal
 from synideal.transform import Transformation
+from synideal.witness import IdealClass
 
 from oracles import (
+    REFERENCE_CLOSURES,
     containment_by_word_search,
     random_dfa,
     reference_classify_minimal,
     reference_partition,
     reference_preorder,
+    reference_sample_ideal_dfa,
 )
 
 
@@ -35,6 +49,28 @@ def _reachable(d: Dfa) -> list[int]:
             if g.image[q] not in seen:
                 seen.append(g.image[q])
     return seen
+
+
+def _check_minimal(d: Dfa) -> None:
+    m = minimize(d)
+    assert minimal_maps(d.transitions.maps, d.finals_mask, d.initial) == (
+        m.transitions.maps,
+        m.finals_mask,
+    ), d
+    # The reachable states of d, walked together with m: each lands on one
+    # state of m, and two land on the same one iff the reference merges them.
+    image = {d.initial: 0}
+    for q in _reachable(d):
+        for g, h in zip(d.delta, m.delta):
+            assert image.setdefault(g.image[q], h.image[image[q]]) == h.image[image[q]], d
+    ref = reference_partition(d, list(image))
+    for p in image:
+        for q in image:
+            assert (image[p] == image[q]) == (ref[p] == ref[q]), (d, p, q)
+    assert sorted(set(image.values())) == list(range(m.n)), d
+    assert m.initial == 0 and same_language(d, m), d
+    # canonical numbering: breadth-first from 0, letters in alphabet order
+    assert _reachable(m) == list(range(m.n)), d
 
 
 def _check_agreement(d: Dfa, memo: dict) -> None:
@@ -61,6 +97,8 @@ def _check_agreement(d: Dfa, memo: dict) -> None:
     assert classify_minimal(d.transitions, d.finals_mask, sigma) == expected, d
     assert classify_minimal(d.transitions, d.finals_mask, sigma, memo=memo) == expected, d
 
+    _check_minimal(d)
+
 
 def _all_dfas(n: int, alphabet_size: int):
     maps = [Transformation(img) for img in product(range(n), repeat=n)]
@@ -75,7 +113,7 @@ def _all_dfas(n: int, alphabet_size: int):
 @pytest.mark.parametrize("n,alphabet_size", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
 def test_every_small_dfa_agrees_with_the_references(n, alphabet_size):
     # every 1- and 2-letter DFA with n <= 3: every letter tuple, initial
-    # state and final set
+    # state and final set; minimisation included
     memo: dict = {}
     count = 0
     for d in _all_dfas(n, alphabet_size):
@@ -115,3 +153,51 @@ def test_packing_refuses_more_than_256_states():
     d = Dfa(("a",), (Transformation(tuple(range(n))),), 0, frozenset())
     with pytest.raises(ValueError, match="256"):
         d.transitions
+
+
+# ---------------------------------------------------------------------------
+# the ideal sampler
+
+
+def test_packed_closures_agree_with_the_references():
+    # the sampler draws DFAs with initial state 0; m = 1 and DFAs with
+    # unreachable states are among them
+    rng = random.Random(918)
+    shapes = {"one_state": 0, "unreachable": 0}
+    for i in range(240):
+        m = 1 if i % 8 == 0 else rng.randint(2, 6)
+        d = random_dfa(rng, m, rng.randint(1, 3))
+        d = Dfa(d.alphabet, d.delta, 0, d.finals)
+        shapes["one_state"] += m == 1
+        shapes["unreachable"] += len(_reachable(d)) < m
+        maps, finals = d.transitions.maps, d.finals_mask
+        for klass, close in _CLOSURES.items():
+            closed = from_maps(d.alphabet, *close(maps, finals))
+            assert same_language(closed, REFERENCE_CLOSURES[klass](d)), (klass, d)
+    assert min(shapes.values()) >= 30, shapes
+
+
+def test_left_closure_refuses_more_than_256_subsets():
+    # L = a.Sigma^8 (states 0..9 count, 10 is the sink): Sigma*.L remembers
+    # the last nine letters, 512 subsets
+    a = bytes([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10])
+    b = bytes([10, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10])
+    with pytest.raises(ValueError, match="at most 256 states"):
+        _left_closure((a, b), 1 << 9)
+
+
+@pytest.mark.parametrize("klass", list(IdealClass))
+def test_sampler_draws_what_the_reference_draws(klass):
+    for n in range(1, 6):
+        for alphabet_size in range(1, 4):
+            for seed in range(10):
+                got = sample_ideal_dfa(klass, n, alphabet_size, seed)
+                assert got == reference_sample_ideal_dfa(klass, n, alphabet_size, seed), (
+                    n, alphabet_size, seed,
+                )
+
+
+def test_sampler_refuses_more_than_256_states():
+    # the third draw has n + 1 = 257 states
+    with pytest.raises(ValueError, match="at most 256 states"):
+        sample_ideal_dfa(IdealClass.RIGHT, 256, 1, seed=0)
