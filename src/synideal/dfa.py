@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .semigroup import (
@@ -267,6 +267,24 @@ def to_dot(d: Dfa) -> str:
 # the packed form: letters as bytes maps, state sets as int masks
 
 
+class _fact:
+    """An attribute computed on first access and stored on the instance,
+    where it then shadows this descriptor: ``functools.cached_property``
+    without the lock that Python 3.11 takes on every first access, which a
+    sweep pays for each fact of each letter tuple."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class Transitions:
     """A DFA's letters and initial state without its final states, packed.
 
@@ -286,7 +304,7 @@ class Transitions:
         self.n = len(self.maps[0])
         self.initial = initial
 
-    @cached_property
+    @_fact
     def successors(self) -> tuple[int, ...]:
         """successors[q]: the states q.a over the letters a."""
         out = [0] * self.n
@@ -295,7 +313,7 @@ class Transitions:
                 out[q] |= 1 << r
         return tuple(out)
 
-    @cached_property
+    @_fact
     def reach(self) -> tuple[int, ...]:
         """reach[q]: the states q.w over all words w, the empty word included."""
         out = []
@@ -312,7 +330,7 @@ class Transitions:
             out.append(seen)
         return tuple(out)
 
-    @cached_property
+    @_fact
     def fixed(self) -> int:
         """The states that every letter fixes."""
         out = (1 << self.n) - 1
@@ -343,24 +361,24 @@ class Transitions:
                     stack.append((x, y))
         return seen
 
-    @cached_property
+    @_fact
     def initial_pairs(self) -> int:
         """Pairs reachable from (initial, q) for any q: the initial state's
         language lies in every state's iff none of them crosses."""
         return self._pairs_reachable((self.initial, q) for q in range(self.n))
 
-    @cached_property
+    @_fact
     def initial_step_pairs(self) -> int:
         """Pairs reachable from (initial, initial.a) for any letter a."""
         i = self.initial
         return self._pairs_reachable((i, m[i]) for m in self.maps)
 
-    @cached_property
+    @_fact
     def step_pairs(self) -> int:
         """Pairs reachable from (q, q.a) for any state q and letter a."""
         return self._pairs_reachable((q, r) for m in self.maps for q, r in enumerate(m))
 
-    @cached_property
+    @_fact
     def ur_depth(self) -> int | None:
         """Length of the longest word whose quotient is uniquely reachable.
 
@@ -387,9 +405,13 @@ class Transitions:
         return max(depth.values())
 
 
+@lru_cache(maxsize=4096)
 def crossing_pairs(n: int, finals: int) -> int:
     """The pairs (x, y) with x final and y not: a word leading (p, q) into one
-    of them puts the word in the language of p but not in that of q."""
+    of them puts the word in the language of p but not in that of q.
+
+    Memoised: a sweep asks for the same few (n, finals) once per letter
+    tuple."""
     nonfinal = ((1 << n) - 1) & ~finals
     out = 0
     for x in range(n):
@@ -421,24 +443,24 @@ def _partition(maps: Sequence[bytes], finals: int) -> bytes:
 
     Blocks start as final / non-final; each round renumbers states by their
     block and their letter successors' blocks (one ``bytes.translate`` per
-    letter), in order of first appearance, until the count stops growing or
-    every state has a block of its own.
+    letter), in order of first appearance and in one pass, until the count
+    stops growing or every state has a block of its own.
     """
     n = len(maps[0])
     # Final states start in block ord("1"), the others in block ord("0").
     block = format(finals, f"0{n}b")[::-1].encode()
     count = 2 if 0 < finals < (1 << n) - 1 else 1
-    pad = bytes(256 - n)
     while True:
-        table = block + pad
-        signatures = list(zip(block, *[m.translate(table) for m in maps]))
-        ids = dict.fromkeys(signatures)
+        table = block.ljust(256, b"\0")
+        ids: dict = {}
+        number = ids.setdefault
+        refined = bytes(
+            [number(sig, len(ids)) for sig in zip(block, *[m.translate(table) for m in maps])]
+        )
         if len(ids) == count:
             return block
         count = len(ids)
-        for i, sig in enumerate(ids):
-            ids[sig] = i
-        block = bytes(map(ids.__getitem__, signatures))
+        block = refined
         if count == n:
             return block
 

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product
+from math import comb
 from typing import Callable
 
 from .dfa import (
@@ -62,6 +63,13 @@ class BudgetExceeded(RuntimeError):
     """An exhaustive campaign outside the documented candidate budget."""
 
 
+def exhaustive_candidates(n: int, alphabet_size: int) -> int:
+    """The candidate DFAs an exhaustive campaign examines: every set of 1 to
+    ``alphabet_size`` distinct maps of the n states, with every non-empty
+    final set."""
+    return sum(comb(n**n, size) for size in range(1, alphabet_size + 1)) * (2**n - 1)
+
+
 @dataclass(frozen=True)
 class SampleMode:
     count: int
@@ -89,7 +97,7 @@ class CampaignSpec:
         if isinstance(self.mode, SampleMode) and self.mode.count < 1:
             raise ValueError(f"sample count must be at least 1, got {self.mode.count}")
         if self.mode == "exhaustive":
-            cost = (self.n**self.n) ** self.alphabet_size * 2**self.n
+            cost = exhaustive_candidates(self.n, self.alphabet_size)
             if cost > EXHAUSTIVE_BUDGET:
                 raise BudgetExceeded(
                     f"{cost} candidate DFAs exceed the budget {EXHAUSTIVE_BUDGET}"
@@ -198,10 +206,6 @@ _CLASS_FLAG = {
 
 def run(spec: CampaignSpec, progress: bool = False) -> CampaignReport:
     report = CampaignReport(spec=spec)
-    classes = [spec.class_filter] if spec.class_filter else list(IdealClass)
-    for klass in classes:
-        if spec.n >= MIN_N[klass]:
-            report.per_class[klass.value] = ClassStats(bound=bound(klass, spec.n))
     checks = _Checks(spec, report)
     if spec.mode == "exhaustive":
         _run_exhaustive(spec, report, checks, progress)
@@ -220,45 +224,102 @@ def _run_exhaustive(
         if progress:
             print(f"alphabet size {size}...", file=sys.stderr, flush=True)
         for gen_images in combinations(all_images, size):
+            report.examined += 2**n - 1
             # Everything that depends on the letters alone (sigma, reach and
             # pair masks, the ur depth) is computed once and shared by every
             # final set.
             t = Transitions(gen_images)
             if len(reachable_states(t)) != n:
-                report.examined += 2**n - 1
                 continue
             sigma = len(_close_images(gen_images))
             for finals in range(1, 2**n):
-                report.examined += 1
                 if len(set(_partition(gen_images, finals))) != n:
                     continue
                 report.minimal += 1
-                rep = classify_minimal(t, finals, sigma, memo=checks.bounds_memo)
+                rep = classify_minimal(t, finals, sigma, memo=checks.memo)
                 checks(rep, partial(from_maps, letters, gen_images, finals))
 
 
 class _Checks:
     """The requested checks of one campaign, applied to each classified
-    minimal candidate, and what they share across candidates: the maximal
-    semigroup per class, the bound table passed to ``classify_minimal``, and
-    the bound limit and letter-ur cells, which depend only on a report's n,
-    flags and ur depth."""
+    minimal candidate, with the campaign's per-class statistics, and what
+    they share across candidates: the maximal semigroup per class, the
+    report memo passed to ``classify_minimal``, the bound limit and
+    letter-ur cells per (n, flags, ur depth), and one decision per distinct
+    report.
+
+    With the memo, equal reports are one object, so a report is judged once,
+    on first sight: can a candidate carrying it need its DFA (a ``bounds`` or
+    ``basic_bounds`` violation, an exceedance cell, a tightness violation, a
+    maximiser or an injection context)?  If not, which holds for almost
+    every candidate, the candidate only counts in its classes.  If so, it
+    goes through every check, so violations keep their order and each
+    carries its own DFA.  Only that decision is cached, never a result.
+    """
 
     def __init__(self, spec: CampaignSpec, report: CampaignReport) -> None:
         self.spec = spec
         self.report = report
-        self.tracked = [
-            (klass, _CLASS_FLAG[klass], report.per_class[klass.value])
-            for klass in IdealClass
-            if klass.value in report.per_class
-        ]
+        self.tracked = []
+        for klass in IdealClass:
+            if spec.class_filter in (None, klass) and spec.n >= MIN_N[klass]:
+                stats = report.per_class[klass.value] = ClassStats(bound=bound(klass, spec.n))
+                self.tracked.append((klass, _CLASS_FLAG[klass], stats))
         self.expected_cache: dict[IdealClass, TransformationSemigroup] = {}
-        self.bounds_memo: dict = {}
+        self.memo: dict = {}
         self.limits: dict = {}
+        # id(report) -> (report, the stats to count it in when no check can
+        # need its DFA, else None); the report is kept so its id stays taken.
+        self.decided: dict[int, tuple[ClassificationReport, tuple[ClassStats, ...] | None]] = {}
 
     def __call__(self, rep: ClassificationReport, candidate: Callable[[], Dfa]) -> None:
         """``candidate`` builds the DFA; it is called only when a check needs
         it (a violation, an exceedance, a maximiser or an injection context)."""
+        entry = self.decided.get(id(rep))
+        if entry is None or entry[0] is not rep:
+            entry = self.decided[id(rep)] = (rep, self._quiet_classes(rep))
+        quiet = entry[1]
+        if quiet is None:
+            self._check(rep, candidate)
+            return
+        sigma = rep.sigma
+        for stats in quiet:
+            stats.count += 1
+            if sigma > stats.max_sigma:
+                stats.max_sigma = sigma
+
+    def _limits(self, rep: ClassificationReport) -> tuple[int, tuple[tuple[str, int], ...]]:
+        key = (
+            rep.n, rep.has_empty, rep.has_sigma_star, rep.has_eps, rep.has_sigma_plus,
+            rep.ur_depth,
+        )
+        if key not in self.limits:
+            self.limits[key] = (special_quotient_bound(rep), letter_ur_cells(rep))
+        return self.limits[key]
+
+    def _quiet_classes(self, rep: ClassificationReport) -> tuple[ClassStats, ...] | None:
+        """The stats of the classes ``rep`` belongs to, or None when some
+        check can need the DFA of a candidate carrying ``rep``."""
+        spec, n, sigma = self.spec, self.spec.n, rep.sigma
+        if "bounds" in spec.checks:
+            limit, cells = self._limits(rep)
+            if sigma > limit or any(sigma > value for _, value in cells):
+                return None
+            if n > 1 and not (n - 1 <= sigma <= n**n):
+                return None
+        quiet = []
+        for klass, flag, stats in self.tracked:
+            if not getattr(rep, flag):
+                continue
+            if sigma >= stats.bound:
+                return None
+            injects = klass in MIN_CONTEXT_N and n >= MIN_CONTEXT_N[klass]
+            if "injection" in spec.checks and injects:
+                return None
+            quiet.append(stats)
+        return tuple(quiet)
+
+    def _check(self, rep: ClassificationReport, candidate: Callable[[], Dfa]) -> None:
         spec, report, n = self.spec, self.report, self.spec.n
         built: list[Dfa] = []
 
@@ -268,13 +329,7 @@ class _Checks:
             return built[0]
 
         if "bounds" in spec.checks:
-            key = (
-                rep.n, rep.has_empty, rep.has_sigma_star, rep.has_eps, rep.has_sigma_plus,
-                rep.ur_depth,
-            )
-            if key not in self.limits:
-                self.limits[key] = (special_quotient_bound(rep), letter_ur_cells(rep))
-            limit, cells = self.limits[key]
+            limit, cells = self._limits(rep)
             if rep.sigma > limit:
                 report.violations.append(
                     {"check": "bounds", "dfa": to_text(dfa()), "sigma": rep.sigma, "bound": limit}
@@ -465,7 +520,7 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> 
         result = transition_semigroup(d)
         if isinstance(result, ClosureOverflow):
             raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
-        rep = classify_minimal(d.transitions, d.finals_mask, result.size, memo=checks.bounds_memo)
+        rep = classify_minimal(d.transitions, d.finals_mask, result.size, memo=checks.memo)
         if not getattr(rep, _CLASS_FLAG[klass]):
             report.violations.append(
                 {"check": "sampler", "index": i, "detail": "not in the class", "dfa": to_text(d)}

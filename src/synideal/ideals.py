@@ -85,9 +85,14 @@ def classify_minimal(
     depends on the final states is then a few integer ANDs: a containment
     family holds iff its pair union misses ``crossing_pairs(n, finals)``; q is
     dead iff ``reach[q] & finals`` is empty and all-accepting iff
-    ``reach[q]`` misses the non-final states.  The bound table is a pure
-    function of (n, flags, ur_depth); a caller classifying many candidates
-    passes the same ``memo`` dict to compute each row set once.
+    ``reach[q]`` misses the non-final states.
+
+    A report is a pure function of n, the right / left / all-sided / prefix
+    / suffix flags, the four special-quotient flags, the ur depth and sigma.
+    A caller classifying many candidates passes the same ``memo`` dict: it
+    maps those field values to their report, so equal reports are the same
+    frozen object and each distinct one, bound table included, is built
+    once.
     """
     n = t.n
     nonfinal = ((1 << n) - 1) & ~finals
@@ -97,7 +102,6 @@ def classify_minimal(
     right = non_empty and finals & (finals - 1) == 0 and finals & t.fixed != 0
     left = non_empty and not t.initial_step_pairs & cross
     all_sided = non_empty and not t.step_pairs & cross
-    two_sided = right and left
 
     dead = universal = 0
     for q, r in enumerate(t.reach):
@@ -114,23 +118,25 @@ def classify_minimal(
     has_empty = dead != 0
     has_sigma_star = universal != 0
     ur_depth = t.ur_depth
-    key = (n, has_empty, has_sigma_star, has_eps, has_sigma_plus, ur_depth)
-    bounds = None if memo is None else memo.get(key)
-    if bounds is None:
-        flags = dict(zip(("empty", "sigma_star", "eps", "sigma_plus"), key[1:5]))
-        bounds = applicable_bounds(n, flags, ur_depth)
-        if memo is not None:
-            memo[key] = bounds
-
     # The complement is prefix-closed iff no final state reaches a non-final
     # one, and suffix-closed iff the initial language lies in every state's.
     prefix_closed = not finals & ~universal
     suffix_closed = not t.initial_pairs & cross
-    return ClassificationReport(
+
+    key = (
+        n, has_empty, has_sigma_star, has_eps, has_sigma_plus, ur_depth,
+        right, left, all_sided, prefix_closed, suffix_closed, sigma,
+    )
+    if memo is not None:
+        report = memo.get(key)
+        if report is not None:
+            return report
+    flags = dict(zip(("empty", "sigma_star", "eps", "sigma_plus"), key[1:5]))
+    report = ClassificationReport(
         n=n,
         is_right_ideal=right,
         is_left_ideal=left,
-        is_two_sided_ideal=two_sided,
+        is_two_sided_ideal=right and left,
         is_all_sided_ideal=all_sided,
         complement_prefix_closed=prefix_closed,
         complement_suffix_closed=suffix_closed,
@@ -141,8 +147,11 @@ def classify_minimal(
         has_sigma_plus=has_sigma_plus,
         ur_depth=ur_depth,
         sigma=sigma,
-        applicable_bounds=bounds,
+        applicable_bounds=applicable_bounds(n, flags, ur_depth),
     )
+    if memo is not None:
+        memo[key] = report
+    return report
 
 
 # ---------------------------------------------------------------------------

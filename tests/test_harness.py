@@ -4,17 +4,28 @@ from itertools import combinations
 import pytest
 
 from synideal import harness
-from synideal.dfa import Dfa, from_maps, is_minimal, minimize, parse_dfa, same_language
+from synideal.dfa import (
+    Dfa,
+    from_maps,
+    is_minimal,
+    minimize,
+    parse_dfa,
+    same_language,
+    to_text,
+    transition_semigroup,
+)
 from synideal.harness import (
     BudgetExceeded,
+    CampaignReport,
     CampaignSpec,
     SampleMode,
+    exhaustive_candidates,
     _left_closure,
     _right_closure,
     run,
     sample_ideal_dfa,
 )
-from synideal.ideals import classify
+from synideal.ideals import classify, classify_minimal
 from synideal.transform import Transformation, conjugate
 from synideal.witness import IdealClass, build
 
@@ -28,8 +39,22 @@ def T(*image):
 
 class TestSpec:
     def test_budget_guard(self):
+        # 151,415,625 candidates, above EXHAUSTIVE_BUDGET
         with pytest.raises(BudgetExceeded):
-            CampaignSpec(n=4, alphabet_size=3)
+            CampaignSpec(n=5, alphabet_size=2)
+
+    def test_four_states_three_letters_within_budget(self):
+        assert exhaustive_candidates(4, 3) == 41_946_240 <= harness.EXHAUSTIVE_BUDGET
+        CampaignSpec(n=4, alphabet_size=3)
+        with pytest.raises(BudgetExceeded):
+            CampaignSpec(n=4, alphabet_size=4)
+
+    @pytest.mark.parametrize("n, a", [(2, 2), (3, 2), (3, 3)])
+    def test_budget_estimate_is_the_examined_count(self, n, a):
+        spec = CampaignSpec(
+            n=n, alphabet_size=a, class_filter=IdealClass.RIGHT, checks=frozenset({"tightness"})
+        )
+        assert run(spec).examined == exhaustive_candidates(n, a)
 
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown checks"):
@@ -157,6 +182,87 @@ class TestMaximizerRelabeling:
         m = minimize(aug)
         assert m.n == 4
         assert _relabels_to_expected(m, klass, {})
+
+
+def _relabeled(d: Dfa) -> Dfa:
+    """``d`` with states 1 and n-1 swapped: another DFA with the same
+    classification and syntactic complexity."""
+    perm = list(range(d.n))
+    perm[1], perm[-1] = perm[-1], perm[1]
+    return Dfa(
+        d.alphabet, tuple(conjugate(g, perm) for g in d.delta), d.initial,
+        frozenset(perm[q] for q in d.finals),
+    )
+
+
+class TestCachedDecisions:
+    """One ``_Checks`` fed two different n=4 candidates that share one
+    interned report: the decision made for the report is reused, but each
+    candidate is checked, counted and reported with its own DFA."""
+
+    def _feed(self, text: str, buildable: bool = True):
+        spec = CampaignSpec(n=4, alphabet_size=2)
+        report = CampaignReport(spec=spec)
+        checks = harness._Checks(spec, report)
+        first = parse_dfa(text)
+        pair = (first, _relabeled(first))
+        reps = [
+            classify_minimal(
+                d.transitions, d.finals_mask, transition_semigroup(d).size, memo=checks.memo
+            )
+            for d in pair
+        ]
+        assert reps[0] is reps[1]
+        texts = {to_text(d) for d in pair}
+        assert len(texts) == 2
+        for d, rep in zip(pair, reps):
+            checks(rep, (lambda d=d: d) if buildable else _never_built)
+        return report, reps[0], texts
+
+    def test_bound_violation(self):
+        # one of the 48 ur_chain[2] violations at n=4 a=2
+        report, rep, texts = self._feed(
+            "states 4\nalphabet a b\ninitial 0\nfinal 1\ntrans a 1 1 1 2\ntrans b 3 1 1 1\n"
+        )
+        bounds = [v for v in report.violations if v["check"] == "bounds"]
+        assert {v["dfa"] for v in bounds} == texts and len(bounds) == 2
+
+    def test_letter_ur_exceedance(self):
+        report, rep, texts = self._feed(
+            "states 4\nalphabet a\ninitial 0\nfinal 2\ntrans a 1 2 3 3\n"
+        )
+        exceeded = {e["cell"] for e in report.table_exceedances}
+        assert exceeded
+        for cell in exceeded:
+            assert {e["dfa"] for e in report.table_exceedances if e["cell"] == cell} == texts
+
+    def test_bound_meeting_report(self):
+        report, rep, texts = self._feed(to_text(build(IdealClass.RIGHT, 4)))
+        stats = report.per_class["right"]
+        assert rep.sigma == stats.bound == stats.max_sigma
+        assert stats.count == stats.maximizers == stats.maximizers_relabeled == 2
+
+    def test_injection_context(self):
+        report, rep, texts = self._feed(
+            "states 4\nalphabet a b\ninitial 0\nfinal 3\ntrans a 0 0 0 0\ntrans b 1 2 3 3\n"
+        )
+        assert rep.is_left_ideal and not rep.is_right_ideal
+        assert report.per_class["left"].count == report.injection_contexts == 2
+        assert report.ok
+
+    def test_quiet_report_only_counts(self):
+        # a right ideal below its bound with no exceedance: neither DFA is built
+        report, rep, texts = self._feed(
+            "states 4\nalphabet a b\ninitial 0\nfinal 3\ntrans a 0 0 1 3\ntrans b 2 0 3 3\n",
+            buildable=False,
+        )
+        stats = report.per_class["right"]
+        assert (stats.count, stats.max_sigma, stats.maximizers) == (2, rep.sigma, 0)
+        assert report.ok and not report.table_exceedances
+
+
+def _never_built() -> Dfa:
+    raise AssertionError("a check built the DFA of a candidate that needs none")
 
 
 def _packed(d: Dfa) -> tuple[tuple[bytes, ...], int]:

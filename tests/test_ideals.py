@@ -1,8 +1,20 @@
 import random
+from itertools import combinations, product
 
-from synideal.dfa import Dfa, minimize, same_language
+import pytest
+
+from synideal.dfa import (
+    Dfa,
+    from_maps,
+    is_minimal,
+    minimize,
+    same_language,
+    transition_semigroup,
+)
+from synideal.harness import sample_ideal_dfa
 from synideal.ideals import (
     classify,
+    classify_minimal,
     letter_ur_cells,
     special_quotient_bound,
 )
@@ -231,3 +243,45 @@ class TestLeftTestAgainstDefinition:
         assert data["is_left_ideal"] is True
         assert "sigma" in data and "applicable_bounds" in data
         assert "is_left_ideal True" in rep.to_text()
+
+
+def _sweep_candidates(n: int, alphabet_size: int):
+    """Every minimal candidate of the exhaustive n-state sweep with up to
+    ``alphabet_size`` distinct letters, with its syntactic complexity."""
+    images = [bytes(img) for img in product(range(n), repeat=n)]
+    for size in range(1, alphabet_size + 1):
+        for maps in combinations(images, size):
+            sigma = None
+            for finals in range(1, 2**n):
+                d = from_maps("abc"[:size], maps, finals)
+                if is_minimal(d):
+                    sigma = sigma or transition_semigroup(d).size
+                    yield d, sigma
+
+
+def _sampled_ideals():
+    """240 seeded sampled ideals with 5 and 6 states, with their syntactic
+    complexities."""
+    for i in range(240):
+        klass = list(IdealClass)[i % 3]
+        d = sample_ideal_dfa(klass, 5 + i % 2, 2 + i % 2, seed=i)
+        assert d is not None
+        yield d, transition_semigroup(d).size
+
+
+class TestInterning:
+    @pytest.mark.parametrize(
+        "candidates",
+        [lambda: _sweep_candidates(3, 3), lambda: _sweep_candidates(4, 1), _sampled_ideals],
+        ids=["sweep-n3-a3", "sweep-n4-a1", "sampled-n5-n6"],
+    )
+    def test_memo_returns_the_unmemoised_report_once_per_value(self, candidates):
+        memo: dict = {}
+        first: dict = {}
+        count = 0
+        for d, sigma in candidates():
+            rep = classify_minimal(d.transitions, d.finals_mask, sigma, memo=memo)
+            assert rep == classify_minimal(d.transitions, d.finals_mask, sigma), d
+            assert first.setdefault(rep, rep) is rep, d
+            count += 1
+        assert len(first) < count
