@@ -18,7 +18,15 @@ from .dfa import (
     transition_semigroup,
 )
 from .ideals import ClassificationReport, classify, special_quotient_bound
-from .injection import CaseTag, InjectionContext, apply_f, classify_case, make_context, verify_injection
+from .injection import (
+    CaseTag,
+    InjectionContext,
+    apply_f,
+    classify_case,
+    make_context,
+    minimal_context,
+    verify_injection,
+)
 from .semigroup import TransformationSemigroup, closure
 from .transform import Transformation, compose, parse_notation
 from .witness import IdealClass, bound, build, expected_semigroup
@@ -43,6 +51,7 @@ __all__ = [
     "language_containment",
     "make_context",
     "max_chain_length",
+    "minimal_context",
     "minimize",
     "parse_notation",
     "preorder",

@@ -471,12 +471,23 @@ def minimal_maps(
     """The canonical minimal DFA of a packed DFA, packed: its letter maps and
     its final states as a mask, with initial state 0.
 
-    ``_partition`` merges equivalent states; the blocks reachable from the
-    initial state's block are numbered breadth-first, letters explored in
-    order, so unreachable states drop out and equal languages yield
-    identical maps.
+    ``quotient_maps`` of the ``_partition`` blocks: equivalent states merge,
+    unreachable states drop out and equal languages yield identical maps.
     """
-    block = _partition(maps, finals)
+    return quotient_maps(maps, finals, _partition(maps, finals), initial)
+
+
+def quotient_maps(
+    maps: Sequence[bytes], finals: int, block: bytes, initial: int = 0
+) -> tuple[tuple[bytes, ...], int]:
+    """The packed DFA of the blocks of a congruence (state -> block id, as
+    ``_partition`` returns it) reachable from the initial state's block,
+    numbered breadth-first with letters explored in order, initial state 0.
+
+    With the language partition this is ``minimal_maps``; with every state
+    in a block of its own (``bytes(range(n))``) it renumbers a minimal DFA
+    into the form ``minimize`` gives it, without refining anything.
+    """
     number = {block[initial]: 0}
     reps = [initial]
     for q in reps:

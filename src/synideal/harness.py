@@ -20,7 +20,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import comb
 from typing import Callable
 
@@ -28,7 +28,7 @@ from .dfa import (
     Dfa,
     Transitions,
     from_maps,
-    minimal_maps,
+    quotient_maps,
     reachable_states,
     sink_to_top,
     to_text,
@@ -41,7 +41,7 @@ from .ideals import (
     letter_ur_cells,
     special_quotient_bound,
 )
-from .injection import MIN_CONTEXT_N, make_context, verify_injection
+from .injection import MIN_CONTEXT_N, minimal_context, verify_injection
 from .semigroup import (
     CapExceeded,
     ClosureOverflow,
@@ -371,7 +371,11 @@ class _Checks:
                         )
             injects = klass in MIN_CONTEXT_N and n >= MIN_CONTEXT_N[klass]
             if "injection" in spec.checks and injects:
-                ctx = make_context(dfa(), klass, _expected_cached(self.expected_cache, klass, n))
+                # ``rep`` puts the candidate in the class, ``injects`` checked n,
+                # and every campaign candidate is minimal.
+                ctx = minimal_context(
+                    dfa(), klass, _expected_cached(self.expected_cache, klass, n)
+                )
                 inj = verify_injection(ctx)
                 report.injection_contexts += 1
                 if not inj.ok:
@@ -430,9 +434,10 @@ def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ..
     number = {1: 0}
     order = [1]
     rows: list[list[int]] = [[] for _ in maps]
+    appends = [row.append for row in rows]
     for subset in order:
         states = [q for q in range(n) if subset >> q & 1]
-        for row, bit in zip(rows, bits):
+        for append, bit in zip(appends, bits):
             nxt = 1
             for q in states:
                 nxt |= bit[q]
@@ -440,7 +445,7 @@ def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ..
             if i is None:
                 i = number[nxt] = len(order)
                 order.append(nxt)
-            row.append(i)
+            append(i)
     if len(order) > 256:
         raise ValueError("the packed form holds at most 256 states")
     return (
@@ -461,25 +466,14 @@ _CLOSURES = {
 }
 
 
-def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -> Dfa | None:
-    """A random minimal DFA with exactly n states of a non-empty language
-    closed into the class, or None.
-
-    Rejection sampling: draw a random complete DFA with initial state 0,
-    close its language into the requested ideal class, minimize, and accept
-    when exactly n states remain and some state is final.  Each draw stays
-    packed (``bytes`` letter maps and a finals mask) from the random letters
-    through ``dfa.minimal_maps``; only the accepted sample becomes a ``Dfa``.
-    L.Sigma*, Sigma*.L and Sigma*.L.Sigma* are ideals of their class whenever
-    they are non-empty, so nothing here classifies the sample; the campaign
-    classifies it once and reports a sample outside the class as a
-    ``sampler`` violation.  Deterministic in the seed; None after
-    ``SAMPLE_ATTEMPTS`` draws.  Raises ``ValueError`` when a draw or its
-    closure would exceed the packed form's 256 states.
-    """
+def _draws(klass: IdealClass, n: int, alphabet_size: int, seed: int):
+    """The sampler's draws, closed into the class: ``SAMPLE_ATTEMPTS`` packed
+    ``(maps, finals)`` pairs from ``random.Random(seed)``.  Each draw is a
+    random complete DFA with initial state 0 and n - 1, n or n + 1 states in
+    turn (n when n <= 2); the random calls and their order fix every sample,
+    so they must not change."""
     rng = random.Random(seed)
     randrange = rng.randrange
-    letters = _LETTERS[:alphabet_size]
     close = _CLOSURES[klass]
     for attempt in range(SAMPLE_ATTEMPTS):
         m = n + (attempt % 3) - 1 if n > 2 else n
@@ -487,15 +481,44 @@ def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -
             m = n
         if m > 256:
             raise ValueError("the packed form holds at most 256 states")
-        states = range(m)
-        maps = tuple(bytes([randrange(m) for _ in states]) for _ in letters)
+        maps = tuple(bytes(map(randrange, repeat(m, m))) for _ in range(alphabet_size))
         final_count = 1 if m == 1 else 1 + randrange(2)
         finals = 0
-        for q in rng.sample(states, final_count):
+        for q in rng.sample(range(m), final_count):
             finals |= 1 << q
-        maps, finals = minimal_maps(*close(maps, finals))
+        yield close(maps, finals)
+
+
+def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -> Dfa | None:
+    """A random minimal DFA with exactly n states of a non-empty language
+    closed into the class, or None.
+
+    Rejection sampling: take the next draw of ``_draws`` (a random DFA whose
+    language is closed into the class), minimize it, and accept when exactly
+    n states remain and some state is final.  A draw whose closure has fewer
+    than n states, or fewer than n language classes under ``_partition``, is
+    rejected before any renumbering, since its minimal DFA keeps only the
+    reachable classes; most draws end there.  The rest are numbered with
+    ``quotient_maps`` on the same partition, which is ``minimal_maps``.
+    Each draw stays packed (``bytes`` letter maps and a finals mask) to the
+    accept test; only the accepted sample becomes a ``Dfa``.
+
+    L.Sigma*, Sigma*.L and Sigma*.L.Sigma* are ideals of their class whenever
+    they are non-empty, so nothing here classifies the sample; the campaign
+    classifies it once and reports a sample outside the class as a
+    ``sampler`` violation.  Deterministic in the seed; None after
+    ``SAMPLE_ATTEMPTS`` draws.  Raises ``ValueError`` when a draw or its
+    closure would exceed the packed form's 256 states.
+    """
+    for maps, finals in _draws(klass, n, alphabet_size, seed):
+        if len(maps[0]) < n:
+            continue
+        block = _partition(maps, finals)
+        if len(set(block)) < n:
+            continue
+        maps, finals = quotient_maps(maps, finals, block)
         if len(maps[0]) == n and finals:
-            return from_maps(letters, maps, finals)
+            return from_maps(_LETTERS[:alphabet_size], maps, finals)
     return None
 
 

@@ -40,7 +40,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .dfa import Dfa, StatePreorder, minimize, preorder, sink_to_top, transition_semigroup
+from .dfa import (
+    Dfa,
+    StatePreorder,
+    from_maps,
+    minimize,
+    preorder,
+    quotient_maps,
+    sink_to_top,
+    transition_semigroup,
+)
 from .ideals import classify_minimal
 from .semigroup import CapExceeded, ClosureOverflow, TransformationSemigroup
 from .transform import Transformation
@@ -118,38 +127,58 @@ class InjectionContext:
 def make_context(
     d: Dfa, klass: IdealClass, S: TransformationSemigroup | None = None
 ) -> InjectionContext:
-    """Build an injection context, validating class membership and size.
+    """Build an injection context from any DFA, validating class membership
+    and size: minimise, check n, build with ``minimal_context``, then
+    classify the minimal DFA with the closure's size.
 
     ``S`` is the maximal semigroup of the class at the minimal DFA's size;
     a caller building many contexts passes the one it keeps, and otherwise
-    it is built here.  The DFA is minimised once and closed once.
+    it is built here.  A campaign, which already holds a minimal DFA and its
+    classification, calls ``minimal_context`` directly.
     """
     if klass not in MIN_CONTEXT_N:
         raise ValueError(f"no injection is defined for class {klass.value}")
     m = minimize(d)
-    n = m.n
-    if n < MIN_CONTEXT_N[klass]:
+    if m.n < MIN_CONTEXT_N[klass]:
         raise ValueError(
             f"{klass.value} injection needs n >= {MIN_CONTEXT_N[klass]}; "
             f"smaller sizes are covered by exhaustive checks"
         )
+    ctx = minimal_context(m, klass, S)
+    report = classify_minimal(ctx.dfa.transitions, ctx.dfa.finals_mask, sigma=ctx.T.size)
+    if klass is IdealClass.LEFT and not report.is_left_ideal:
+        raise ValueError("DFA does not accept a left ideal")
+    if klass is IdealClass.TWO_SIDED and not report.is_two_sided_ideal:
+        raise ValueError("DFA does not accept a two-sided ideal")
+    return ctx
+
+
+def minimal_context(
+    m: Dfa, klass: IdealClass, S: TransformationSemigroup | None = None
+) -> InjectionContext:
+    """The injection context of ``m``, a minimal DFA whose language the
+    caller knows to be in ``klass``, with enough states for it; nothing here
+    minimises, classifies or checks n.
+
+    The states are renumbered breadth-first as ``minimize`` numbers them and,
+    for the two-sided class, the final sink is relabeled n-1; then the DFA is
+    closed once and its preorder computed.  So a minimal ``m`` yields the
+    context ``make_context(m, klass, S)`` builds.
+    """
+    maps, finals = quotient_maps(m.transitions.maps, m.finals_mask, bytes(range(m.n)), m.initial)
+    m = from_maps(m.alphabet, maps, finals)
     if klass is IdealClass.TWO_SIDED and len(m.finals) == 1:
         # Relabeling changes neither the classification nor sigma.
         m = sink_to_top(m)
     result = transition_semigroup(m)
     if isinstance(result, ClosureOverflow):
         raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
-    report = classify_minimal(m.transitions, m.finals_mask, sigma=result.size)
-    if klass is IdealClass.LEFT and not report.is_left_ideal:
-        raise ValueError("DFA does not accept a left ideal")
-    if klass is IdealClass.TWO_SIDED and not report.is_two_sided_ideal:
-        raise ValueError("DFA does not accept a two-sided ideal")
     return InjectionContext(
         klass=klass,
         dfa=m,
         po=preorder(m),
         T=result,
-        S=expected_semigroup(klass, n) if S is None else S,
+        S=expected_semigroup(klass, m.n) if S is None else S,
     )
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +244,20 @@ class TestEnumerate:
         )
         assert code == 0
         assert "alphabet size" in err and "alphabet size" not in out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        argv = ["enumerate", "--n", "2", "--alphabet-size", "2"]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "synideal", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert out.startswith("campaign ")
 
 
 class TestExportDot:

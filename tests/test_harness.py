@@ -26,6 +26,7 @@ from synideal.harness import (
     sample_ideal_dfa,
 )
 from synideal.ideals import classify, classify_minimal
+from synideal.injection import make_context, minimal_context
 from synideal.transform import Transformation, conjugate
 from synideal.witness import IdealClass, build
 
@@ -259,6 +260,47 @@ class TestCachedDecisions:
         stats = report.per_class["right"]
         assert (stats.count, stats.max_sigma, stats.maximizers) == (2, rep.sigma, 0)
         assert report.ok and not report.table_exceedances
+
+
+class TestCampaignContexts:
+    """A campaign builds each injection context from its own minimal DFA and
+    report; every one must equal the context ``make_context`` builds from
+    the same DFA by minimising, closing and classifying it afresh."""
+
+    def _compare(self, monkeypatch, spec: CampaignSpec) -> list[Dfa]:
+        built = []
+
+        def spy(m, klass, S=None):
+            ctx = minimal_context(m, klass, S)
+            built.append((m, klass, S, ctx))
+            return ctx
+
+        monkeypatch.setattr(harness, "minimal_context", spy)
+        report = run(spec)
+        assert len(built) == report.injection_contexts > 0
+        for m, klass, S, ctx in built:
+            ref = make_context(m, klass, S)
+            assert ctx.klass is ref.klass is klass
+            assert ctx.dfa == ref.dfa, to_text(m)
+            assert ctx.po.leq == ref.po.leq, to_text(m)
+            assert ctx.T.images == ref.T.images, to_text(m)
+            assert ctx.S.images == ref.S.images, to_text(m)
+        return [m for m, *_ in built]
+
+    def test_four_state_two_letter_sweep(self, monkeypatch):
+        candidates = self._compare(monkeypatch, CampaignSpec(n=4, alphabet_size=2))
+        assert len(candidates) == 1356
+        # most sweep candidates are not numbered as minimize numbers them
+        assert sum(minimize(m) != m for m in candidates) > 1000
+
+    @pytest.mark.parametrize(
+        "klass, n, a", [(IdealClass.LEFT, 4, 2), (IdealClass.TWO_SIDED, 5, 3)]
+    )
+    def test_sample_campaigns(self, monkeypatch, klass, n, a):
+        spec = CampaignSpec(
+            n=n, alphabet_size=a, class_filter=klass, mode=SampleMode(count=30, seed=2)
+        )
+        assert len(self._compare(monkeypatch, spec)) == 30
 
 
 def _never_built() -> Dfa:

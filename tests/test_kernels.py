@@ -26,7 +26,7 @@ from synideal.dfa import (
     preorder,
     same_language,
 )
-from synideal.harness import _CLOSURES, _left_closure, sample_ideal_dfa
+from synideal.harness import _CLOSURES, _draws, _left_closure, sample_ideal_dfa
 from synideal.ideals import classify_minimal
 from synideal.transform import Transformation
 from synideal.witness import IdealClass
@@ -195,6 +195,33 @@ def test_sampler_draws_what_the_reference_draws(klass):
                 assert got == reference_sample_ideal_dfa(klass, n, alphabet_size, seed), (
                     n, alphabet_size, seed,
                 )
+
+
+def test_sampler_rejects_early_only_what_minimisation_rejects():
+    # Over the sampler's own draws up to its accepted one: a closure with
+    # fewer than n states, or fewer than n language classes, must minimise
+    # to something the sampler rejects anyway, and the first draw that
+    # minimises to n states with a final state is the sample.
+    early = {"states": 0, "classes": 0}
+    for klass in IdealClass:
+        for n in range(1, 7):
+            for alphabet_size in range(1, 4):
+                for seed in range(40):
+                    accepted = None
+                    for maps, finals in _draws(klass, n, alphabet_size, seed):
+                        few_states = len(maps[0]) < n
+                        few_classes = not few_states and len(set(_partition(maps, finals))) < n
+                        early["states"] += few_states
+                        early["classes"] += few_classes
+                        minimal, minimal_finals = minimal_maps(maps, finals)
+                        if len(minimal[0]) == n and minimal_finals:
+                            assert not (few_states or few_classes), (klass, n, maps, finals)
+                            accepted = from_maps("abc"[:alphabet_size], minimal, minimal_finals)
+                            break
+                    assert sample_ideal_dfa(klass, n, alphabet_size, seed) == accepted, (
+                        klass, n, alphabet_size, seed,
+                    )
+    assert min(early.values()) > 1000, early
 
 
 def test_sampler_refuses_more_than_256_states():
