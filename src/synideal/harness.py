@@ -272,15 +272,22 @@ class _Checks:
         # need its DFA, else None); the report is kept so its id stays taken.
         self.decided: dict[int, tuple[ClassificationReport, tuple[ClassStats, ...] | None]] = {}
 
-    def __call__(self, rep: ClassificationReport, candidate: Callable[[], Dfa]) -> None:
+    def __call__(
+        self,
+        rep: ClassificationReport,
+        candidate: Callable[[], Dfa],
+        closed: TransformationSemigroup | None = None,
+    ) -> None:
         """``candidate`` builds the DFA; it is called only when a check needs
-        it (a violation, an exceedance, a maximiser or an injection context)."""
+        it (a violation, an exceedance, a maximiser or an injection context).
+        ``closed``, when the caller has it, is the candidate's transition
+        semigroup, handed to its injection context."""
         entry = self.decided.get(id(rep))
         if entry is None or entry[0] is not rep:
             entry = self.decided[id(rep)] = (rep, self._quiet_classes(rep))
         quiet = entry[1]
         if quiet is None:
-            self._check(rep, candidate)
+            self._check(rep, candidate, closed)
             return
         sigma = rep.sigma
         for stats in quiet:
@@ -319,7 +326,12 @@ class _Checks:
             quiet.append(stats)
         return tuple(quiet)
 
-    def _check(self, rep: ClassificationReport, candidate: Callable[[], Dfa]) -> None:
+    def _check(
+        self,
+        rep: ClassificationReport,
+        candidate: Callable[[], Dfa],
+        closed: TransformationSemigroup | None,
+    ) -> None:
         spec, report, n = self.spec, self.report, self.spec.n
         built: list[Dfa] = []
 
@@ -374,7 +386,7 @@ class _Checks:
                 # ``rep`` puts the candidate in the class, ``injects`` checked n,
                 # and every campaign candidate is minimal.
                 ctx = minimal_context(
-                    dfa(), klass, _expected_cached(self.expected_cache, klass, n)
+                    dfa(), klass, _expected_cached(self.expected_cache, klass, n), closed
                 )
                 inj = verify_injection(ctx)
                 report.injection_contexts += 1
@@ -549,4 +561,4 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> 
                 {"check": "sampler", "index": i, "detail": "not in the class", "dfa": to_text(d)}
             )
             continue
-        checks(rep, lambda: d)
+        checks(rep, lambda: d, result)

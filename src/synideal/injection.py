@@ -51,7 +51,7 @@ from .dfa import (
     transition_semigroup,
 )
 from .ideals import classify_minimal
-from .semigroup import CapExceeded, ClosureOverflow, TransformationSemigroup
+from .semigroup import CapExceeded, ClosureOverflow, TransformationSemigroup, conjugated
 from .transform import Transformation
 from .witness import IdealClass, expected_semigroup
 
@@ -154,7 +154,10 @@ def make_context(
 
 
 def minimal_context(
-    m: Dfa, klass: IdealClass, S: TransformationSemigroup | None = None
+    m: Dfa,
+    klass: IdealClass,
+    S: TransformationSemigroup | None = None,
+    T: TransformationSemigroup | None = None,
 ) -> InjectionContext:
     """The injection context of ``m``, a minimal DFA whose language the
     caller knows to be in ``klass``, with enough states for it; nothing here
@@ -163,21 +166,34 @@ def minimal_context(
     The states are renumbered breadth-first as ``minimize`` numbers them and,
     for the two-sided class, the final sink is relabeled n-1; then the DFA is
     closed once and its preorder computed.  So a minimal ``m`` yields the
-    context ``make_context(m, klass, S)`` builds.
+    context ``make_context(m, klass, S)`` builds.  ``T``, when given, is the
+    transition semigroup of ``m``: it is used instead of a closure when the
+    renumbering leaves the letter maps as they are (a sampled DFA is already
+    numbered so), conjugated by the sink relabeling.
     """
-    maps, finals = quotient_maps(m.transitions.maps, m.finals_mask, bytes(range(m.n)), m.initial)
+    n = m.n
+    maps, finals = quotient_maps(m.transitions.maps, m.finals_mask, bytes(range(n)), m.initial)
+    if maps != m.transitions.maps:
+        T = None
     m = from_maps(m.alphabet, maps, finals)
     if klass is IdealClass.TWO_SIDED and len(m.finals) == 1:
         # Relabeling changes neither the classification nor sigma.
+        (sink,) = m.finals
         m = sink_to_top(m)
-    result = transition_semigroup(m)
-    if isinstance(result, ClosureOverflow):
-        raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
+        if T is not None and sink != n - 1:
+            swap = list(range(n))
+            swap[sink], swap[n - 1] = n - 1, sink
+            T = conjugated(T, swap)
+    if T is None:
+        result = transition_semigroup(m)
+        if isinstance(result, ClosureOverflow):
+            raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
+        T = result
     return InjectionContext(
         klass=klass,
         dfa=m,
         po=preorder(m),
-        T=result,
+        T=T,
         S=expected_semigroup(klass, m.n) if S is None else S,
     )
 

@@ -2,10 +2,12 @@
 
 The closure engine is the performance core of the package: elements are kept
 as packed byte strings and right-multiplication by a generator is a single
-``bytes.translate`` call, mapped over the whole frontier.  On the n=8 witness
-semigroups (2.1M elements each for right and left ideals) that is about
-5.2e5 elements/s (``semigroup.closure.elements_per_s`` of the benchmark;
-CPython 3.11, shared 2-vCPU x86_64 host).
+``bytes.translate`` call, mapped over the whole frontier.  On the witness
+semigroups at n=7 and n=8 (2.1M elements each for right and left ideals at
+n=8) that is about 4.7e5 elements/s, freezing the result included
+(``semigroup.closure.elements_per_s`` of the benchmark's ``closure``
+workload, median of four traced runs; CPython 3.11.7, shared 2-vCPU x86_64
+host).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
-from .transform import Transformation
+from .transform import Transformation, conjugate
 
 #: Default element cap of a closure: just above the largest witness semigroup
 #: at n <= 8 (the left ideal one, 2,097,159 elements).
@@ -54,14 +56,17 @@ class ClosureOverflow:
 class TransformationSemigroup:
     """A finite set of transformations closed under composition.
 
-    ``images`` holds the packed element bodies; ``generators`` records the
-    provenance (each generator is an element, and every element is a
-    composite of one or more generators).  The identity is present only if it
-    is such a composite: this is a semigroup, not a monoid.
+    ``images`` holds the packed element bodies: a frozenset for a closure,
+    or a closed form (``witness.expected_semigroup``) that is enumerated on
+    demand and, unlike a frozenset, not hashable, so neither is a semigroup
+    holding one.  ``generators`` records the provenance (each generator is
+    an element, and every element is a composite of one or more
+    generators).  The identity is present only if it is such a composite:
+    this is a semigroup, not a monoid.
     """
 
     n: int
-    images: frozenset[bytes]
+    images: AbstractSet[bytes]
     generators: tuple[Transformation, ...]
 
     @property
@@ -116,8 +121,9 @@ def _close_images(
     gen_images: Sequence[bytes],
     cap: int = DEFAULT_CAP,
     stop_at: int | None = None,
-) -> set[bytes] | None:
-    """Closure over packed images; None when the cap is exceeded.
+) -> list[bytes] | None:
+    """Closure over packed images, in discovery order; None when the cap is
+    exceeded.
 
     Each round right-multiplies the whole frontier by one generator at a
     time, so the products are formed in C.  ``cap`` and ``stop_at`` are
@@ -126,31 +132,37 @@ def _close_images(
     exactly when the closure has more than ``cap`` elements.  ``stop_at``
     allows an early exit for callers that know the closure cannot exceed
     that size (generators drawn from a known closed set).
+
+    The membership set dies with this call, so a caller that freezes the
+    list holds one table, sized for the closure (a copied set is sized for
+    twice its length).
     """
     seen = set(gen_images)
-    if stop_at is not None and len(seen) >= stop_at:
-        return seen
-    if len(seen) > cap:
+    found = list(seen)
+    if stop_at is not None and len(found) >= stop_at:
+        return found
+    if len(found) > cap:
         return None
     # repeat() without a count never runs out, so one per generator serves
     # every pass.
     tables = [repeat(g + bytes(256 - len(g))) for g in gen_images]
     add = seen.add
-    frontier = list(seen)
-    while frontier:
-        new = []
-        append = new.append
+    append = found.append
+    start = 0
+    while start < len(found):
+        # The frontier: everything found in the previous round.
+        frontier = found[start:]
+        start = len(found)
         for table in tables:
             for c in map(bytes.translate, frontier, table):
                 if c not in seen:
                     add(c)
                     append(c)
-            if stop_at is not None and len(seen) >= stop_at:
-                return seen
-            if len(seen) > cap:
+            if stop_at is not None and len(found) >= stop_at:
+                return found
+            if len(found) > cap:
                 return None
-        frontier = new
-    return seen
+    return found
 
 
 def contains(s: TransformationSemigroup, t: Transformation) -> bool:
@@ -372,6 +384,16 @@ def equal_up_to_relabeling(
     return None
 
 
+def conjugated(s: TransformationSemigroup, perm: Sequence[int]) -> TransformationSemigroup:
+    """s with its states relabeled by perm, generators included: each
+    element's image becomes ``new[perm[q]] = perm[image[q]]``."""
+    return TransformationSemigroup(
+        n=s.n,
+        images=_conjugated_images(s.images, perm),
+        generators=tuple(conjugate(g, perm) for g in s.generators),
+    )
+
+
 def _conjugation(perm: Sequence[int]) -> tuple[Callable[[bytes], Sequence[int]], bytes]:
     """``(pick, table)`` such that ``bytes(pick(e)).translate(table)`` is the
     conjugate of the packed map e by perm: ``new[r] = perm[e[inverse[r]]]``."""
@@ -384,7 +406,7 @@ def _conjugation(perm: Sequence[int]) -> tuple[Callable[[bytes], Sequence[int]],
     return pick, bytes(perm) + bytes(256 - n)
 
 
-def _conjugated_images(images: frozenset[bytes], perm: Sequence[int]) -> frozenset[bytes]:
+def _conjugated_images(images: AbstractSet[bytes], perm: Sequence[int]) -> frozenset[bytes]:
     """Every packed map of ``images`` conjugated by perm."""
     pick, table = _conjugation(perm)
     return frozenset(map(bytes.translate, map(bytes, map(pick, images)), repeat(table)))

@@ -1,15 +1,20 @@
 """Witness DFA families attaining the syntactic-complexity bounds, the bound
 formulas, and closed-form descriptions of the maximal transition semigroups.
 
-The closed forms are deliberately built by direct enumeration, independent of
-the closure engine, so that ``expected_semigroup`` can cross-validate
-``transition_semigroup(build(...))`` element by element.
+A closed form is enumerated on demand and never closed or stored: it is a
+few pairwise-disjoint ``itertools.product`` families of image sequences, a
+description independent of the closure engine, so ``expected_semigroup``
+can cross-validate ``transition_semigroup(build(...))`` element by element.
+Equality with a set of packed maps is equal length plus every element of
+that set lying in the closed form, tested in bulk.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import chain, product
+from collections.abc import Iterable, Iterator, Set
+from itertools import chain, islice, product
+from math import prod
 
 from .dfa import Dfa
 from .semigroup import TransformationSemigroup
@@ -133,9 +138,135 @@ def bound(klass: IdealClass, n: int) -> int:
     return n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1
 
 
+#: Maps per bulk membership pass: bounds the joined buffer and the
+#: ``Py_buffer`` array ``bytes.join`` allocates for its parts.
+_CHUNK = 1 << 15
+
+#: Joins packed maps in bulk; no map on at most 255 states contains it.
+_SEP = b"\xff"
+
+
+class ClosedForm(Set):
+    """A set of packed maps on n states given by a closed form, enumerated on
+    demand and never stored.
+
+    Each family is a triple (first, middle, last) of allowed images: every
+    state maps into ``middle``, and state 0 also into ``first`` and state
+    n-1 also into ``last``.  The families' ``first`` values must be
+    pairwise disjoint, so the families are disjoint and the image of state 0
+    picks the one family a map can lie in.  The length is the sum of the
+    family sizes and iteration enumerates the families in order.  Closed
+    forms are not hashable.
+    """
+
+    def __init__(
+        self, n: int, families: Iterable[tuple[Iterable[int], Iterable[int], Iterable[int]]]
+    ) -> None:
+        # n <= 255 keeps _SEP out of every map.
+        if not 1 <= n <= 255:
+            raise ValueError(f"a closed form needs 1 <= n <= 255, got {n}")
+        self.n = n
+        self._zeros = bytes(n)
+        # Per family: first and last cut down to middle (to both at n = 1),
+        # middle, and a table sending middle to 0 and every other byte to 1.
+        self._families: list[tuple[bytes, bytes, bytes, bytes]] = []
+        self._by_first: dict[bytes, tuple[bytes, bytes, bytes, bytes]] = {}
+        for first, middle, last in families:
+            middle = bytes(middle)
+            first = bytes(v for v in first if v in middle)
+            last = bytes(v for v in last if v in middle)
+            if n == 1:
+                first = last = bytes(v for v in first if v in last)
+            family = (first, middle, last, bytes(v not in middle for v in range(256)))
+            self._families.append(family)
+            for v in first:
+                if bytes([v]) in self._by_first:
+                    raise ValueError(f"two families allow state 0 to map to {v}")
+                self._by_first[bytes([v])] = family
+        self._len = sum(prod(map(len, self._factors(f))) for f in self._families)
+        # _flags[q][v] == 1 iff the first family does not let state q map to v.
+        self._flags = [
+            bytes(v not in allowed for v in range(256))
+            for allowed in self._factors(self._families[0])
+        ]
+
+    def _factors(self, family: tuple[bytes, bytes, bytes, bytes]) -> tuple[bytes, ...]:
+        """The allowed images of each state under the family."""
+        first, middle, last, _ = family
+        if self.n == 1:
+            return (first,)
+        return (first, *[middle] * (self.n - 2), last)
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[bytes]) -> frozenset[bytes]:
+        # The Set operators (&, |, -, ^) build plain frozensets.
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[bytes]:
+        return chain.from_iterable(
+            map(bytes, product(*self._factors(f))) for f in self._families
+        )
+
+    def __contains__(self, e: object) -> bool:
+        if not isinstance(e, bytes):
+            return False
+        family = self._by_first.get(e[:1])
+        # translate() keeps the length, so the comparison also checks it.
+        return (
+            family is not None
+            and e[-1] in family[2]
+            and e.translate(family[3]) == self._zeros
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(other) == self._len and self._holds_all(other)
+
+    def _holds_all(self, maps: Iterable[object]) -> bool:
+        """Whether every element of ``maps`` lies in the closed form, tested
+        in chunks of ``_CHUNK`` joined maps.
+
+        A chunk of k maps joined by ``_SEP`` that is k(n+1) - 1 bytes long,
+        holds exactly k - 1 separators and has one at every (n+1)-th byte
+        consists of maps of n bytes.  The column of each state is then one
+        strided slice, and one ``translate`` per column marks the maps that
+        leave the first family there; only those are tested one by one.
+        """
+        n = self.n
+        stride = n + 1
+        it = iter(maps)
+        while chunk := list(islice(it, _CHUNK)):
+            k = len(chunk)
+            try:
+                buf = _SEP.join(chunk)
+            except TypeError:  # not bytes-like, so not a packed map
+                return False
+            if (
+                len(buf) != k * stride - 1
+                or buf.count(_SEP) != k - 1
+                or buf[n::stride] != _SEP * (k - 1)
+            ):
+                return False
+            outside = set()
+            for q, flag in enumerate(self._flags):
+                marks = buf[q::stride].translate(flag)
+                i = marks.find(1)
+                while i != -1:
+                    outside.add(i)
+                    i = marks.find(1, i + 1)
+            for i in outside:
+                if buf[i * stride : i * stride + n] not in self:
+                    return False
+        return True
+
+
 def expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:
-    """The maximal transition semigroup, built from its closed-form
-    description without running any closure.
+    """The maximal transition semigroup as a ``ClosedForm``, enumerated on
+    demand and never closed:
 
     * right:     all maps fixing the final sink n-1;
     * left:      all maps fixing 0, plus the constants (Q -> p) for p != 0;
@@ -143,22 +274,24 @@ def expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:
       sending a subset of {1..n-2} together with n-1 to n-1 and everything
       else to p; and the constant (Q -> n-1).
 
-    Each family is an ``itertools.product`` enumeration of image sequences,
-    one factor per state (a single value where the state's image is forced),
-    packed straight into bytes.
+    Each family is an ``itertools.product`` of the allowed images of state
+    0, of each of the states 1..n-2, and of state n-1.  The images compare
+    equal to a set of packed maps when the lengths agree and every map of
+    that set lies in one of the families; the first family is tested column
+    by column over chunks of maps, the few maps outside it one by one.
     """
     _check_range(klass, n)
-    states = [range(n)]
+    states = range(n)
     if klass is IdealClass.RIGHT:
-        maps = product(*states * (n - 1), [n - 1])
+        families = [(states, states, [n - 1])]
     elif klass is IdealClass.LEFT:
-        maps = chain(product([0], *states * (n - 1)), ([p] * n for p in range(1, n)))
+        families = [([0], states, states), *(([p], [p], [p]) for p in range(1, n))]
     else:
-        maps = chain(
-            product([0], *states * (n - 2), [n - 1]),
-            *(product([p], *[(p, n - 1)] * (n - 2), [n - 1]) for p in range(1, n - 1)),
-            [[n - 1] * n],
-        )
+        families = [
+            ([0], states, [n - 1]),
+            *(([p], (p, n - 1), [n - 1]) for p in range(1, n - 1)),
+            ([n - 1], [n - 1], [n - 1]),
+        ]
     return TransformationSemigroup(
-        n=n, images=frozenset(map(bytes, maps)), generators=tuple(build(klass, n).delta)
+        n=n, images=ClosedForm(n, families), generators=tuple(build(klass, n).delta)
     )

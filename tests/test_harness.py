@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from synideal import harness
+from synideal import harness, injection
 from synideal.dfa import (
     Dfa,
     from_maps,
@@ -264,14 +264,15 @@ class TestCachedDecisions:
 
 class TestCampaignContexts:
     """A campaign builds each injection context from its own minimal DFA and
-    report; every one must equal the context ``make_context`` builds from
-    the same DFA by minimising, closing and classifying it afresh."""
+    report (a sampled campaign also hands over the sample's closure); every
+    one must equal the context ``make_context`` builds from the same DFA by
+    minimising, closing and classifying it afresh."""
 
     def _compare(self, monkeypatch, spec: CampaignSpec) -> list[Dfa]:
         built = []
 
-        def spy(m, klass, S=None):
-            ctx = minimal_context(m, klass, S)
+        def spy(m, klass, S=None, T=None):
+            ctx = minimal_context(m, klass, S, T)
             built.append((m, klass, S, ctx))
             return ctx
 
@@ -301,6 +302,21 @@ class TestCampaignContexts:
             n=n, alphabet_size=a, class_filter=klass, mode=SampleMode(count=30, seed=2)
         )
         assert len(self._compare(monkeypatch, spec)) == 30
+
+    @pytest.mark.parametrize(
+        "klass, n, a", [(IdealClass.LEFT, 4, 2), (IdealClass.TWO_SIDED, 5, 3)]
+    )
+    def test_sample_campaigns_close_each_sample_once(self, monkeypatch, klass, n, a):
+        # A sampled DFA is numbered as minimize numbers it, so its context
+        # takes the sample's closure (conjugated by the sink relabeling).
+        def closed_again(d, cap=None):
+            raise AssertionError("a context closed its sample again")
+
+        monkeypatch.setattr(injection, "transition_semigroup", closed_again)
+        spec = CampaignSpec(
+            n=n, alphabet_size=a, class_filter=klass, mode=SampleMode(count=30, seed=2)
+        )
+        assert run(spec).injection_contexts == 30
 
 
 def _never_built() -> Dfa:

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -11,6 +12,7 @@ from synideal.semigroup import (
     _close_images,
     _conjugated_images,
     closure,
+    conjugated,
     contains,
     equal_up_to_relabeling,
     generator_necessity,
@@ -112,7 +114,15 @@ class TestClosure:
         for k in (1, 4, 5, 100, 600, 625, 700):
             part = _close_images(gens, stop_at=k)
             assert len(part) >= min(k, 625)
-            assert part <= full
+            assert set(part) <= set(full)
+
+    def test_result_holds_one_right_sized_table(self):
+        # A frozenset copied from a set is sized for twice its length: 256
+        # slots here instead of the 128 that 64 elements added one by one need.
+        gens = build(IdealClass.RIGHT, 4).delta
+        images = closure(gens).images
+        assert len(images) == 64
+        assert sys.getsizeof(images) <= sys.getsizeof(frozenset(iter(closure(gens).images)))
 
     def test_cap_below_the_generator_count(self):
         # Three distinct generators that are already closed: nothing new is
@@ -304,6 +314,16 @@ class TestConjugatedImages:
             s = closure([random_transformation(rng, n) for _ in range(rng.randint(1, 2))])
             perm = list(range(n)) if i % 12 < 6 else rng.sample(range(n), n)
             assert _conjugated_images(s.images, perm) == reference_conjugated_images(s.images, perm)
+
+    def test_conjugated_semigroup_is_the_closure_of_conjugated_generators(self):
+        rng = random.Random(6)
+        for i in range(60):
+            n = 1 + i % 5
+            s = closure([random_transformation(rng, n) for _ in range(rng.randint(1, 3))])
+            perm = rng.sample(range(n), n)
+            moved = conjugated(s, perm)
+            assert moved.generators == tuple(conjugate(g, perm) for g in s.generators)
+            assert moved.images == closure(moved.generators).images
 
 
 class TestSerialization:

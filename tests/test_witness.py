@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from synideal import witness
 from synideal.dfa import is_minimal, max_chain_length, preorder, transition_semigroup
 from synideal.ideals import classify
 from synideal.semigroup import generator_necessity
@@ -111,7 +114,79 @@ class TestExpectedSemigroup:
         for n in range(MIN_N[klass], 8):
             exp = expected_semigroup(klass, n)
             ref = reference_expected_semigroup(klass, n)
-            assert exp.images == ref.images and exp.generators == ref.generators
+            assert len(exp.images) == len(frozenset(exp.images)) == bound(klass, n)
+            assert exp.images == ref.images and ref.images == exp.images
+            assert not exp.images != ref.images and not ref.images != exp.images
+            assert exp.generators == ref.generators
+
+
+class TestClosedForm:
+    """``expected_semigroup`` images are a closed form that is never stored:
+    membership, enumeration and equality must agree with the reference."""
+
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_membership_is_exact_on_every_map(self, klass):
+        for n in range(MIN_N[klass], 7):
+            closed = expected_semigroup(klass, n).images
+            members = {e for e in map(bytes, product(range(n), repeat=n)) if e in closed}
+            assert members == reference_expected_semigroup(klass, n).images == set(closed)
+
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_rejects_what_is_not_a_packed_map(self, klass):
+        n = 5
+        closed = expected_semigroup(klass, n).images
+        member = next(iter(closed))
+        for e in (tuple(member), member[:-1], member + b"\0", bytearray(member), n, None):
+            assert e not in closed
+        assert closed & {member, member[:-1]} == {member}
+        with pytest.raises(TypeError):
+            hash(closed)
+
+    def test_families_must_differ_on_state_0(self):
+        with pytest.raises(ValueError):
+            witness.ClosedForm(3, [(range(3), range(3), [2]), ([0], [0], [0])])
+        for n in (0, 256):
+            with pytest.raises(ValueError):
+                witness.ClosedForm(n, [([0], [0], [0])])
+
+    @staticmethod
+    def _near_misses(closed, ref):
+        """(description, ordered set) pairs: the closed form's own maps with
+        one of them, first or last, replaced, or dropped."""
+        n = closed.n
+        outsider = next(e for e in map(bytes, product(range(n + 1), repeat=n)) if e not in ref)
+        maps = list(closed)
+        for pos in (0, len(maps) - 1):
+            e = maps[pos]
+            for what, other in (
+                ("non-member", outsider),
+                ("shortened", e[:-1]),
+                ("tuple", tuple(e)),
+                ("separator byte", e[:-1] + b"\xff"),
+            ):
+                near = maps.copy()
+                near[pos] = other
+                yield f"{what} at {pos}", dict.fromkeys(near).keys()
+            yield f"missing at {pos}", dict.fromkeys(maps[:pos] + maps[pos + 1 :]).keys()
+
+    @pytest.mark.parametrize("klass, n", [
+        (IdealClass.RIGHT, 7),
+        (IdealClass.LEFT, 4),
+        (IdealClass.TWO_SIDED, 5),
+        (IdealClass.TWO_SIDED, 2),
+        (IdealClass.LEFT, 1),
+    ])
+    def test_near_miss_sets_compare_unequal(self, klass, n):
+        closed = expected_semigroup(klass, n).images
+        ref = reference_expected_semigroup(klass, n).images
+        assert closed == dict.fromkeys(closed).keys()
+        if n == 7:
+            # The last map lies past the first chunk of the bulk test.
+            assert len(closed) > witness._CHUNK
+        for what, near in self._near_misses(closed, ref):
+            assert closed != near, what
+            assert near != closed, what
+            assert frozenset(near) != closed and closed != frozenset(near), what
 
 
 class TestWitnessShape:
