@@ -2,19 +2,19 @@
 
 The closure engine is the performance core of the package: elements are kept
 as packed byte strings and right-multiplication by a generator is a single
-``bytes.translate`` call, mapped over the whole frontier.  On the witness
-semigroups at n=7 and n=8 (2.1M elements each for right and left ideals at
-n=8) that is about 4.7e5 elements/s, freezing the result included
-(``semigroup.closure.elements_per_s`` of the benchmark's ``closure``
-workload, median of four traced runs; CPython 3.11.7, shared 2-vCPU x86_64
-host).
+``bytes.translate`` call, mapped over the whole frontier, with the repeat
+products filtered out in C.  On the witness semigroups at n=7 and n=8 (2.1M
+elements each for right and left ideals at n=8) that is about 4.9e5
+elements/s (``semigroup.closure.elements_per_s`` of the benchmark's
+``closure`` workload, median of two traced runs at seed 7919; CPython 3.11.7,
+shared 2-vCPU x86_64 host).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, repeat
+from itertools import combinations, filterfalse, permutations, repeat
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Sequence
 
@@ -56,13 +56,14 @@ class ClosureOverflow:
 class TransformationSemigroup:
     """A finite set of transformations closed under composition.
 
-    ``images`` holds the packed element bodies: a frozenset for a closure,
-    or a closed form (``witness.expected_semigroup``) that is enumerated on
-    demand and, unlike a frozenset, not hashable, so neither is a semigroup
-    holding one.  ``generators`` records the provenance (each generator is
-    an element, and every element is a composite of one or more
-    generators).  The identity is present only if it is such a composite:
-    this is a semigroup, not a monoid.
+    ``images`` holds the packed element bodies: for a closure, the very
+    ``set`` the closure grew (copying it into a frozenset would double the
+    table), or a closed form (``witness.expected_semigroup``) that is
+    enumerated on demand.  Either is read-only by convention and neither is
+    hashable, so neither is a semigroup holding one.  ``generators`` records
+    the provenance (each generator is an element, and every element is a
+    composite of one or more generators).  The identity is present only if
+    it is such a composite: this is a semigroup, not a monoid.
     """
 
     n: int
@@ -114,55 +115,56 @@ def closure(
     images = _close_images([g.packed() for g in gens], cap=limit)
     if images is None:
         return ClosureOverflow(n=n, cap=limit, generators=gens)
-    return TransformationSemigroup(n=n, images=frozenset(images), generators=gens)
+    return TransformationSemigroup(n=n, images=images, generators=gens)
 
 
 def _close_images(
     gen_images: Sequence[bytes],
     cap: int = DEFAULT_CAP,
     stop_at: int | None = None,
-) -> list[bytes] | None:
-    """Closure over packed images, in discovery order; None when the cap is
-    exceeded.
+) -> set[bytes] | None:
+    """Closure over packed images: the set grown for membership is the
+    result; None when the cap is exceeded.
 
-    Each round right-multiplies the whole frontier by one generator at a
-    time, so the products are formed in C.  ``cap`` and ``stop_at`` are
-    checked after each generator's pass, so an overflow is detected within
-    one frontier's worth of products; without ``stop_at`` the result is None
-    exactly when the closure has more than ``cap`` elements.  ``stop_at``
-    allows an early exit for callers that know the closure cannot exceed
-    that size (generators drawn from a known closed set).
+    Each round right-multiplies that round's frontier (the elements new in
+    the previous round) by one generator at a time, so the products are
+    formed in C, and the repeats among them (most of them) are dropped by
+    ``filterfalse`` without running any Python code.  The filter is lazy:
+    each product is tested after the one before it was added, so one made
+    twice in a pass is added once.  ``cap`` and ``stop_at`` are checked after
+    each generator's pass, so an overflow is detected within one frontier's
+    worth of products; without ``stop_at`` the result is None exactly when
+    the closure has more than ``cap`` elements.  ``stop_at`` allows an early
+    exit for callers that know the closure cannot exceed that size
+    (generators drawn from a known closed set).
 
-    The membership set dies with this call, so a caller that freezes the
-    list holds one table, sized for the closure (a copied set is sized for
-    twice its length).
+    The set is the only table: it grew one element at a time, so it is sized
+    for the closure (a copied set is sized for twice its length).
     """
     seen = set(gen_images)
-    found = list(seen)
-    if stop_at is not None and len(found) >= stop_at:
-        return found
-    if len(found) > cap:
+    if stop_at is not None and len(seen) >= stop_at:
+        return seen
+    if len(seen) > cap:
         return None
     # repeat() without a count never runs out, so one per generator serves
     # every pass.
     tables = [repeat(g + bytes(256 - len(g))) for g in gen_images]
     add = seen.add
-    append = found.append
-    start = 0
-    while start < len(found):
-        # The frontier: everything found in the previous round.
-        frontier = found[start:]
-        start = len(found)
+    contained = seen.__contains__
+    frontier = list(seen)
+    while frontier:
+        new = []
+        append = new.append
         for table in tables:
-            for c in map(bytes.translate, frontier, table):
-                if c not in seen:
-                    add(c)
-                    append(c)
-            if stop_at is not None and len(found) >= stop_at:
-                return found
-            if len(found) > cap:
+            for c in filterfalse(contained, map(bytes.translate, frontier, table)):
+                add(c)
+                append(c)
+            if stop_at is not None and len(seen) >= stop_at:
+                return seen
+            if len(seen) > cap:
                 return None
-    return found
+        frontier = new
+    return seen
 
 
 def contains(s: TransformationSemigroup, t: Transformation) -> bool:

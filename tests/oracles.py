@@ -528,7 +528,10 @@ def full_monoid_generators(n: int) -> list[Transformation]:
 # The two-pass case analysis on ``Transformation`` objects, as
 # ``synideal.injection`` computed it before ``_case_image`` classified and
 # built f(t) in one pass on packed maps; kept verbatim, under new names, as
-# the reference ``verify_injection`` must agree with.
+# the reference ``verify_injection`` must agree with.  It still re-checks the
+# shape of every case-2 image (``case2_shape``), which ``_case_image`` no
+# longer does because that check cannot fire, so the differential tests also
+# show that dropping it changes no verdict.
 
 
 def _less(ctx: InjectionContext, p: int, q: int) -> bool:

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -60,10 +61,26 @@ class TestClosure:
         assert s.size == 2
         assert {t.image for t in s.elements} == {(1, 2, 2), (2, 2, 2)}
 
-    def test_against_naive_closure(self):
-        gens = [T(1, 2, 0, 1), T(0, 0, 2, 3), T(3, 1, 1, 0)]
+    # Beyond a plain generating set: a repeated generator (a second pass
+    # that only repeats the first), the identity, two constants and a
+    # permutation (every product by a constant is that constant), and two
+    # constants with a map merging them, so that one generator's pass makes
+    # the same new element twice.
+    NAIVE_CASES = [
+        [T(1, 2, 0, 1), T(0, 0, 2, 3), T(3, 1, 1, 0)],
+        [T(1, 2, 0, 1), T(1, 2, 0, 1), T(0, 0, 2, 3)],
+        [identity(4), T(1, 2, 0, 1), T(0, 0, 2, 3)],
+        [constant(4, 0), constant(4, 1), T(1, 2, 3, 0)],
+        [constant(4, 0), constant(4, 1), T(2, 2, 3, 1)],
+    ]
+
+    @pytest.mark.parametrize("gens", NAIVE_CASES)
+    def test_against_naive_closure(self, gens):
+        expected = naive_closure(gens)
         s = closure(gens)
-        assert {t.image for t in s.elements} == naive_closure(gens)
+        assert {t.image for t in s.elements} == expected
+        assert closure(gens, cap=len(expected)).images == s.images
+        assert isinstance(closure(gens, cap=len(expected) - 1), ClosureOverflow)
 
     def test_idempotent(self):
         s = closure(full_monoid_generators(3))
@@ -107,14 +124,16 @@ class TestClosure:
         s = closure(gens, cap=625)
         assert isinstance(s, TransformationSemigroup) and s.size == 625
 
-    def test_stop_at_returns_enough_and_no_more_than_the_closure(self):
-        gens = [g.packed() for g in build(IdealClass.RIGHT, 5).delta]
-        full = _close_images(gens)
-        assert len(full) == 625
-        for k in (1, 4, 5, 100, 600, 625, 700):
-            part = _close_images(gens, stop_at=k)
-            assert len(part) >= min(k, 625)
-            assert set(part) <= set(full)
+    @pytest.mark.parametrize("gens", [build(IdealClass.RIGHT, 5).delta, *NAIVE_CASES])
+    def test_stop_at_returns_enough_and_no_more_than_the_closure(self, gens):
+        packed = [g.packed() for g in gens]
+        full = _close_images(packed)
+        assert {tuple(e) for e in full} == naive_closure(gens)
+        size = len(full)
+        for k in (1, 2, 4, 5, size // 2, size - 1, size, size + 75):
+            part = _close_images(packed, stop_at=k)
+            assert len(part) >= min(k, size)
+            assert part <= full
 
     def test_result_holds_one_right_sized_table(self):
         # A frozenset copied from a set is sized for twice its length: 256
@@ -123,6 +142,24 @@ class TestClosure:
         images = closure(gens).images
         assert len(images) == 64
         assert sys.getsizeof(images) <= sys.getsizeof(frozenset(iter(closure(gens).images)))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_closure_holds_one_table_at_its_peak(self, n):
+        # The membership set is the result: besides the set and its elements
+        # only the frontier lists are alive.  A discovery-order list frozen
+        # into a second table peaks at 1.24x (n=6) and 1.35x (n=7) of the
+        # result; the one table at 1.05x and 1.09x.  Allocation sizes, so
+        # the figures repeat exactly.
+        gens = build(IdealClass.RIGHT, n).delta
+        tracemalloc.start()
+        try:
+            images = closure(gens).images
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(images) == n ** (n - 1)
+        held = sys.getsizeof(images) + sum(map(sys.getsizeof, images))
+        assert peak <= 1.15 * held, peak / held
 
     def test_cap_below_the_generator_count(self):
         # Three distinct generators that are already closed: nothing new is
