@@ -315,19 +315,16 @@ class Transitions:
 
     @_fact
     def reach(self) -> tuple[int, ...]:
-        """reach[q]: the states q.w over all words w, the empty word included."""
-        out = []
-        for q in range(self.n):
-            seen = 1 << q
-            stack = [q]
-            while stack:
-                p = stack.pop()
-                for m in self.maps:
-                    r = m[p]
-                    if not seen >> r & 1:
-                        seen |= 1 << r
-                        stack.append(r)
-            out.append(seen)
+        """reach[q]: the states q.w over all words w, the empty word included.
+
+        Warshall's transitive closure of the successor masks: at step k,
+        every state whose mask holds k gains k's mask."""
+        out = [s | 1 << q for q, s in enumerate(self.successors)]
+        for k, via in enumerate(out):
+            bit = 1 << k
+            for q, r in enumerate(out):
+                if r & bit:
+                    out[q] = r | via
         return tuple(out)
 
     @_fact
@@ -340,43 +337,55 @@ class Transitions:
                     out &= ~(1 << q)
         return out
 
-    def _pairs_reachable(self, sources: Iterable[tuple[int, int]]) -> int:
+    @_fact
+    def pair_maps(self) -> tuple[tuple[int, ...], ...]:
+        """Per letter, ``_pair_map`` of its map."""
+        pair_map = _small_pair_map if self.n <= _SMALL_PAIR_MAP_N else _pair_map
+        return tuple(map(pair_map, self.maps))
+
+    def _pairs_reachable(self, sources: Iterable[int], closed: int = 0) -> int:
         """The pairs (p.w, q.w) over every word w, the empty word included,
-        and every source pair (p, q)."""
-        n, maps = self.n, self.maps
-        seen = 0
-        stack = []
-        for p, q in sources:
-            bit = 1 << (p * n + q)
-            if not seen & bit:
-                seen |= bit
-                stack.append((p, q))
-        while stack:
-            p, q = stack.pop()
-            for m in maps:
-                x, y = m[p], m[q]
-                bit = 1 << (x * n + y)
-                if not seen & bit:
-                    seen |= bit
-                    stack.append((x, y))
+        and every source pair (p, q), given by its index ``p*n + q``; united
+        with ``closed``, a pair mask already closed under the letters, whose
+        pairs are not traversed again."""
+        pair_maps = self.pair_maps
+        seen = closed
+        queue = []
+        for i in sources:
+            if not seen >> i & 1:
+                seen |= 1 << i
+                queue.append(i)
+        for i in queue:
+            for step in pair_maps:
+                j = step[i]
+                if not seen >> j & 1:
+                    seen |= 1 << j
+                    queue.append(j)
         return seen
+
+    @_fact
+    def initial_step_pairs(self) -> int:
+        """Pairs reachable from (initial, initial.a) for any letter a.
+
+        Both ``initial_pairs`` and ``step_pairs`` have these among their
+        sources, so each grows from this mask instead of traversing it again."""
+        n, i = self.n, self.initial
+        return self._pairs_reachable(i * n + m[i] for m in self.maps)
 
     @_fact
     def initial_pairs(self) -> int:
         """Pairs reachable from (initial, q) for any q: the initial state's
         language lies in every state's iff none of them crosses."""
-        return self._pairs_reachable((self.initial, q) for q in range(self.n))
-
-    @_fact
-    def initial_step_pairs(self) -> int:
-        """Pairs reachable from (initial, initial.a) for any letter a."""
-        i = self.initial
-        return self._pairs_reachable((i, m[i]) for m in self.maps)
+        start = self.initial * self.n
+        return self._pairs_reachable(range(start, start + self.n), self.initial_step_pairs)
 
     @_fact
     def step_pairs(self) -> int:
         """Pairs reachable from (q, q.a) for any state q and letter a."""
-        return self._pairs_reachable((q, r) for m in self.maps for q, r in enumerate(m))
+        n = self.n
+        return self._pairs_reachable(
+            (q * n + r for m in self.maps for q, r in enumerate(m)), self.initial_step_pairs
+        )
 
     @_fact
     def ur_depth(self) -> int | None:
@@ -403,6 +412,21 @@ class Transitions:
                     depth[q] = depth[p] + 1
                     queue.append(q)
         return max(depth.values())
+
+
+def _pair_map(m: bytes) -> tuple[int, ...]:
+    """The pair (x, y) of states, as index ``x*n + y``, mapped to the index
+    of (m[x], m[y])."""
+    n = len(m)
+    return tuple(x * n + y for x in m for y in m)
+
+
+#: ``_pair_map`` memoised for maps of at most ``_SMALL_PAIR_MAP_N`` states: a
+#: sweep draws its letters from the n^n maps of n states, so each recurs in
+#: many letter tuples, and at n <= 4 all of them fit in the cache.  Larger
+#: maps, such as a sampled campaign's random ones, rarely recur.
+_SMALL_PAIR_MAP_N = 4
+_small_pair_map = lru_cache(maxsize=_SMALL_PAIR_MAP_N**_SMALL_PAIR_MAP_N)(_pair_map)
 
 
 @lru_cache(maxsize=4096)

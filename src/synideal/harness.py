@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product, repeat
 from math import comb
-from typing import Callable
+from typing import AbstractSet, Callable
 
 from .dfa import (
     Dfa,
@@ -231,13 +231,14 @@ def _run_exhaustive(
             t = Transitions(gen_images)
             if len(reachable_states(t)) != n:
                 continue
-            sigma = len(_close_images(gen_images))
+            closed = _close_images(gen_images)
+            sigma = len(closed)
             for finals in range(1, 2**n):
                 if len(set(_partition(gen_images, finals))) != n:
                     continue
                 report.minimal += 1
                 rep = classify_minimal(t, finals, sigma, memo=checks.memo)
-                checks(rep, partial(from_maps, letters, gen_images, finals))
+                checks(rep, partial(from_maps, letters, gen_images, finals), closed)
 
 
 class _Checks:
@@ -276,12 +277,12 @@ class _Checks:
         self,
         rep: ClassificationReport,
         candidate: Callable[[], Dfa],
-        closed: TransformationSemigroup | None = None,
+        closed: AbstractSet[bytes] | None = None,
     ) -> None:
         """``candidate`` builds the DFA; it is called only when a check needs
         it (a violation, an exceedance, a maximiser or an injection context).
-        ``closed``, when the caller has it, is the candidate's transition
-        semigroup, handed to its injection context."""
+        ``closed``, when the caller has it, is the packed transition semigroup
+        of the candidate's letters, handed to its injection context."""
         entry = self.decided.get(id(rep))
         if entry is None or entry[0] is not rep:
             entry = self.decided[id(rep)] = (rep, self._quiet_classes(rep))
@@ -330,7 +331,7 @@ class _Checks:
         self,
         rep: ClassificationReport,
         candidate: Callable[[], Dfa],
-        closed: TransformationSemigroup | None,
+        closed: AbstractSet[bytes] | None,
     ) -> None:
         spec, report, n = self.spec, self.report, self.spec.n
         built: list[Dfa] = []
@@ -385,8 +386,11 @@ class _Checks:
             if "injection" in spec.checks and injects:
                 # ``rep`` puts the candidate in the class, ``injects`` checked n,
                 # and every campaign candidate is minimal.
+                T = None
+                if closed is not None:
+                    T = TransformationSemigroup(n=n, images=closed, generators=dfa().delta)
                 ctx = minimal_context(
-                    dfa(), klass, _expected_cached(self.expected_cache, klass, n), closed
+                    dfa(), klass, _expected_cached(self.expected_cache, klass, n), T
                 )
                 inj = verify_injection(ctx)
                 report.injection_contexts += 1
@@ -561,4 +565,4 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> 
                 {"check": "sampler", "index": i, "detail": "not in the class", "dfa": to_text(d)}
             )
             continue
-        checks(rep, lambda: d, result)
+        checks(rep, lambda: d, result.images)

@@ -47,6 +47,7 @@ from .dfa import (
     minimize,
     preorder,
     quotient_maps,
+    reachable_states,
     sink_to_top,
     transition_semigroup,
 )
@@ -167,28 +168,32 @@ def minimal_context(
     for the two-sided class, the final sink is relabeled n-1; then the DFA is
     closed once and its preorder computed.  So a minimal ``m`` yields the
     context ``make_context(m, klass, S)`` builds.  ``T``, when given, is the
-    transition semigroup of ``m``: it is used instead of a closure when the
-    renumbering leaves the letter maps as they are (a sampled DFA is already
-    numbered so), conjugated by the sink relabeling.
+    transition semigroup of ``m``: it is conjugated by the renumbering and
+    the sink relabeling instead of closing the renumbered DFA (most sweep
+    candidates are renumbered; a sampled DFA is already numbered so).
     """
     n = m.n
-    maps, finals = quotient_maps(m.transitions.maps, m.finals_mask, bytes(range(n)), m.initial)
-    if maps != m.transitions.maps:
-        T = None
+    t = m.transitions
+    maps, finals = quotient_maps(t.maps, m.finals_mask, bytes(range(n)), m.initial)
+    # perm[q]: the label state q of m ends up with, needed only to move T.
+    identity = list(range(n))
+    perm = identity[:]
+    if T is not None and maps != t.maps:
+        for label, q in enumerate(reachable_states(t)):
+            perm[q] = label
     m = from_maps(m.alphabet, maps, finals)
     if klass is IdealClass.TWO_SIDED and len(m.finals) == 1:
         # Relabeling changes neither the classification nor sigma.
         (sink,) = m.finals
         m = sink_to_top(m)
-        if T is not None and sink != n - 1:
-            swap = list(range(n))
-            swap[sink], swap[n - 1] = n - 1, sink
-            T = conjugated(T, swap)
+        perm = [n - 1 if r == sink else sink if r == n - 1 else r for r in perm]
     if T is None:
         result = transition_semigroup(m)
         if isinstance(result, ClosureOverflow):
             raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
         T = result
+    elif perm != identity:
+        T = conjugated(T, perm)
     return InjectionContext(
         klass=klass,
         dfa=m,

@@ -3,11 +3,25 @@
 The closure engine is the performance core of the package: elements are kept
 as packed byte strings and right-multiplication by a generator is a single
 ``bytes.translate`` call, mapped over the whole frontier, with the repeat
-products filtered out in C.  On the witness semigroups at n=7 and n=8 (2.1M
-elements each for right and left ideals at n=8) that is about 4.9e5
-elements/s (``semigroup.closure.elements_per_s`` of the benchmark's
-``closure`` workload, median of two traced runs at seed 7919; CPython 3.11.7,
-shared 2-vCPU x86_64 host).
+products filtered out in C.
+
+Known relations among the generators (Froidure & Pin 1997) spare products
+too.  An element first made as t*g, multiplied by h, is t*(g*h); when g*h is
+a generator or the identity, that product was formed from t a round earlier.
+So once a round's frontier outgrows ``SPLIT_FRONTIER`` elements, each round
+lists its new elements by the generator that made them, and h's pass skips
+the list of every such g.  The passes whose lists are skipped most run
+first, so that they are credited with the elements several passes make.  On
+the witnesses at n=8 (the transposition b has b*b = 1, the idempotents c*c =
+c and c*d = c, the left witness's constant e has x*e = e) that forms 20%
+(right), 36% (left) and 31% (two-sided) fewer products.  Below the switch the
+per-generator lists would cost more than they save.
+
+On the witness semigroups at n=7 and n=8 (2.1M elements each for right and
+left ideals at n=8) the engine closes about 6.8e5 elements/s
+(``semigroup.closure.elements_per_s`` of the benchmark's ``closure``
+workload, median of four traced runs at seed 7919, which read 6.3e5-7.4e5;
+CPython 3.11.7, shared 2-vCPU x86_64 host).
 """
 
 from __future__ import annotations
@@ -30,6 +44,15 @@ DEFAULT_CAP = 2_100_000
 #: not yet generated from above, up to the least k that works; the budget
 #: bounds |S| and with it the size of every class searched.
 GENERATOR_SEARCH_BUDGET = 100
+
+#: Frontier length beyond which a closure keeps each round's new elements in
+#: one list per generator that made them, so that it can skip the products a
+#: generator relation proves repeated (``_close_by_relations``).  Setting up
+#: those lists costs more than it saves on small closures: split from the
+#: first round, the 32,640 two-letter closures at n=4 take ~50 us each
+#: instead of ~18 us.  No n=4 sweep closure (at most 256 elements) and none
+#: of the benchmark's sampled campaigns (at most 167) reaches this length.
+SPLIT_FRONTIER = 1024
 
 #: Relabeling search is factorial in the movable states; refuse beyond this.
 RELABEL_MAX_N = 7
@@ -138,6 +161,13 @@ def _close_images(
     exit for callers that know the closure cannot exceed that size
     (generators drawn from a known closed set).
 
+    Once a round's frontier outgrows ``SPLIT_FRONTIER`` elements, the rest of
+    the closure (``_close_by_relations``) keeps each round's new elements in
+    one list per generator g that made them, and h's pass skips g's list
+    whenever g*h is a generator or the identity: those products were formed
+    a round earlier.  The passes whose lists are skipped most run first.  The
+    result, ``cap`` and ``stop_at`` are as before.
+
     The set is the only table: it grew one element at a time, so it is sized
     for the closure (a copied set is sized for twice its length).
     """
@@ -153,6 +183,8 @@ def _close_images(
     contained = seen.__contains__
     frontier = list(seen)
     while frontier:
+        if len(frontier) > SPLIT_FRONTIER:
+            return _close_by_relations(gen_images, seen, frontier, cap, stop_at)
         new = []
         append = new.append
         for table in tables:
@@ -164,6 +196,65 @@ def _close_images(
             if len(seen) > cap:
                 return None
         frontier = new
+    return seen
+
+
+def _close_by_relations(
+    gen_images: Sequence[bytes],
+    seen: set[bytes],
+    frontier: list[bytes],
+    cap: int,
+    stop_at: int | None,
+) -> set[bytes] | None:
+    """The rest of ``_close_images`` from ``frontier``, whose elements are in
+    ``seen`` and were not yet multiplied, with each round's new elements
+    kept in one list per generator that made them.
+
+    An element x first made as t*g, multiplied by h, is t*(g*h).  When g*h is
+    a generator f, t*f is already in ``seen``: t, in the round before x's,
+    was multiplied by every generator (or t*f was skipped by this same rule,
+    and is in ``seen`` by induction); when g*h is the identity, x*h is t.  So
+    h's pass skips the list of every g with g*h a generator or the identity.
+    A generator in no such relation shares one list with the frontier handed
+    over here, whose elements count as made by no generator: every pass
+    reads it.  Passes run in decreasing order of the number of passes that
+    skip their list (input order among equals), so that an element made by
+    several generators in one round is credited to the one whose list is
+    skipped most.
+    """
+    n = len(frontier[0])
+    known = {*gen_images, bytes(range(n))}
+    padded = [g + bytes(256 - n) for g in gen_images]
+    k = len(gen_images)
+    # skips[h][g]: g*h is a generator or the identity.
+    skips = [[g.translate(table) in known for g in gen_images] for table in padded]
+    credit = [sum(row[g] for row in skips) for g in range(k)]
+    # List k holds the elements of no listed generator, the frontier first.
+    home = [g if credit[g] else k for g in range(k)]
+    passes = [
+        (
+            repeat(padded[h]),
+            home[h],
+            [g for g in range(k) if credit[g] and not skips[h][g]] + [k],
+        )
+        for h in sorted(range(k), key=credit.__getitem__, reverse=True)
+    ]
+    add = seen.add
+    contained = seen.__contains__
+    lists = [[] for _ in range(k)] + [frontier]
+    while any(lists):
+        new = [[] for _ in range(k + 1)]
+        for table, out, reads in passes:
+            append = new[out].append
+            for i in reads:
+                for c in filterfalse(contained, map(bytes.translate, lists[i], table)):
+                    add(c)
+                    append(c)
+            if stop_at is not None and len(seen) >= stop_at:
+                return seen
+            if len(seen) > cap:
+                return None
+        lists = new
     return seen
 
 

@@ -263,10 +263,11 @@ class TestCachedDecisions:
 
 
 class TestCampaignContexts:
-    """A campaign builds each injection context from its own minimal DFA and
-    report (a sampled campaign also hands over the sample's closure); every
-    one must equal the context ``make_context`` builds from the same DFA by
-    minimising, closing and classifying it afresh."""
+    """A campaign builds each injection context from its own minimal DFA,
+    report and closure (conjugated by any renumbering and sink relabeling),
+    never closing the candidate again; every context must equal the one
+    ``make_context`` builds from the same DFA by minimising, closing and
+    classifying it afresh."""
 
     def _compare(self, monkeypatch, spec: CampaignSpec) -> list[Dfa]:
         built = []
@@ -276,8 +277,13 @@ class TestCampaignContexts:
             built.append((m, klass, S, ctx))
             return ctx
 
+        def closed_again(d, cap=None):
+            raise AssertionError("a context closed its candidate again")
+
         monkeypatch.setattr(harness, "minimal_context", spy)
-        report = run(spec)
+        with monkeypatch.context() as during_run:
+            during_run.setattr(injection, "transition_semigroup", closed_again)
+            report = run(spec)
         assert len(built) == report.injection_contexts > 0
         for m, klass, S, ctx in built:
             ref = make_context(m, klass, S)

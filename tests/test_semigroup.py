@@ -5,8 +5,10 @@ from itertools import permutations, product
 
 import pytest
 
+from synideal import semigroup
 from synideal.semigroup import (
     DEFAULT_CAP,
+    SPLIT_FRONTIER,
     ClosureOverflow,
     SearchInfeasible,
     TransformationSemigroup,
@@ -26,7 +28,7 @@ from synideal.transform import (
     constant,
     identity,
 )
-from synideal.witness import MIN_N, IdealClass, bound, build
+from synideal.witness import MIN_N, IdealClass, bound, build, expected_semigroup
 from synideal.dfa import transition_semigroup
 
 from oracles import (
@@ -172,6 +174,142 @@ class TestClosure:
     def test_non_positive_cap_is_a_value_error(self, cap):
         with pytest.raises(ValueError):
             closure([identity(2)], cap=cap)
+
+
+def _relation_rich(rng: random.Random, n: int, k: int) -> list[Transformation]:
+    """k maps of n states drawn so that short relations among them are
+    common: the identity, constants, idempotents (retractions onto a random
+    image), involutions, repeats of an earlier map and products of two
+    earlier maps, besides plain random maps."""
+    gens: list[Transformation] = []
+    while len(gens) < k:
+        kind = rng.randrange(7)
+        if kind == 0:
+            g = identity(n)
+        elif kind == 1:
+            g = constant(n, rng.randrange(n))
+        elif kind == 2:
+            image = rng.sample(range(n), rng.randint(1, n))
+            g = Transformation(tuple(q if q in image else rng.choice(image) for q in range(n)))
+        elif kind == 3:
+            img = list(range(n))
+            order = rng.sample(range(n), n)
+            for x, y in zip(order[::2], order[1::2]):
+                img[x], img[y] = y, x
+            g = Transformation(tuple(img))
+        elif kind == 4 and gens:
+            g = rng.choice(gens)
+        elif kind == 5 and len(gens) >= 2:
+            g = compose(*rng.sample(gens, 2))
+        else:
+            g = random_transformation(rng, n)
+        gens.append(g)
+    return gens
+
+
+def _relation_cases(packed: list[bytes]) -> set[str]:
+    """The relations g*h in {generators, 1} that a generator list exhibits,
+    by kind."""
+    n = len(packed[0])
+    one = bytes(range(n))
+    cases = set()
+    if len(set(packed)) < len(packed):
+        cases.add("duplicate")
+    for g in packed:
+        if g == one:
+            cases.add("identity generator")
+        elif len(set(g)) == 1:
+            cases.add("constant")
+        for h in packed:
+            if g == one or h == one:
+                continue
+            gh = g.translate(h + bytes(256 - n))
+            if gh == one:
+                cases.add("identity product")
+            elif g == h and gh == g:
+                cases.add("idempotent")
+            elif gh in packed and gh not in (g, h):
+                cases.add("third generator")
+    return cases
+
+
+class TestRelationSkipping:
+    """Above ``SPLIT_FRONTIER`` the closure skips every product that a
+    generator relation proves repeated.  The result, the cap and ``stop_at``
+    must not notice: checked against ``naive_closure`` with the switch moved
+    down to every small size, and against the closed forms at the default."""
+
+    SWITCHES = (0, 1, 3, 10, SPLIT_FRONTIER)
+
+    def test_relation_rich_closures_agree_with_naive_closure(self, monkeypatch):
+        rng = random.Random(12)
+        cases: set[str] = set()
+        for n in range(1, 7):
+            for k in range(1, 7):
+                for _ in range(2):
+                    # Small enough for the quadratic reference.
+                    while True:
+                        gens = _relation_rich(rng, n, k)
+                        packed = [g.packed() for g in gens]
+                        if _close_images(packed, cap=120) is not None:
+                            break
+                    expected = {bytes(e) for e in naive_closure(gens)}
+                    cases |= _relation_cases(packed)
+                    size = len(expected)
+                    for switch in self.SWITCHES:
+                        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
+                        assert _close_images(packed) == expected, (gens, switch)
+                        assert _close_images(packed, cap=size) == expected, (gens, switch)
+                        assert _close_images(packed, cap=size - 1) is None, (gens, switch)
+                        for stop in (1, size // 2, size - 1, size):
+                            part = _close_images(packed, stop_at=stop)
+                            assert min(stop, size) <= len(part) and part <= expected
+        assert cases == {
+            "duplicate", "identity generator", "constant", "identity product",
+            "idempotent", "third generator",
+        }
+
+    def test_witness_closures_equal_their_closed_forms(self, monkeypatch):
+        for switch in (0, SPLIT_FRONTIER):
+            monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
+            for klass, lo in MIN_N.items():
+                for n in range(lo, 8 if switch else 7):
+                    images = closure(build(klass, n).delta).images
+                    assert images == expected_semigroup(klass, n).images, (klass, n, switch)
+
+    def test_cap_and_stop_at_are_exact_across_the_switch(self):
+        packed = [g.packed() for g in build(IdealClass.RIGHT, 6).delta]
+        full = _close_images(packed)
+        assert len(full) == 7776 > SPLIT_FRONTIER
+        assert _close_images(packed, cap=7775) is None
+        assert _close_images(packed, cap=7776) == full
+        for stop in (1, SPLIT_FRONTIER, SPLIT_FRONTIER + 1, 5000, 7775, 7776, 9000):
+            part = _close_images(packed, stop_at=stop)
+            assert min(stop, 7776) <= len(part) and part <= full, stop
+
+    def test_products_formed_on_the_n7_witnesses(self, monkeypatch):
+        # Without the relations each element is multiplied by every letter:
+        # 4, 5 and 6 products per element for right, left and two-sided.
+        # With them, and the passes whose lists are skipped most run first:
+        formed = {
+            IdealClass.RIGHT: (117_649 * 4, 373_365),
+            IdealClass.LEFT: (117_655 * 5, 377_413),
+            IdealClass.TWO_SIDED: (16_968 * 6, 77_480),
+        }
+        products = [0]
+
+        def counting_map(f, elements, table):
+            products[0] += len(elements)
+            return map(f, elements, table)
+
+        monkeypatch.setattr(semigroup, "map", counting_map, raising=False)
+        for klass, counts in formed.items():
+            packed = [g.packed() for g in build(klass, 7).delta]
+            for switch, count in zip((10**9, SPLIT_FRONTIER), counts):
+                monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
+                products[0] = 0
+                assert len(_close_images(packed)) == bound(klass, 7)
+                assert products[0] == count, (klass, switch)
 
 
 class TestContains:
