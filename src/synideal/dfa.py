@@ -340,8 +340,7 @@ class Transitions:
     @_fact
     def pair_maps(self) -> tuple[tuple[int, ...], ...]:
         """Per letter, ``_pair_map`` of its map."""
-        pair_map = _small_pair_map if self.n <= _SMALL_PAIR_MAP_N else _pair_map
-        return tuple(map(pair_map, self.maps))
+        return tuple(map(_pair_map, self.maps))
 
     def _pairs_reachable(self, sources: Iterable[int], closed: int = 0) -> int:
         """The pairs (p.w, q.w) over every word w, the empty word included,
@@ -418,15 +417,7 @@ def _pair_map(m: bytes) -> tuple[int, ...]:
     """The pair (x, y) of states, as index ``x*n + y``, mapped to the index
     of (m[x], m[y])."""
     n = len(m)
-    return tuple(x * n + y for x in m for y in m)
-
-
-#: ``_pair_map`` memoised for maps of at most ``_SMALL_PAIR_MAP_N`` states: a
-#: sweep draws its letters from the n^n maps of n states, so each recurs in
-#: many letter tuples, and at n <= 4 all of them fit in the cache.  Larger
-#: maps, such as a sampled campaign's random ones, rarely recur.
-_SMALL_PAIR_MAP_N = 4
-_small_pair_map = lru_cache(maxsize=_SMALL_PAIR_MAP_N**_SMALL_PAIR_MAP_N)(_pair_map)
+    return tuple([x * n + y for x in m for y in m])
 
 
 @lru_cache(maxsize=4096)
@@ -512,6 +503,15 @@ def quotient_maps(
     in a block of its own (``bytes(range(n))``) it renumbers a minimal DFA
     into the form ``minimize`` gives it, without refining anything.
     """
+    return labelled_quotient_maps(maps, finals, block, initial)[:2]
+
+
+def labelled_quotient_maps(
+    maps: Sequence[bytes], finals: int, block: bytes, initial: int = 0
+) -> tuple[tuple[bytes, ...], int, list[int]]:
+    """``quotient_maps``, and the new state of every state whose block is
+    reached (0 for the others): with every state in a block of its own,
+    the renumbering itself."""
     number = {block[initial]: 0}
     reps = [initial]
     for q in reps:
@@ -523,7 +523,7 @@ def quotient_maps(
     # New state of every state whose block is reached; only those are read.
     label = [number.get(b, 0) for b in block]
     out = tuple(bytes([label[m[q]] for q in reps]) for m in maps)
-    return out, sum(1 << i for i, q in enumerate(reps) if finals >> q & 1)
+    return out, sum(1 << i for i, q in enumerate(reps) if finals >> q & 1), label
 
 
 def from_maps(alphabet: Sequence[str], maps: Sequence[bytes], finals: int) -> Dfa:

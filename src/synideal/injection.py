@@ -44,10 +44,9 @@ from .dfa import (
     Dfa,
     StatePreorder,
     from_maps,
+    labelled_quotient_maps,
     minimize,
     preorder,
-    quotient_maps,
-    reachable_states,
     sink_to_top,
     transition_semigroup,
 )
@@ -174,13 +173,10 @@ def minimal_context(
     """
     n = m.n
     t = m.transitions
-    maps, finals = quotient_maps(t.maps, m.finals_mask, bytes(range(n)), m.initial)
     # perm[q]: the label state q of m ends up with, needed only to move T.
-    identity = list(range(n))
-    perm = identity[:]
-    if T is not None and maps != t.maps:
-        for label, q in enumerate(reachable_states(t)):
-            perm[q] = label
+    maps, finals, perm = labelled_quotient_maps(
+        t.maps, m.finals_mask, bytes(range(n)), m.initial
+    )
     m = from_maps(m.alphabet, maps, finals)
     if klass is IdealClass.TWO_SIDED and len(m.finals) == 1:
         # Relabeling changes neither the classification nor sigma.
@@ -192,7 +188,7 @@ def minimal_context(
         if isinstance(result, ClosureOverflow):
             raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
         T = result
-    elif perm != identity:
+    elif perm != list(range(n)):
         T = conjugated(T, perm)
     return InjectionContext(
         klass=klass,

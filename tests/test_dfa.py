@@ -8,6 +8,7 @@ from synideal.dfa import (
     DfaParseError,
     from_json_dict,
     is_minimal,
+    labelled_quotient_maps,
     language_containment,
     max_chain_length,
     minimize,
@@ -151,6 +152,30 @@ class TestMinimize:
                 frozenset(perm[f] for f in d.finals),
             )
             assert minimize(d) == minimize(relabeled)
+
+    def test_labels_are_the_renumbering(self):
+        # With every state in a block of its own, the labels conjugate a
+        # minimal DFA into the form minimize gives it.
+        from synideal.transform import conjugate
+
+        rng = random.Random(43)
+        for _ in range(200):
+            m = minimize(random_dfa(rng, rng.randrange(1, 7), rng.randrange(1, 4)))
+            perm = list(range(m.n))
+            rng.shuffle(perm)
+            d = Dfa(
+                m.alphabet,
+                tuple(conjugate(g, perm) for g in m.delta),
+                perm[m.initial],
+                frozenset(perm[f] for f in m.finals),
+            )
+            t = d.transitions
+            maps, finals, label = labelled_quotient_maps(
+                t.maps, d.finals_mask, bytes(range(d.n)), d.initial
+            )
+            assert maps == m.transitions.maps and finals == m.finals_mask
+            assert [conjugate(g, label) for g in d.delta] == list(m.delta)
+            assert label[d.initial] == 0 and sorted(label) == list(range(d.n))
 
 
 class TestSinkToTop:
