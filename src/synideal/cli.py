@@ -16,7 +16,7 @@ from pathlib import Path
 from . import dfa as dfa_mod
 from . import harness, ideals, injection, semigroup, witness
 from .dfa import Dfa, DfaParseError, max_chain_length, minimize, preorder
-from .semigroup import CapExceeded, ClosureOverflow, SearchInfeasible
+from .semigroup import CapExceeded, SearchInfeasible
 from .witness import IdealClass
 
 EXIT_OK = 0
@@ -140,9 +140,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "semigroup":
         d = _load_dfa(args.file)
         result = dfa_mod.transition_semigroup(minimize(d), cap=args.cap)
-        if isinstance(result, ClosureOverflow):
-            print(f"error: semigroup exceeds cap {result.cap}", file=sys.stderr)
-            return EXIT_BUDGET
         if args.json:
             data = {"n": result.n, "size": result.size}
             if args.list:
@@ -156,8 +153,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "bounds":
         klass = IdealClass.from_string(args.klass)
-        lo = 2 if klass is IdealClass.TWO_SIDED else 1
-        rows = [(n, witness.bound(klass, n)) for n in range(lo, args.n_max + 1)]
+        rows = [(n, witness.bound(klass, n)) for n in range(witness.MIN_N[klass], args.n_max + 1)]
         if args.json:
             print(json.dumps({"class": klass.value, "bounds": rows}))
         else:
@@ -195,10 +191,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     d = minimize(_load_dfa(args.file))
-    result = dfa_mod.transition_semigroup(d)
-    if isinstance(result, ClosureOverflow):
-        raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
-    report = ideals.classify_minimal(d.transitions, d.finals_mask, result.size)
+    sigma = dfa_mod.transition_semigroup(d).size
+    report = ideals.classify_minimal(d.transitions, d.finals_mask, sigma)
     chain = max_chain_length(preorder(d))
     classes = []
     for klass, flag in [
@@ -228,17 +222,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify_injection(args: argparse.Namespace) -> int:
     d = _load_dfa(args.file)
-    if args.klass:
-        klass = IdealClass.from_string(args.klass)
-    else:
-        report = ideals.classify(d)
-        if report.is_two_sided_ideal:
-            klass = IdealClass.TWO_SIDED
-        elif report.is_left_ideal:
-            klass = IdealClass.LEFT
-        else:
-            print("error: not a left or two-sided ideal", file=sys.stderr)
-            return EXIT_USAGE
+    klass = IdealClass.from_string(args.klass) if args.klass else None
     ctx = injection.make_context(d, klass)
     rep = injection.verify_injection(ctx)
     print(rep.to_json() if args.json else rep.to_text(), end="")

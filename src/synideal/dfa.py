@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .semigroup import (
-    CapExceeded,
-    ClosureOverflow,
-    TransformationSemigroup,
-    closure,
-)
+from .semigroup import TransformationSemigroup, closure
 from .transform import Transformation, conjugate
 
 
@@ -669,19 +664,14 @@ def max_chain_length(po: StatePreorder) -> int:
 # semigroups of a DFA
 
 
-def transition_semigroup(
-    d: Dfa, cap: int | None = None
-) -> TransformationSemigroup | ClosureOverflow:
+def transition_semigroup(d: Dfa, cap: int | None = None) -> TransformationSemigroup:
     """Closure of the letter transformations (the maps of non-empty words)."""
     return closure(list(d.delta), cap=cap)
 
 
 def syntactic_complexity(d: Dfa, cap: int | None = None) -> int:
     """Size of the transition semigroup of the minimal DFA."""
-    result = transition_semigroup(minimize(d), cap=cap)
-    if isinstance(result, ClosureOverflow):
-        raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
-    return result.size
+    return transition_semigroup(minimize(d), cap=cap).size
 
 
 def same_language(d1: Dfa, d2: Dfa) -> bool:

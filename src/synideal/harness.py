@@ -43,8 +43,6 @@ from .ideals import (
 )
 from .injection import MIN_CONTEXT_N, minimal_context, verify_injection
 from .semigroup import (
-    CapExceeded,
-    ClosureOverflow,
     TransformationSemigroup,
     _close_images,
     equal_up_to_relabeling,
@@ -245,17 +243,19 @@ class _Checks:
     """The requested checks of one campaign, applied to each classified
     minimal candidate, with the campaign's per-class statistics, and what
     they share across candidates: the maximal semigroup per class, the
-    report memo passed to ``classify_minimal``, the bound limit and
-    letter-ur cells per (n, flags, ur depth), and one decision per distinct
+    report memo passed to ``classify_minimal``, and one plan per distinct
     report.
 
-    With the memo, equal reports are one object, so a report is judged once,
-    on first sight: can a candidate carrying it need its DFA (a ``bounds`` or
-    ``basic_bounds`` violation, an exceedance cell, a tightness violation, a
-    maximiser or an injection context)?  If not, which holds for almost
-    every candidate, the candidate only counts in its classes.  If so, it
-    goes through every check, so violations keep their order and each
-    carries its own DFA.  Only that decision is cached, never a result.
+    With the memo, equal reports are one object, so every check condition is
+    judged once per report, on first sight, by ``_plan``: the classes a
+    candidate carrying it counts in, and the steps that need its DFA, in the
+    order their records are emitted (a ``bounds`` or ``basic_bounds``
+    violation, letter-ur exceedances, then per class a ``tightness``
+    violation, a maximiser with its ``uniqueness`` relabel, and an injection
+    context).  Almost every plan has no step, and its candidates only count
+    in their classes.  Otherwise the candidate's DFA is built once and the
+    steps run on it, so each record carries its own DFA.  Only the plan is
+    cached, never a result.
     """
 
     def __init__(self, spec: CampaignSpec, report: CampaignReport) -> None:
@@ -268,10 +268,11 @@ class _Checks:
                 self.tracked.append((klass, _CLASS_FLAG[klass], stats))
         self.expected_cache: dict[IdealClass, TransformationSemigroup] = {}
         self.memo: dict = {}
-        self.limits: dict = {}
-        # id(report) -> (report, the stats to count it in when no check can
-        # need its DFA, else None); the report is kept so its id stays taken.
-        self.decided: dict[int, tuple[ClassificationReport, tuple[ClassStats, ...] | None]] = {}
+        # id(report) -> (report, its classes, its steps); the report is kept
+        # so that its id stays taken.
+        self.plans: dict[
+            int, tuple[ClassificationReport, tuple[ClassStats, ...], tuple[Callable, ...]]
+        ] = {}
 
     def __call__(
         self,
@@ -279,130 +280,121 @@ class _Checks:
         candidate: Callable[[], Dfa],
         closed: AbstractSet[bytes] | None = None,
     ) -> None:
-        """``candidate`` builds the DFA; it is called only when a check needs
-        it (a violation, an exceedance, a maximiser or an injection context).
-        ``closed``, when the caller has it, is the packed transition semigroup
-        of the candidate's letters, handed to its injection context."""
-        entry = self.decided.get(id(rep))
-        if entry is None or entry[0] is not rep:
-            entry = self.decided[id(rep)] = (rep, self._quiet_classes(rep))
-        quiet = entry[1]
-        if quiet is None:
-            self._check(rep, candidate, closed)
-            return
+        """``candidate`` builds the DFA; it is called only when the plan of
+        ``rep`` has steps.  ``closed``, when the caller has it, is the packed
+        transition semigroup of the candidate's letters, handed to its
+        injection context."""
+        entry = self.plans.get(id(rep))
+        if entry is None:
+            entry = self.plans[id(rep)] = (rep, *self._plan(rep))
+        _, classes, steps = entry
         sigma = rep.sigma
-        for stats in quiet:
+        for stats in classes:
             stats.count += 1
             if sigma > stats.max_sigma:
                 stats.max_sigma = sigma
+        if steps:
+            d = candidate()
+            for step in steps:
+                step(self, d, closed)
 
-    def _limits(self, rep: ClassificationReport) -> tuple[int, tuple[tuple[str, int], ...]]:
-        key = (
-            rep.n, rep.has_empty, rep.has_sigma_star, rep.has_eps, rep.has_sigma_plus,
-            rep.ur_depth,
-        )
-        if key not in self.limits:
-            self.limits[key] = (special_quotient_bound(rep), letter_ur_cells(rep))
-        return self.limits[key]
+    def _plan(
+        self, rep: ClassificationReport
+    ) -> tuple[tuple[ClassStats, ...], tuple[Callable, ...]]:
+        """The stats of the classes ``rep`` belongs to, and the steps that a
+        candidate carrying it runs."""
+        spec, report, n, sigma = self.spec, self.report, self.spec.n, rep.sigma
+        steps: list[Callable] = []
 
-    def _quiet_classes(self, rep: ClassificationReport) -> tuple[ClassStats, ...] | None:
-        """The stats of the classes ``rep`` belongs to, or None when some
-        check can need the DFA of a candidate carrying ``rep``."""
-        spec, n, sigma = self.spec, self.spec.n, rep.sigma
+        def record(records: list[dict], template: dict) -> None:
+            steps.append(partial(_record, records, template))
+
         if "bounds" in spec.checks:
-            limit, cells = self._limits(rep)
-            if sigma > limit or any(sigma > value for _, value in cells):
-                return None
+            limit = special_quotient_bound(rep)
+            if sigma > limit:
+                record(
+                    report.violations,
+                    {"check": "bounds", "dfa": None, "sigma": sigma, "bound": limit},
+                )
             if n > 1 and not (n - 1 <= sigma <= n**n):
-                return None
-        quiet = []
+                record(report.violations, {"check": "basic_bounds", "dfa": None, "sigma": sigma})
+            for name, value in letter_ur_cells(rep):
+                if sigma > value:
+                    record(
+                        report.table_exceedances,
+                        {"cell": name, "value": value, "sigma": sigma, "dfa": None},
+                    )
+        classes = []
         for klass, flag, stats in self.tracked:
             if not getattr(rep, flag):
                 continue
-            if sigma >= stats.bound:
-                return None
+            classes.append(stats)
+            if "tightness" in spec.checks and sigma > stats.bound:
+                record(
+                    report.violations,
+                    {"check": "tightness", "class": klass.value, "dfa": None, "sigma": sigma,
+                     "bound": stats.bound},
+                )
+            if sigma == stats.bound:
+                steps.append(partial(_maximizer, klass, stats))
             injects = klass in MIN_CONTEXT_N and n >= MIN_CONTEXT_N[klass]
             if "injection" in spec.checks and injects:
-                return None
-            quiet.append(stats)
-        return tuple(quiet)
+                steps.append(partial(_inject, klass))
+        return tuple(classes), tuple(steps)
 
-    def _check(
-        self,
-        rep: ClassificationReport,
-        candidate: Callable[[], Dfa],
-        closed: AbstractSet[bytes] | None,
-    ) -> None:
-        spec, report, n = self.spec, self.report, self.spec.n
-        built: list[Dfa] = []
 
-        def dfa() -> Dfa:
-            if not built:
-                built.append(candidate())
-            return built[0]
+# The steps of a plan.  Each is called as step(checks, dfa, closed); none
+# holds the ``_Checks`` it runs for, so a plan makes no reference cycle and a
+# campaign's tables are freed when it returns.
 
-        if "bounds" in spec.checks:
-            limit, cells = self._limits(rep)
-            if rep.sigma > limit:
-                report.violations.append(
-                    {"check": "bounds", "dfa": to_text(dfa()), "sigma": rep.sigma, "bound": limit}
-                )
-            if n > 1 and not (n - 1 <= rep.sigma <= n**n):
-                report.violations.append(
-                    {"check": "basic_bounds", "dfa": to_text(dfa()), "sigma": rep.sigma}
-                )
-            for name, value in cells:
-                if rep.sigma > value:
-                    report.table_exceedances.append(
-                        {"cell": name, "value": value, "sigma": rep.sigma, "dfa": to_text(dfa())}
-                    )
 
-        for klass, flag, stats in self.tracked:
-            if not getattr(rep, flag):
-                continue
-            stats.count += 1
-            if rep.sigma > stats.max_sigma:
-                stats.max_sigma = rep.sigma
-            if "tightness" in spec.checks and rep.sigma > stats.bound:
-                report.violations.append(
-                    {
-                        "check": "tightness",
-                        "class": klass.value,
-                        "dfa": to_text(dfa()),
-                        "sigma": rep.sigma,
-                        "bound": stats.bound,
-                    }
-                )
-            if rep.sigma == stats.bound:
-                stats.maximizers += 1
-                if "uniqueness" in spec.checks:
-                    if _relabels_to_expected(dfa(), klass, self.expected_cache):
-                        stats.maximizers_relabeled += 1
-                    else:
-                        report.violations.append(
-                            {"check": "uniqueness", "class": klass.value, "dfa": to_text(dfa())}
-                        )
-            injects = klass in MIN_CONTEXT_N and n >= MIN_CONTEXT_N[klass]
-            if "injection" in spec.checks and injects:
-                # ``rep`` puts the candidate in the class, ``injects`` checked n,
-                # and every campaign candidate is minimal.
-                T = None
-                if closed is not None:
-                    T = TransformationSemigroup(n=n, images=closed, generators=dfa().delta)
-                ctx = minimal_context(
-                    dfa(), klass, _expected_cached(self.expected_cache, klass, n), T
-                )
-                inj = verify_injection(ctx)
-                report.injection_contexts += 1
-                if not inj.ok:
-                    report.violations.append(
-                        {
-                            "check": "injection",
-                            "class": klass.value,
-                            "dfa": to_text(dfa()),
-                            "report": inj.to_json_dict(),
-                        }
-                    )
+def _record(
+    records: list[dict], template: dict, checks: _Checks, d: Dfa, closed: AbstractSet[bytes] | None
+) -> None:
+    """Append ``template`` with the text of ``d`` in its ``dfa`` slot, which
+    keeps the template's key order."""
+    records.append({**template, "dfa": to_text(d)})
+
+
+def _maximizer(
+    klass: IdealClass,
+    stats: ClassStats,
+    checks: _Checks,
+    d: Dfa,
+    closed: AbstractSet[bytes] | None,
+) -> None:
+    stats.maximizers += 1
+    if "uniqueness" not in checks.spec.checks:
+        return
+    if _relabels_to_expected(d, klass, checks.expected_cache):
+        stats.maximizers_relabeled += 1
+    else:
+        checks.report.violations.append(
+            {"check": "uniqueness", "class": klass.value, "dfa": to_text(d)}
+        )
+
+
+def _inject(
+    klass: IdealClass, checks: _Checks, d: Dfa, closed: AbstractSet[bytes] | None
+) -> None:
+    # The plan put the candidate in the class and checked n, and every
+    # campaign candidate is minimal.
+    n, report = checks.spec.n, checks.report
+    T = None
+    if closed is not None:
+        T = TransformationSemigroup(n=n, images=closed, generators=d.delta)
+    ctx = minimal_context(d, klass, _expected_cached(checks.expected_cache, klass, n), T)
+    inj = verify_injection(ctx)
+    report.injection_contexts += 1
+    if not inj.ok:
+        report.violations.append(
+            {
+                "check": "injection",
+                "class": klass.value,
+                "dfa": to_text(d),
+                "report": inj.to_json_dict(),
+            }
+        )
 
 
 def _expected_cached(cache: dict, klass: IdealClass, n: int) -> TransformationSemigroup:
@@ -420,7 +412,6 @@ def _relabels_to_expected(d: Dfa, klass: IdealClass, expected_cache: dict) -> bo
         d = sink_to_top(d)
         fixed.add(d.n - 1)
     result = transition_semigroup(d)
-    assert isinstance(result, TransformationSemigroup)
     target = _expected_cached(expected_cache, klass, d.n)
     return equal_up_to_relabeling(result, target, fixed) is not None
 
@@ -557,8 +548,6 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> 
         report.samples_obtained += 1
         report.minimal += 1
         result = transition_semigroup(d)
-        if isinstance(result, ClosureOverflow):
-            raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
         rep = classify_minimal(d.transitions, d.finals_mask, result.size, memo=checks.memo)
         if not getattr(rep, _CLASS_FLAG[klass]):
             report.violations.append(

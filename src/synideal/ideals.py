@@ -27,7 +27,6 @@ from .dfa import (
     minimize,
     transition_semigroup,
 )
-from .semigroup import CapExceeded, ClosureOverflow
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,7 @@ class ClassificationReport:
 def classify(d: Dfa) -> ClassificationReport:
     """Classify the language of ``d`` (minimizing first)."""
     m = minimize(d)
-    result = transition_semigroup(m)
-    if isinstance(result, ClosureOverflow):
-        raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
-    return classify_minimal(m.transitions, m.finals_mask, sigma=result.size)
+    return classify_minimal(m.transitions, m.finals_mask, sigma=transition_semigroup(m).size)
 
 
 def classify_minimal(

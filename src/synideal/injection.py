@@ -51,7 +51,7 @@ from .dfa import (
     transition_semigroup,
 )
 from .ideals import classify_minimal
-from .semigroup import CapExceeded, ClosureOverflow, TransformationSemigroup, conjugated
+from .semigroup import TransformationSemigroup, conjugated
 from .transform import Transformation
 from .witness import IdealClass, expected_semigroup
 
@@ -125,32 +125,40 @@ class InjectionContext:
 
 
 def make_context(
-    d: Dfa, klass: IdealClass, S: TransformationSemigroup | None = None
+    d: Dfa, klass: IdealClass | None = None, S: TransformationSemigroup | None = None
 ) -> InjectionContext:
     """Build an injection context from any DFA, validating class membership
-    and size: minimise, check n, build with ``minimal_context``, then
-    classify the minimal DFA with the closure's size.
+    and size: minimise, close and classify once, check the class and n, and
+    build with ``minimal_context`` from that closure.  With ``klass`` None
+    the class is two-sided if the language is a two-sided ideal, else left.
 
     ``S`` is the maximal semigroup of the class at the minimal DFA's size;
     a caller building many contexts passes the one it keeps, and otherwise
     it is built here.  A campaign, which already holds a minimal DFA and its
     classification, calls ``minimal_context`` directly.
     """
-    if klass not in MIN_CONTEXT_N:
+    if klass is not None and klass not in MIN_CONTEXT_N:
         raise ValueError(f"no injection is defined for class {klass.value}")
     m = minimize(d)
+    T = transition_semigroup(m)
+    report = classify_minimal(m.transitions, m.finals_mask, sigma=T.size)
+    if klass is None:
+        if report.is_two_sided_ideal:
+            klass = IdealClass.TWO_SIDED
+        elif report.is_left_ideal:
+            klass = IdealClass.LEFT
+        else:
+            raise ValueError("not a left or two-sided ideal")
     if m.n < MIN_CONTEXT_N[klass]:
         raise ValueError(
             f"{klass.value} injection needs n >= {MIN_CONTEXT_N[klass]}; "
             f"smaller sizes are covered by exhaustive checks"
         )
-    ctx = minimal_context(m, klass, S)
-    report = classify_minimal(ctx.dfa.transitions, ctx.dfa.finals_mask, sigma=ctx.T.size)
     if klass is IdealClass.LEFT and not report.is_left_ideal:
         raise ValueError("DFA does not accept a left ideal")
     if klass is IdealClass.TWO_SIDED and not report.is_two_sided_ideal:
         raise ValueError("DFA does not accept a two-sided ideal")
-    return ctx
+    return minimal_context(m, klass, S, T)
 
 
 def minimal_context(
@@ -184,10 +192,7 @@ def minimal_context(
         m = sink_to_top(m)
         perm = [n - 1 if r == sink else sink if r == n - 1 else r for r in perm]
     if T is None:
-        result = transition_semigroup(m)
-        if isinstance(result, ClosureOverflow):
-            raise CapExceeded(f"transition semigroup exceeded cap {result.cap}")
-        T = result
+        T = transition_semigroup(m)
     elif perm != list(range(n)):
         T = conjugated(T, perm)
     return InjectionContext(

@@ -63,16 +63,7 @@ class SearchInfeasible(RuntimeError):
 
 
 class CapExceeded(RuntimeError):
-    """A closure needed as an intermediate value exceeded its element cap."""
-
-
-@dataclass(frozen=True)
-class ClosureOverflow:
-    """First-class result of a closure that exceeded its cap."""
-
-    n: int
-    cap: int
-    generators: tuple[Transformation, ...]
+    """A closure exceeded its element cap."""
 
 
 @dataclass(frozen=True)
@@ -114,13 +105,13 @@ class TransformationSemigroup:
 def closure(
     generators: Sequence[Transformation],
     cap: int | None = None,
-) -> TransformationSemigroup | ClosureOverflow:
+) -> TransformationSemigroup:
     """All distinct composites of one or more generators.
 
     Frontier-style breadth-first search: each new element is right-multiplied
     by every generator.  If more than ``cap`` elements appear (default
-    ``DEFAULT_CAP``), a ``ClosureOverflow`` is returned instead of a
-    semigroup; no partially-closed set ever escapes.  A cap below 1 is a
+    ``DEFAULT_CAP``), ``CapExceeded`` is raised; no partially-closed set ever
+    escapes.  A cap below 1 is a
     ValueError: every closure has at least one element.
     """
     gens = tuple(generators)
@@ -137,7 +128,7 @@ def closure(
         raise ValueError(f"closure cap must be at least 1, got {limit}")
     images = _close_images([g.packed() for g in gens], cap=limit)
     if images is None:
-        return ClosureOverflow(n=n, cap=limit, generators=gens)
+        raise CapExceeded(f"semigroup exceeds cap {limit}")
     return TransformationSemigroup(n=n, images=images, generators=gens)
 
 

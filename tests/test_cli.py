@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from synideal import dfa, ideals, injection
 from synideal.cli import main
 from synideal.dfa import parse_dfa, to_text
 from synideal.witness import IdealClass, build
@@ -127,8 +128,8 @@ class TestSemigroupCommand:
 
     def test_cap_exit_3(self, capsys, dfa_file):
         path = dfa_file(sigma_ladder_dfas()[27])
-        code, _, err = run_cli(capsys, "semigroup", path, "--cap", "5")
-        assert code == 3 and "cap" in err
+        code, out, err = run_cli(capsys, "semigroup", path, "--cap", "5")
+        assert (code, out, err) == (3, "", "error: semigroup exceeds cap 5\n")
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_non_positive_cap_exit_2(self, capsys, dfa_file, cap):
@@ -175,6 +176,22 @@ class TestVerifyInjection:
         path = dfa_file(sigma_ladder_dfas()[27])
         code, _, err = run_cli(capsys, "verify-injection", path)
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--class", "left"]], ids=["inferred", "given"])
+    def test_closes_its_input_once(self, capsys, dfa_file, monkeypatch, flags):
+        closed = []
+        real = dfa.transition_semigroup
+
+        def counted(d, cap=None):
+            closed.append(d.n)
+            return real(d, cap)
+
+        for module in (dfa, ideals, injection):
+            monkeypatch.setattr(module, "transition_semigroup", counted)
+        path = dfa_file(build(IdealClass.LEFT, 6))
+        code, out, _ = run_cli(capsys, "verify-injection", path, *flags)
+        assert code == 0 and "injective True" in out
+        assert closed == [6]
 
 
 class TestEnumerate:

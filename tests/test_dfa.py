@@ -3,7 +3,6 @@ import random
 import pytest
 
 from synideal.dfa import (
-    CapExceeded,
     Dfa,
     DfaParseError,
     from_json_dict,
@@ -23,7 +22,7 @@ from synideal.dfa import (
     to_text,
     transition_semigroup,
 )
-from synideal.semigroup import ClosureOverflow
+from synideal.semigroup import CapExceeded
 from synideal.transform import Transformation, identity
 from synideal.witness import IdealClass, build
 
@@ -310,7 +309,7 @@ class TestSemigroups:
 
     def test_overflow_propagates(self):
         d = sigma_ladder_dfas()[27]
-        result = transition_semigroup(d, cap=5)
-        assert isinstance(result, ClosureOverflow)
+        with pytest.raises(CapExceeded, match="^semigroup exceeds cap 5$"):
+            transition_semigroup(d, cap=5)
         with pytest.raises(CapExceeded):
             syntactic_complexity(d, cap=5)

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -26,7 +28,7 @@ from synideal.harness import (
     sample_ideal_dfa,
 )
 from synideal.ideals import classify, classify_minimal
-from synideal.injection import make_context, minimal_context
+from synideal.injection import InjectionReport, make_context, minimal_context
 from synideal.transform import Transformation, conjugate
 from synideal.witness import IdealClass, build
 
@@ -119,6 +121,36 @@ class TestExhaustive:
         assert rep.table_exceedances
         sample = rep.table_exceedances[0]
         assert sample["sigma"] > sample["value"]
+
+    def test_campaign_leaves_no_reference_cycle(self):
+        # A plan's steps must not hold the checks they run for: with such a
+        # cycle every campaign's tables outlive it until the cyclic collector
+        # runs, which raised the benchmark's peak memory.
+        gc.collect()
+        gc.disable()
+        try:
+            report = run(CampaignSpec(n=3, alphabet_size=2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert report.injection_contexts and report.table_exceedances
+
+    # sha256 of `synideal enumerate --n 3 --alphabet-size 4` (--json and
+    # text), recorded before each distinct report's checks were planned in
+    # one place; any refactor must keep it byte-identical
+    N3_A4_DIGESTS = {
+        "json": "1576d05e38f7450e2f25652722da527bbd8fa271fa20e4b4cbef8e5172fc28ef",
+        "text": "a9bbe5f94419654352aa63ae0529be88eefe377ba5494d18a7900972bf61aca9",
+    }
+
+    def test_three_state_four_letter_sweep_output_is_unchanged(self):
+        # the smallest sweep with maximisers in all three classes
+        report = run(CampaignSpec(n=3, alphabet_size=4))
+        maximizers = {name: stats.maximizers for name, stats in report.per_class.items()}
+        assert maximizers == {"right": 80, "left": 48, "two-sided": 10}
+        assert len(report.table_exceedances) == 32
+        for fmt, text in [("json", report.to_json()), ("text", report.to_text())]:
+            assert hashlib.sha256(text.encode()).hexdigest() == self.N3_A4_DIGESTS[fmt]
 
 
 class TestTwoSidedSmallUpperBound:
@@ -260,6 +292,118 @@ class TestCachedDecisions:
         stats = report.per_class["right"]
         assert (stats.count, stats.max_sigma, stats.maximizers) == (2, rep.sigma, 0)
         assert report.ok and not report.table_exceedances
+
+
+class TestForgedReports:
+    """The records genuine sweeps never produce, driven through ``_Checks``
+    with a forged sigma or with the relabel or the injection suite forced to
+    fail.  Two candidates share one report; each record carries its own
+    candidate's DFA and pins its keys in order (the JSON key order), and
+    each candidate's DFA is built exactly once."""
+
+    def _feed(self, d: Dfa, sigma: int | None = None, checks=harness.ALL_CHECKS):
+        spec = CampaignSpec(n=d.n, alphabet_size=2, checks=frozenset(checks))
+        report = CampaignReport(spec=spec)
+        judge = harness._Checks(spec, report)
+        rep = classify(d)
+        if sigma is not None:
+            rep = replace(rep, sigma=sigma)
+        pair = (d, _relabeled(d))
+        built = []
+        for candidate in pair:
+            judge(rep, lambda candidate=candidate: built.append(candidate) or candidate)
+        assert built == list(pair)
+        return report, [to_text(candidate) for candidate in pair]
+
+    @staticmethod
+    def _failing_suite(monkeypatch) -> list:
+        failed = []
+
+        def suite(ctx):
+            failed.append(InjectionReport(klass=ctx.klass, n=ctx.n, size_T=ctx.T.size, size_S=0))
+            return failed[-1]
+
+        monkeypatch.setattr(harness, "verify_injection", suite)
+        return failed
+
+    def test_tightness(self):
+        d = build(IdealClass.TWO_SIDED, 4)
+        report, texts = self._feed(d, sigma=26, checks={"tightness"})
+        assert [list(v.items()) for v in report.violations] == [
+            [("check", "tightness"), ("class", "two-sided"), ("dfa", text), ("sigma", 26),
+             ("bound", 25)]
+            for text in texts
+        ]
+        assert report.per_class["two-sided"].max_sigma == 26
+
+    def test_basic_range_below(self):
+        report, texts = self._feed(build(IdealClass.LEFT, 4), sigma=2, checks={"bounds"})
+        assert [list(v.items()) for v in report.violations] == [
+            [("check", "basic_bounds"), ("dfa", text), ("sigma", 2)] for text in texts
+        ]
+
+    def test_basic_range_above(self):
+        # above n^n = 256, which is also the left witness's special-quotient bound
+        report, texts = self._feed(build(IdealClass.LEFT, 4), sigma=257, checks={"bounds"})
+        assert [list(v.items()) for v in report.violations] == [
+            record
+            for text in texts
+            for record in (
+                [("check", "bounds"), ("dfa", text), ("sigma", 257), ("bound", 256)],
+                [("check", "basic_bounds"), ("dfa", text), ("sigma", 257)],
+            )
+        ]
+
+    def test_uniqueness(self, monkeypatch):
+        monkeypatch.setattr(harness, "_relabels_to_expected", lambda d, klass, cache: False)
+        report, texts = self._feed(build(IdealClass.RIGHT, 4), checks={"uniqueness"})
+        assert [list(v.items()) for v in report.violations] == [
+            [("check", "uniqueness"), ("class", "right"), ("dfa", text)] for text in texts
+        ]
+        stats = report.per_class["right"]
+        assert (stats.maximizers, stats.maximizers_relabeled) == (2, 0)
+
+    def test_injection(self, monkeypatch):
+        failed = self._failing_suite(monkeypatch)
+        report, texts = self._feed(build(IdealClass.LEFT, 4), checks={"injection"})
+        assert [list(v.items()) for v in report.violations] == [
+            [("check", "injection"), ("class", "left"), ("dfa", text),
+             ("report", inj.to_json_dict())]
+            for text, inj in zip(texts, failed)
+        ]
+        assert report.injection_contexts == 2
+
+    def test_step_order(self, monkeypatch):
+        # The two-sided witness is in all three classes.  Per candidate the
+        # records come in plan order: the bound checks, then each class in
+        # turn (right, left, two-sided) with tightness before injection.
+        monkeypatch.setattr(harness, "_relabels_to_expected", lambda d, klass, cache: False)
+        self._failing_suite(monkeypatch)
+        report, texts = self._feed(build(IdealClass.TWO_SIDED, 4), sigma=300)
+        assert [(v["check"], v.get("class"), v["dfa"]) for v in report.violations] == [
+            record
+            for text in texts
+            for record in (
+                ("bounds", None, text),
+                ("basic_bounds", None, text),
+                ("tightness", "right", text),
+                ("tightness", "left", text),
+                ("injection", "left", text),
+                ("tightness", "two-sided", text),
+                ("injection", "two-sided", text),
+            )
+        ]
+        # sigma meeting the left bound instead: the left maximiser comes
+        # before the left injection context
+        report, texts = self._feed(build(IdealClass.TWO_SIDED, 4), sigma=67)
+        assert [(v["check"], v.get("class")) for v in report.violations] == 2 * [
+            ("bounds", None),
+            ("tightness", "right"),
+            ("uniqueness", "left"),
+            ("injection", "left"),
+            ("tightness", "two-sided"),
+            ("injection", "two-sided"),
+        ]
 
 
 class TestCampaignContexts:

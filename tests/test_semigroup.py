@@ -9,7 +9,7 @@ from synideal import semigroup
 from synideal.semigroup import (
     DEFAULT_CAP,
     SPLIT_FRONTIER,
-    ClosureOverflow,
+    CapExceeded,
     SearchInfeasible,
     TransformationSemigroup,
     _close_images,
@@ -82,7 +82,8 @@ class TestClosure:
             s = closure(gens)
             assert {t.image for t in s.elements} == expected, gens
             assert closure(gens, cap=len(expected)).images == s.images
-            assert isinstance(closure(gens, cap=len(expected) - 1), ClosureOverflow)
+            with pytest.raises(CapExceeded):
+                closure(gens, cap=len(expected) - 1)
 
     def test_idempotent(self):
         s = closure(full_monoid_generators(3))
@@ -108,10 +109,9 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure([identity(2), identity(3)])
 
-    def test_cap_overflow_is_a_value(self):
-        result = closure(full_monoid_generators(4), cap=100)
-        assert isinstance(result, ClosureOverflow)
-        assert result.cap == 100 and result.n == 4
+    def test_cap_overflow_raises(self):
+        with pytest.raises(CapExceeded, match="^semigroup exceeds cap 100$"):
+            closure(full_monoid_generators(4), cap=100)
 
     def test_cap_just_enough(self):
         result = closure(full_monoid_generators(4), cap=256)
@@ -122,7 +122,8 @@ class TestClosure:
         # cap and stop_at are checked once per generator pass; the answer
         # must still turn on the exact size.
         gens = build(IdealClass.RIGHT, 5).delta
-        assert isinstance(closure(gens, cap=624), ClosureOverflow)
+        with pytest.raises(CapExceeded):
+            closure(gens, cap=624)
         s = closure(gens, cap=625)
         assert isinstance(s, TransformationSemigroup) and s.size == 625
 
@@ -167,7 +168,8 @@ class TestClosure:
         # Three distinct generators that are already closed: nothing new is
         # ever produced, yet the closure has more than two elements.
         gens = [identity(3), constant(3, 0), constant(3, 1)]
-        assert isinstance(closure(gens, cap=2), ClosureOverflow)
+        with pytest.raises(CapExceeded):
+            closure(gens, cap=2)
         assert closure(gens, cap=3).size == 3
 
     @pytest.mark.parametrize("cap", [0, -3])
@@ -372,8 +374,9 @@ class TestMinimalGeneratorCount:
         while checked < 300:
             n = rng.randrange(2, 5)
             gens = [random_transformation(rng, n) for _ in range(rng.randrange(1, 6))]
-            s = closure(gens, cap=40)
-            if isinstance(s, ClosureOverflow):
+            try:
+                s = closure(gens, cap=40)
+            except CapExceeded:
                 continue
             want = minimal_generator_count_by_subsets(s, k_max=s.size)
             assert minimal_generator_count(s, k_max=s.size) == want, gens
