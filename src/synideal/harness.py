@@ -35,12 +35,7 @@ from .dfa import (
     transition_semigroup,
     _partition,
 )
-from .ideals import (
-    ClassificationReport,
-    classify_minimal,
-    letter_ur_cells,
-    special_quotient_bound,
-)
+from .ideals import ClassificationReport, classify_minimal
 from .injection import MIN_CONTEXT_N, minimal_context, verify_injection
 from .semigroup import (
     TransformationSemigroup,
@@ -150,7 +145,6 @@ class CampaignReport:
     injection_contexts: int = 0
     samples_obtained: int = 0
     violations: list[dict] = field(default_factory=list)
-    table_exceedances: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -169,7 +163,6 @@ class CampaignReport:
             "samples_obtained": self.samples_obtained,
             "ok": self.ok,
             "violations": self.violations,
-            "table_exceedances": self.table_exceedances,
         }
 
     def to_json(self) -> str:
@@ -188,7 +181,6 @@ class CampaignReport:
         if self.spec.mode != "exhaustive":
             lines.append(f"samples obtained {data['samples_obtained']}")
         lines.append(f"injection contexts {data['injection_contexts']}")
-        lines.append(f"table exceedances {len(self.table_exceedances)}")
         lines.append("ok" if self.ok else f"VIOLATIONS {len(self.violations)}")
         for v in self.violations:
             lines.append("violation " + json.dumps(v, sort_keys=True))
@@ -249,13 +241,14 @@ class _Checks:
     With the memo, equal reports are one object, so every check condition is
     judged once per report, on first sight, by ``_plan``: the classes a
     candidate carrying it counts in, and the steps that need its DFA, in the
-    order their records are emitted (a ``bounds`` or ``basic_bounds``
-    violation, letter-ur exceedances, then per class a ``tightness``
-    violation, a maximiser with its ``uniqueness`` relabel, and an injection
-    context).  Almost every plan has no step, and its candidates only count
-    in their classes.  Otherwise the candidate's DFA is built once and the
-    steps run on it, so each record carries its own DFA.  Only the plan is
-    cached, never a result.
+    order their records are emitted (a ``bounds`` violation naming the
+    binding row of the report's bound table, a ``basic_bounds`` violation,
+    then per class a ``tightness`` violation, a maximiser's ``uniqueness``
+    relabel, and an injection context).  Almost every plan has no step, and
+    its candidates only count in their classes, as maximisers too when sigma
+    meets the class bound.  Otherwise the candidate's DFA is built once and
+    the steps run on it, so each record carries its own DFA.  Only the plan
+    is cached, never a result.
     """
 
     def __init__(self, spec: CampaignSpec, report: CampaignReport) -> None:
@@ -293,6 +286,8 @@ class _Checks:
             stats.count += 1
             if sigma > stats.max_sigma:
                 stats.max_sigma = sigma
+            if sigma == stats.bound:
+                stats.maximizers += 1
         if steps:
             d = candidate()
             for step in steps:
@@ -303,27 +298,21 @@ class _Checks:
     ) -> tuple[tuple[ClassStats, ...], tuple[Callable, ...]]:
         """The stats of the classes ``rep`` belongs to, and the steps that a
         candidate carrying it runs."""
-        spec, report, n, sigma = self.spec, self.report, self.spec.n, rep.sigma
+        spec, n, sigma = self.spec, self.spec.n, rep.sigma
         steps: list[Callable] = []
 
-        def record(records: list[dict], template: dict) -> None:
-            steps.append(partial(_record, records, template))
+        def record(template: dict) -> None:
+            steps.append(partial(_record, template))
 
         if "bounds" in spec.checks:
-            limit = special_quotient_bound(rep)
+            # min keeps the first row that attains the minimum
+            name, limit = min(rep.applicable_bounds, key=lambda row: row[1])
             if sigma > limit:
                 record(
-                    report.violations,
-                    {"check": "bounds", "dfa": None, "sigma": sigma, "bound": limit},
+                    {"check": "bounds", "dfa": None, "sigma": sigma, "name": name, "bound": limit}
                 )
             if n > 1 and not (n - 1 <= sigma <= n**n):
-                record(report.violations, {"check": "basic_bounds", "dfa": None, "sigma": sigma})
-            for name, value in letter_ur_cells(rep):
-                if sigma > value:
-                    record(
-                        report.table_exceedances,
-                        {"cell": name, "value": value, "sigma": sigma, "dfa": None},
-                    )
+                record({"check": "basic_bounds", "dfa": None, "sigma": sigma})
         classes = []
         for klass, flag, stats in self.tracked:
             if not getattr(rep, flag):
@@ -331,12 +320,11 @@ class _Checks:
             classes.append(stats)
             if "tightness" in spec.checks and sigma > stats.bound:
                 record(
-                    report.violations,
                     {"check": "tightness", "class": klass.value, "dfa": None, "sigma": sigma,
                      "bound": stats.bound},
                 )
-            if sigma == stats.bound:
-                steps.append(partial(_maximizer, klass, stats))
+            if "uniqueness" in spec.checks and sigma == stats.bound:
+                steps.append(partial(_uniqueness, klass, stats))
             injects = klass in MIN_CONTEXT_N and n >= MIN_CONTEXT_N[klass]
             if "injection" in spec.checks and injects:
                 steps.append(partial(_inject, klass))
@@ -349,23 +337,21 @@ class _Checks:
 
 
 def _record(
-    records: list[dict], template: dict, checks: _Checks, d: Dfa, closed: AbstractSet[bytes] | None
+    template: dict, checks: _Checks, d: Dfa, closed: AbstractSet[bytes] | None
 ) -> None:
-    """Append ``template`` with the text of ``d`` in its ``dfa`` slot, which
-    keeps the template's key order."""
-    records.append({**template, "dfa": to_text(d)})
+    """Append ``template`` to the violations with the text of ``d`` in its
+    ``dfa`` slot, which keeps the template's key order."""
+    checks.report.violations.append({**template, "dfa": to_text(d)})
 
 
-def _maximizer(
+def _uniqueness(
     klass: IdealClass,
     stats: ClassStats,
     checks: _Checks,
     d: Dfa,
     closed: AbstractSet[bytes] | None,
 ) -> None:
-    stats.maximizers += 1
-    if "uniqueness" not in checks.spec.checks:
-        return
+    """A maximiser of the class must relabel onto its maximal semigroup."""
     if _relabels_to_expected(d, klass, checks.expected_cache):
         stats.maximizers_relabeled += 1
     else:

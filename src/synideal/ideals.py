@@ -13,6 +13,11 @@ letters.  On the minimal DFA these become finite checks:
 
 Complements of ideals are the prefix- / suffix- / factor-closed languages,
 so the same automaton answers both questions.
+
+The special quotients (empty, Sigma*, {eps}, Sigma+) and the depth of the
+uniquely reachable chain bound the syntactic complexity.  Every row of the
+bound table, ``applicable_bounds``, has a counting argument behind it, and
+campaigns enforce its minimum, ``special_quotient_bound``.
 """
 
 from __future__ import annotations
@@ -172,55 +177,45 @@ SPECIAL_ROWS: tuple[tuple[tuple[str, ...], int], ...] = (
 def applicable_bounds(
     n: int, flags: dict[str, bool], ur_depth: int | None
 ) -> tuple[tuple[str, int], ...]:
-    """Named upper bounds on sigma whose conditions hold for these flags.
+    """Named upper bounds on sigma whose conditions hold for these flags:
+    ``generic`` = n^n, each special row whose quotients are present with its
+    k forced states, n^(n-k), and, when the language is uniquely reachable
+    with depth d, ``ur_chain[d]`` (k = 0) and ``<row>,ur_chain[d]`` per row,
+    each the minimum over e <= d of e(e+1)/2 + (n-1-e)^(n-k).
 
-    Only bounds with a counting argument behind them are included; see
-    ``letter_ur_cells`` for the unproven table column that is checked
-    empirically instead.
+    The ur-chain rows count the maps the quotients allow.  Let
+    q_0 -a_0-> q_1 -> ... -> q_d be a chain of uniquely reachable states:
+    nothing maps into q_0, and q_{i+1}'s only incoming transition is
+    (q_i, a_i).  Fix e <= d.  If the word w takes some p to q_i with
+    1 <= i <= e, walking back along the unique incoming transitions gives
+    w = a_j ... a_{i-1} and p = q_j for some j < i.  So w is one of the
+    e(e+1)/2 factors of a_0 ... a_{e-1}, and at most that many elements have
+    an image meeting q_1 ... q_e.  Every other element maps each of the
+    n - k unforced states to one of the n-1-e states off q_0 ... q_e (the
+    empty and Sigma* quotients are fixed, and the {eps} and Sigma+ quotients
+    map onto them), so there are at most (n-1-e)^(n-k) of those.  At e = 0
+    only q_0 is avoided, which gives (n-1)^(n-k).
     """
+
+    def ur_chain(k: int) -> int:
+        return min(e * (e + 1) // 2 + (n - 1 - e) ** (n - k) for e in range(ur_depth + 1))
+
+    ur = f"ur_chain[{ur_depth}]"
     bounds: list[tuple[str, int]] = [("generic", n**n)]
+    if ur_depth is not None:
+        bounds.append((ur, ur_chain(0)))
     for conditions, k in SPECIAL_ROWS:
         if all(flags[c] for c in conditions):
             name = "+".join(conditions)
             bounds.append((name, n ** (n - k)))
             if ur_depth is not None:
-                bounds.append((name + ",ur", (n - 1) ** (n - k)))
-    if ur_depth is not None:
-        bounds.append(("ur", (n - 1) ** n))
-        chain = min(d + (n - 1 - d) ** n for d in range(ur_depth + 1))
-        bounds.append((f"ur_chain[{ur_depth}]", chain))
+                bounds.append((f"{name},{ur}", ur_chain(k)))
     return tuple(bounds)
 
 
 def special_quotient_bound(report: ClassificationReport) -> int:
     """The tightest applicable upper bound on sigma (falls back to n^n)."""
     return min(value for _, value in report.applicable_bounds)
-
-
-def letter_ur_cells(report: ClassificationReport) -> tuple[tuple[str, int], ...]:
-    """The table column conditioned on a letter quotient being uniquely
-    reachable, as stated: 1 + (n-2-k)^(n-k) per row.
-
-    These cells are carried as data only.  They are not folded into
-    ``special_quotient_bound`` because small-n sweeps exhibit languages that
-    exceed them (see the enumeration harness, which records every
-    exceedance); treat them as claims under empirical scrutiny.
-    """
-    if report.ur_depth is None or report.ur_depth < 1:
-        return ()
-    n = report.n
-    flags = {
-        "empty": report.has_empty,
-        "sigma_star": report.has_sigma_star,
-        "eps": report.has_eps,
-        "sigma_plus": report.has_sigma_plus,
-    }
-    cells = []
-    for conditions, k in SPECIAL_ROWS:
-        if all(flags[c] for c in conditions):
-            name = "+".join(conditions) + ",letter_ur"
-            cells.append((name, 1 + (n - 2 - k) ** (n - k)))
-    return tuple(cells)
 
 
 def report_to_json(report: ClassificationReport) -> str:

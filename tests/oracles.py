@@ -442,6 +442,28 @@ def reference_ur_depth(m: Dfa) -> int | None:
     return max(depth.values())
 
 
+def reference_ur_chain(m: Dfa) -> list[int] | None:
+    """A longest chain q_0, q_1, ..., q_d of uniquely reachable states: q_0
+    is the initial state and nothing maps into it, and each q_{i+1} has one
+    incoming transition, from q_i.  Found by walking back from every state
+    along its unique incoming transition until the walk reaches the initial
+    state; None when something maps into the initial state."""
+    incoming: list[list[int]] = [[] for _ in range(m.n)]
+    for g in m.delta:
+        for p in range(m.n):
+            incoming[g.image[p]].append(p)
+    if incoming[m.initial]:
+        return None
+    best = [m.initial]
+    for q in range(m.n):
+        walk = [q]
+        while len(incoming[walk[-1]]) == 1 and incoming[walk[-1]][0] not in walk:
+            walk.append(incoming[walk[-1]][0])
+        if walk[-1] == m.initial and len(walk) > len(best):
+            best = walk[::-1]
+    return best
+
+
 # ---------------------------------------------------------------------------
 # transformation helpers used only by tests
 #

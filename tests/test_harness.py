@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from synideal import harness, injection
+from synideal import harness, ideals, injection
 from synideal.dfa import (
     Dfa,
     from_maps,
@@ -27,7 +27,7 @@ from synideal.harness import (
     run,
     sample_ideal_dfa,
 )
-from synideal.ideals import classify, classify_minimal
+from synideal.ideals import applicable_bounds, classify, classify_minimal
 from synideal.injection import InjectionReport, make_context, minimal_context
 from synideal.transform import Transformation, conjugate
 from synideal.witness import IdealClass, build
@@ -106,21 +106,25 @@ class TestExhaustive:
         assert stats.max_sigma == 6 and stats.bound_met
         assert stats.maximizers == stats.maximizers_relabeled
 
-    def test_letter_ur_cells_scanned_not_enforced(self):
-        # small languages genuinely exceed the stated letter-ur cells; the
-        # sweep records them as data and still reports ok
-        rep = run(
-            CampaignSpec(
-                n=3,
-                alphabet_size=2,
-                class_filter=IdealClass.RIGHT,
-                checks=frozenset({"bounds"}),
+    def test_ur_chain_rows_are_enforced(self, monkeypatch):
+        # The n=3 sweep meets the ur-chain rows without exceeding them: with
+        # each of them one lower, the bounds check reports the candidates
+        # that meet them, naming the row.
+        spec = CampaignSpec(n=3, alphabet_size=2, checks=frozenset({"bounds"}))
+        assert run(spec).ok
+
+        def lowered(n, flags, ur_depth):
+            return tuple(
+                (name, value - ("ur_chain[" in name))
+                for name, value in applicable_bounds(n, flags, ur_depth)
             )
-        )
-        assert rep.ok
-        assert rep.table_exceedances
-        sample = rep.table_exceedances[0]
-        assert sample["sigma"] > sample["value"]
+
+        monkeypatch.setattr(ideals, "applicable_bounds", lowered)
+        violations = run(spec).violations
+        assert violations
+        for v in violations:
+            assert v["check"] == "bounds" and "ur_chain[" in v["name"]
+            assert v["sigma"] == v["bound"] + 1
 
     def test_campaign_leaves_no_reference_cycle(self):
         # A plan's steps must not hold the checks they run for: with such a
@@ -129,18 +133,36 @@ class TestExhaustive:
         gc.collect()
         gc.disable()
         try:
-            report = run(CampaignSpec(n=3, alphabet_size=2))
+            report = run(CampaignSpec(n=3, alphabet_size=3))
             assert gc.collect() == 0
         finally:
             gc.enable()
-        assert report.injection_contexts and report.table_exceedances
+        assert report.injection_contexts and report.per_class["right"].maximizers_relabeled
+
+    def test_maximizers_without_uniqueness_build_no_dfa(self, monkeypatch):
+        # Without the uniqueness check a maximiser only counts, like every
+        # other candidate whose plan has no step.
+        def built(*args):
+            raise AssertionError("a candidate's DFA was built")
+
+        monkeypatch.setattr(harness, "from_maps", built)
+        report = run(
+            CampaignSpec(n=3, alphabet_size=4, checks=frozenset({"tightness", "bounds"}))
+        )
+        counts = {
+            name: (stats.maximizers, stats.maximizers_relabeled)
+            for name, stats in report.per_class.items()
+        }
+        assert counts == {"right": (80, 0), "left": (48, 0), "two-sided": (10, 0)}
+        assert report.ok
 
     # sha256 of `synideal enumerate --n 3 --alphabet-size 4` (--json and
-    # text), recorded before each distinct report's checks were planned in
-    # one place; any refactor must keep it byte-identical
+    # text), recorded when the letter-ur exceedance channel was deleted (the
+    # output before, less its `table_exceedances` key and line); any refactor
+    # must keep it byte-identical
     N3_A4_DIGESTS = {
-        "json": "1576d05e38f7450e2f25652722da527bbd8fa271fa20e4b4cbef8e5172fc28ef",
-        "text": "a9bbe5f94419654352aa63ae0529be88eefe377ba5494d18a7900972bf61aca9",
+        "json": "0fb8b2d08bcdef734f2704342e690bf51112a7e19757022a5d09b516fbc9926f",
+        "text": "f17f5da3f79f3542bfb7726008e7d2e946047ecc6396ccfa20f9b314614d05cd",
     }
 
     def test_three_state_four_letter_sweep_output_is_unchanged(self):
@@ -148,7 +170,7 @@ class TestExhaustive:
         report = run(CampaignSpec(n=3, alphabet_size=4))
         maximizers = {name: stats.maximizers for name, stats in report.per_class.items()}
         assert maximizers == {"right": 80, "left": 48, "two-sided": 10}
-        assert len(report.table_exceedances) == 32
+        assert report.ok
         for fmt, text in [("json", report.to_json()), ("text", report.to_text())]:
             assert hashlib.sha256(text.encode()).hexdigest() == self.N3_A4_DIGESTS[fmt]
 
@@ -253,21 +275,23 @@ class TestCachedDecisions:
         return report, reps[0], texts
 
     def test_bound_violation(self):
-        # one of the 48 ur_chain[2] violations at n=4 a=2
+        # One of the 48 n=4 a=2 candidates above the old ur_chain[2] value 3:
+        # its sigma 4 meets the proved row, so neither DFA is built.
         report, rep, texts = self._feed(
-            "states 4\nalphabet a b\ninitial 0\nfinal 1\ntrans a 1 1 1 2\ntrans b 3 1 1 1\n"
+            "states 4\nalphabet a b\ninitial 0\nfinal 1\ntrans a 1 1 1 2\ntrans b 3 1 1 1\n",
+            buildable=False,
         )
-        bounds = [v for v in report.violations if v["check"] == "bounds"]
-        assert {v["dfa"] for v in bounds} == texts and len(bounds) == 2
+        assert min(rep.applicable_bounds, key=lambda row: row[1]) == ("ur_chain[2]", rep.sigma)
+        assert report.ok and report.per_class["right"].count == 2
 
-    def test_letter_ur_exceedance(self):
+    def test_former_letter_ur_exceedance_is_quiet(self):
+        # L = {aa}: sigma 3 was above its old letter-ur cell 1 + (4-2-2)^2,
+        # and is within every row of the bound table, so neither DFA is built
         report, rep, texts = self._feed(
-            "states 4\nalphabet a\ninitial 0\nfinal 2\ntrans a 1 2 3 3\n"
+            "states 4\nalphabet a\ninitial 0\nfinal 2\ntrans a 1 2 3 3\n", buildable=False
         )
-        exceeded = {e["cell"] for e in report.table_exceedances}
-        assert exceeded
-        for cell in exceeded:
-            assert {e["dfa"] for e in report.table_exceedances if e["cell"] == cell} == texts
+        assert rep.sigma == 3 < dict(rep.applicable_bounds)["empty+eps,ur_chain[2]"] == 4
+        assert report.ok
 
     def test_bound_meeting_report(self):
         report, rep, texts = self._feed(to_text(build(IdealClass.RIGHT, 4)))
@@ -284,14 +308,15 @@ class TestCachedDecisions:
         assert report.ok
 
     def test_quiet_report_only_counts(self):
-        # a right ideal below its bound with no exceedance: neither DFA is built
+        # a right ideal below its class bound and its bound table: neither
+        # DFA is built
         report, rep, texts = self._feed(
             "states 4\nalphabet a b\ninitial 0\nfinal 3\ntrans a 0 0 1 3\ntrans b 2 0 3 3\n",
             buildable=False,
         )
         stats = report.per_class["right"]
         assert (stats.count, stats.max_sigma, stats.maximizers) == (2, rep.sigma, 0)
-        assert report.ok and not report.table_exceedances
+        assert report.ok
 
 
 class TestForgedReports:
@@ -349,7 +374,8 @@ class TestForgedReports:
             record
             for text in texts
             for record in (
-                [("check", "bounds"), ("dfa", text), ("sigma", 257), ("bound", 256)],
+                [("check", "bounds"), ("dfa", text), ("sigma", 257), ("name", "generic"),
+                 ("bound", 256)],
                 [("check", "basic_bounds"), ("dfa", text), ("sigma", 257)],
             )
         ]
@@ -580,12 +606,13 @@ class TestSampleCampaign:
             assert not classify(parse_dfa(v["dfa"])).is_left_ideal
 
     # sha256 of harness.run(spec).to_json() for three seeded campaigns,
-    # recorded before the sampler stopped classifying its samples: the accept
-    # decisions, and with them the random stream, must stay the same
+    # recorded when the letter-ur exceedance channel was deleted (the reports
+    # before, less their `table_exceedances`): the accept decisions, and with
+    # them the random stream, must stay the same
     SAMPLE_DIGESTS = {
-        (IdealClass.LEFT, 4, 2): "cff4d6c8af7d219315bbab8c269831e7ff907a33c092f520c8458a4340778326",
-        (IdealClass.TWO_SIDED, 5, 3): "dd2e41f7857fc32f4eaebc6fa9954c5348e203a438860a5d42de39c5840ec4fb",
-        (IdealClass.RIGHT, 4, 2): "e5964e3226c54496162a2f52781fb8f207ae844ceb142c67b9a7839078b0830a",
+        (IdealClass.LEFT, 4, 2): "df10d21a0a61b9e180653bfaf02366157491ca664e50bf8ab1b84a30dcd159ac",
+        (IdealClass.TWO_SIDED, 5, 3): "7fbbc0a233d65ea5683660b18178c790a5471ed4c9c2f6b1d7648d10800c22da",
+        (IdealClass.RIGHT, 4, 2): "6628cb69e9064b7b88f011242d6be92ea10700d70f9e8615ede8d7202a74d9f5",
     }
 
     @pytest.mark.parametrize("klass, n, a", sorted(SAMPLE_DIGESTS, key=str))

@@ -11,20 +11,18 @@ from synideal.dfa import (
     same_language,
     transition_semigroup,
 )
-from synideal.harness import sample_ideal_dfa
-from synideal.ideals import (
-    classify,
-    classify_minimal,
-    letter_ur_cells,
-    special_quotient_bound,
-)
+from synideal import harness
+from synideal.harness import CampaignReport, CampaignSpec, sample_ideal_dfa
+from synideal.ideals import classify, classify_minimal, special_quotient_bound
 from synideal.transform import Transformation
 from synideal.witness import IdealClass, build
 
 from oracles import (
     contains_run_dfa,
+    naive_closure,
     not_left_ideal_dfa,
     random_dfa,
+    reference_ur_chain,
     sigma_star_prefix_dfa,
     trailing_runs_dfa,
     unary_threshold_dfa,
@@ -178,15 +176,22 @@ class TestBounds:
         assert rep.ur_depth is None
         assert special_quotient_bound(rep) == 5**5
 
-    def test_letter_ur_cells_are_data_not_bounds(self):
+    def test_ur_chain_rows(self):
+        # L = {a}: the chain 0 -a-> 1 has depth 1, state 1 is the {eps}
+        # quotient and state 2 the empty one.  Each ur-chain row is the
+        # minimum over e <= 1 of e(e+1)/2 + (2-e)^(3-k); sigma = 2 (a and aa)
+        # meets every one of them.
         d = Dfa(("a",), (T(1, 2, 2),), 0, frozenset({1}))
         rep = classify(d)
-        cells = dict(letter_ur_cells(rep))
-        assert cells["empty,letter_ur"] == 1 + (3 - 3) ** 2
-        # the stated cell is exceeded by this very language
-        assert rep.sigma == 2 > cells["empty,letter_ur"]
-        # while the sound bounds hold
-        assert rep.sigma <= special_quotient_bound(rep)
+        assert rep.applicable_bounds == (
+            ("generic", 27),
+            ("ur_chain[1]", 2),
+            ("empty", 9),
+            ("empty,ur_chain[1]", 2),
+            ("empty+eps", 3),
+            ("empty+eps,ur_chain[1]", 2),
+        )
+        assert rep.sigma == special_quotient_bound(rep) == 2
 
     def test_basic_bounds_on_random_minimal(self):
         rng = random.Random(23)
@@ -285,3 +290,70 @@ class TestInterning:
             assert first.setdefault(rep, rep) is rep, d
             count += 1
         assert len(first) < count
+
+
+def _old_ur_chain(n: int, d: int) -> int:
+    """The ur_chain value before it was proved: it assumed that every word
+    reaching the chain starts at q_0, so e words for e chain states."""
+    return min(e + (n - 1 - e) ** n for e in range(d + 1))
+
+
+def _chain_elements(elements, chain: list[int], e: int) -> int:
+    """How many of the maps ``elements`` have an image meeting q_1 ... q_e."""
+    touched = set(chain[1 : e + 1])
+    return sum(not touched.isdisjoint(image) for image in elements)
+
+
+class TestUrChain:
+    """The ur-chain rows of the bound table against the chain that
+    ``reference_ur_chain`` finds on its own and the closure ``naive_closure``
+    computes on its own."""
+
+    def test_chain_elements_and_rows_on_small_sweeps(self):
+        closures: dict = {}
+        checked = met = 0
+        for n in (1, 2, 3):
+            for d, sigma in _sweep_candidates(n, 3):
+                rep = classify_minimal(d.transitions, d.finals_mask, sigma)
+                chain = reference_ur_chain(d)
+                assert rep.ur_depth == (None if chain is None else len(chain) - 1), d
+                if chain is None:
+                    continue
+                key = tuple(g.image for g in d.delta)
+                if key not in closures:
+                    closures[key] = naive_closure(list(d.delta))
+                elements = closures[key]
+                assert len(elements) == sigma
+                for e in range(len(chain)):
+                    assert _chain_elements(elements, chain, e) <= e * (e + 1) // 2, (d, e)
+                rows = [value for name, value in rep.applicable_bounds if "ur_chain[" in name]
+                assert len(rows) >= 1 and sigma <= min(rows), d
+                checked += 1
+                met += sigma == min(rows)
+        # 306 uniquely reachable candidates, 54 of them meeting a row
+        assert (checked, met) == (306, 54)
+
+    def test_old_counterexamples_meet_ur_chain_2(self):
+        # The n=4 a=2 sweep has exactly 48 minimal candidates above the old
+        # value, 3 at depth 2.  Each has three elements on its chain (one per
+        # factor of the two-letter chain word) and one off it: sigma = 4 =
+        # ur_chain[2], the binding row.
+        found = []
+
+        class Collect:
+            def __init__(self):
+                self.memo = {}
+
+            def __call__(self, rep, candidate, closed=None):
+                if rep.ur_depth is not None and rep.sigma > _old_ur_chain(4, rep.ur_depth):
+                    found.append((rep, candidate()))
+
+        spec = CampaignSpec(n=4, alphabet_size=2)
+        harness._run_exhaustive(spec, CampaignReport(spec=spec), Collect(), progress=False)
+        assert len(found) == 48
+        for rep, d in found:
+            assert (rep.sigma, rep.ur_depth, _old_ur_chain(4, 2)) == (4, 2, 3)
+            assert min(rep.applicable_bounds, key=lambda row: row[1]) == ("ur_chain[2]", 4)
+            chain = reference_ur_chain(d)
+            assert len(chain) == 3
+            assert _chain_elements(naive_closure(list(d.delta)), chain, 2) == 3
