@@ -5,9 +5,9 @@ leave minimality, classification, and syntactic complexity untouched: letters
 inducing equal transformations are collapsed (the candidate alphabet is a set
 of distinct transformations) and alphabet order is ignored.  Every minimal
 candidate is classified; per requested check the campaign compares maxima
-against the class bounds, relabels bound-meeting semigroups onto the maximal
-one, runs the injection suite, and tests conformance with the special-quotient
-bounds.
+against the class bounds, certifies from the containment order that each
+bound-meeting semigroup is the maximal one relabeled, runs the injection suite,
+and tests conformance with the special-quotient bounds.
 
 Sample mode draws seeded random ideals of an exact state count and runs the
 same checks on each.
@@ -30,19 +30,14 @@ from .dfa import (
     from_maps,
     quotient_maps,
     reachable_states,
-    sink_to_top,
     to_text,
     transition_semigroup,
     _partition,
 )
 from .ideals import ClassificationReport, classify_minimal
 from .injection import MIN_CONTEXT_N, minimal_context, verify_injection
-from .semigroup import (
-    TransformationSemigroup,
-    _close_images,
-    equal_up_to_relabeling,
-)
-from .witness import MIN_N, IdealClass, bound, expected_semigroup
+from .semigroup import TransformationSemigroup, _close_images
+from .witness import MIN_N, IdealClass, bound, expected_semigroup, has_maximal_order
 
 EXHAUSTIVE_BUDGET = 10**8
 #: Random DFAs ``sample_ideal_dfa`` draws before it gives up on one sample.
@@ -234,9 +229,9 @@ def _run_exhaustive(
 class _Checks:
     """The requested checks of one campaign, applied to each classified
     minimal candidate, with the campaign's per-class statistics, and what
-    they share across candidates: the maximal semigroup per class, the
-    report memo passed to ``classify_minimal``, and one plan per distinct
-    report.
+    they share across candidates: the maximal semigroup per class (for the
+    injection contexts), the report memo passed to ``classify_minimal``, and
+    one plan per distinct report.
 
     With the memo, equal reports are one object, so every check condition is
     judged once per report, on first sight, by ``_plan``: the classes a
@@ -244,11 +239,11 @@ class _Checks:
     order their records are emitted (a ``bounds`` violation naming the
     binding row of the report's bound table, a ``basic_bounds`` violation,
     then per class a ``tightness`` violation, a maximiser's ``uniqueness``
-    relabel, and an injection context).  Almost every plan has no step, and
-    its candidates only count in their classes, as maximisers too when sigma
-    meets the class bound.  Otherwise the candidate's DFA is built once and
-    the steps run on it, so each record carries its own DFA.  Only the plan
-    is cached, never a result.
+    step, certified from the containment order, and an injection context).
+    Almost every plan has no step, and its candidates only count in their
+    classes, as maximisers too when sigma meets the class bound.  Otherwise
+    the candidate's DFA is built once and the steps run on it, so each record
+    carries its own DFA.  Only the plan is cached, never a result.
     """
 
     def __init__(self, spec: CampaignSpec, report: CampaignReport) -> None:
@@ -351,8 +346,9 @@ def _uniqueness(
     d: Dfa,
     closed: AbstractSet[bytes] | None,
 ) -> None:
-    """A maximiser of the class must relabel onto its maximal semigroup."""
-    if _relabels_to_expected(d, klass, checks.expected_cache):
+    """A maximiser is certified from its containment order (``has_maximal_order``);
+    ``maximizers_relabeled`` keeps its name, so the output stays byte-identical."""
+    if has_maximal_order(d, klass):
         stats.maximizers_relabeled += 1
     else:
         checks.report.violations.append(
@@ -387,19 +383,6 @@ def _expected_cached(cache: dict, klass: IdealClass, n: int) -> TransformationSe
     if klass not in cache:
         cache[klass] = expected_semigroup(klass, n)
     return cache[klass]
-
-
-def _relabels_to_expected(d: Dfa, klass: IdealClass, expected_cache: dict) -> bool:
-    """Bound-meeting semigroups must relabel onto the maximal one, fixing the
-    initial state and (for classes with a final sink) the sink, which is
-    relabeled n-1 first."""
-    fixed = {0}
-    if klass in (IdealClass.RIGHT, IdealClass.TWO_SIDED):
-        d = sink_to_top(d)
-        fixed.add(d.n - 1)
-    result = transition_semigroup(d)
-    target = _expected_cached(expected_cache, klass, d.n)
-    return equal_up_to_relabeling(result, target, fixed) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ GENERATOR_SEARCH_BUDGET = 100
 SPLIT_FRONTIER = 1024
 
 #: Relabeling search is factorial in the movable states; refuse beyond this.
+#: Campaigns certify uniqueness without it (``witness.has_maximal_order``).
 RELABEL_MAX_N = 7
 
 

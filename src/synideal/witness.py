@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Set
 from itertools import chain, islice, product
 from math import prod
 
-from .dfa import Dfa
+from .dfa import Dfa, preorder
 from .semigroup import TransformationSemigroup
 from .transform import Transformation, constant, cycle, identity, point
 
@@ -294,4 +294,19 @@ def expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:
         ]
     return TransformationSemigroup(
         n=n, images=ClosedForm(n, families), generators=tuple(build(klass, n).delta)
+    )
+
+
+def has_maximal_order(d: Dfa, klass: IdealClass) -> bool:
+    """Whether ``preorder(d)`` is P*, an antichain with 0 below it (left, two-sided)
+    and the one final state above it (right, two-sided), and every letter preserves
+    P* and fixes its top.  T then lies in M(P*), ``expected_semigroup`` relabeled,
+    and sigma = bound makes them equal, even if ``preorder`` is wrong."""
+    n, low = d.n, None if klass is IdealClass.RIGHT else 0
+    tops = () if klass is IdealClass.LEFT else d.finals
+    leq = tuple(tuple(p in (q, low) or q in tops for q in range(n)) for p in range(n))
+    pairs = [(p, q) for p in range(n) for q in range(n) if leq[p][q]]
+    return (klass is IdealClass.LEFT or len(tops) == 1) and preorder(d).leq == leq and all(
+        all(m[t] == t for t in tops) and all(leq[m[p]][m[q]] for p, q in pairs)
+        for m in d.transitions.maps
     )

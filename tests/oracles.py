@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from synideal.dfa import Dfa, StatePreorder, minimize
+from synideal.dfa import Dfa, StatePreorder, minimize, sink_to_top, transition_semigroup
 from synideal.harness import SAMPLE_ATTEMPTS
 from synideal.ideals import ClassificationReport, applicable_bounds
 from synideal.injection import (
@@ -21,9 +21,9 @@ from synideal.injection import (
     InjectionReport,
     InjectionViolation,
 )
-from synideal.semigroup import TransformationSemigroup, _close_images
+from synideal.semigroup import TransformationSemigroup, _close_images, equal_up_to_relabeling
 from synideal.transform import NotationError, Transformation, cycle, identity, point
-from synideal.witness import IdealClass, build
+from synideal.witness import IdealClass, build, expected_semigroup
 
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:
@@ -153,6 +153,19 @@ def reference_conjugated_images(images: frozenset[bytes], perm: Sequence[int]) -
             img[perm[q]] = perm[r]
         out.add(bytes(img))
     return frozenset(out)
+
+
+def reference_relabels_to_expected(d: Dfa, klass: IdealClass) -> bool:
+    """Whether the transition semigroup of d, closed, relabels onto the
+    maximal one by a permutation search that fixes the initial state 0 and,
+    for classes with a final sink, the sink (relabeled n-1 first).  Limited
+    to n <= RELABEL_MAX_N, like ``equal_up_to_relabeling``."""
+    fixed = {0}
+    if klass in (IdealClass.RIGHT, IdealClass.TWO_SIDED):
+        d = sink_to_top(d)
+        fixed.add(d.n - 1)
+    target = expected_semigroup(klass, d.n)
+    return equal_up_to_relabeling(transition_semigroup(d), target, fixed) is not None
 
 
 def sigma_star_prefix_dfa(d: Dfa) -> Dfa:

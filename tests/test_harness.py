@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from synideal import harness, ideals, injection
+from synideal import dfa, harness, ideals, injection, semigroup, witness
 from synideal.dfa import (
     Dfa,
+    StatePreorder,
     from_maps,
     is_minimal,
     minimize,
@@ -30,9 +31,16 @@ from synideal.harness import (
 from synideal.ideals import applicable_bounds, classify, classify_minimal
 from synideal.injection import InjectionReport, make_context, minimal_context
 from synideal.transform import Transformation, conjugate
-from synideal.witness import IdealClass, build
+from synideal.witness import IdealClass, bound, build, has_maximal_order
 
-from oracles import is_initially_aperiodic, random_dfa, sigma_star_prefix_dfa
+from oracles import (
+    contains_run_dfa,
+    is_initially_aperiodic,
+    random_dfa,
+    reference_relabels_to_expected,
+    sigma_star_prefix_dfa,
+    trailing_runs_dfa,
+)
 import random
 
 
@@ -202,6 +210,9 @@ class TestTwoSidedSmallUpperBound:
 
 
 class TestMaximizerRelabeling:
+    """``has_maximal_order``, the campaign's uniqueness certificate, against
+    the relabel search of the closed semigroup it replaced."""
+
     @pytest.mark.parametrize("klass", list(IdealClass))
     def test_relabeled_witnesses_map_back(self, klass):
         # emulate bound-meeting DFAs found in a sweep: scramble the witness's
@@ -209,34 +220,84 @@ class TestMaximizerRelabeling:
         # canonical minimal form, and require the uniqueness check to match
         # it to the maximal semigroup
         from itertools import permutations
-        from synideal.harness import _relabels_to_expected
 
-        w = build(klass, 4)
-        for tail in permutations(range(1, 4)):
-            perm = (0,) + tail
-            scrambled = Dfa(
-                alphabet=w.alphabet,
-                delta=tuple(conjugate(g, perm) for g in reversed(w.delta)),
-                initial=0,
-                finals=frozenset(perm[f] for f in w.finals),
-            )
-            m = minimize(scrambled)
-            assert m.n == 4
-            assert _relabels_to_expected(m, klass, {})
+        for n in (4, 5):
+            w = build(klass, n)
+            for tail in permutations(range(1, n)):
+                perm = (0,) + tail
+                scrambled = Dfa(
+                    alphabet=w.alphabet,
+                    delta=tuple(conjugate(g, perm) for g in reversed(w.delta)),
+                    initial=0,
+                    finals=frozenset(perm[f] for f in w.finals),
+                )
+                m = minimize(scrambled)
+                assert m.n == n
+                assert has_maximal_order(m, klass)
+                assert reference_relabels_to_expected(m, klass)
 
     @pytest.mark.parametrize("klass", list(IdealClass))
     def test_augmented_witness_still_unique(self, klass):
         # a maximizer need not use the witness's letters: adding a redundant
         # composite letter keeps the semigroup maximal and must still match
-        from synideal.harness import _relabels_to_expected
         from synideal.transform import compose
 
-        w = build(klass, 4)
-        extra = compose(w.delta[0], w.delta[-1])
-        aug = Dfa(w.alphabet + ("z",), w.delta + (extra,), 0, w.finals)
-        m = minimize(aug)
-        assert m.n == 4
-        assert _relabels_to_expected(m, klass, {})
+        for n in (4, 5):
+            w = build(klass, n)
+            extra = compose(w.delta[0], w.delta[-1])
+            aug = Dfa(w.alphabet + ("z",), w.delta + (extra,), 0, w.finals)
+            m = minimize(aug)
+            assert m.n == n
+            assert has_maximal_order(m, klass)
+            assert reference_relabels_to_expected(m, klass)
+
+    def test_agrees_with_the_relabel_search_on_every_sweep_maximiser(self, monkeypatch):
+        verdicts = []
+
+        def both(d, klass):
+            verdict = has_maximal_order(d, klass)
+            assert verdict == reference_relabels_to_expected(d, klass), (klass, to_text(d))
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(harness, "has_maximal_order", both)
+        maximizers = 0
+        for n in (1, 2, 3):
+            for a in (1, 2, 3, 4):
+                report = run(CampaignSpec(n=n, alphabet_size=a, checks=frozenset({"uniqueness"})))
+                assert report.ok
+                maximizers += sum(stats.maximizers for stats in report.per_class.values())
+        assert len(verdicts) == maximizers == 172 and all(verdicts)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_witnesses_past_the_relabel_limit_need_no_closure(self, monkeypatch, klass, n):
+        # The relabel search refuses n > RELABEL_MAX_N and the closure alone
+        # would hold 2.1M (n=8) to 10^9 (n=10) maps; the certificate reads
+        # the letters and the containment order only.
+        def no_closure(*args, **kwargs):
+            raise AssertionError("the uniqueness step closed a semigroup")
+
+        for module, name in [
+            (semigroup, "closure"), (semigroup, "_close_images"), (dfa, "closure"),
+            (harness, "_close_images"), (harness, "transition_semigroup"),
+        ]:
+            monkeypatch.setattr(module, name, no_closure)
+        assert n > semigroup.RELABEL_MAX_N
+        w = build(klass, n)
+        spec = CampaignSpec(
+            n=n, alphabet_size=len(w.alphabet), mode=SampleMode(count=1, seed=0),
+            checks=frozenset({"uniqueness"}),
+        )
+        report = CampaignReport(spec=spec)
+        checks = harness._Checks(spec, report)
+        checks(classify_minimal(w.transitions, w.finals_mask, sigma=bound(klass, n)), lambda: w)
+        assert report.ok
+        assert {
+            name: (stats.maximizers, stats.maximizers_relabeled)
+            for name, stats in report.per_class.items()
+            if stats.maximizers
+        } == {klass.value: (1, 1)}
 
 
 def _relabeled(d: Dfa) -> Dfa:
@@ -321,8 +382,8 @@ class TestCachedDecisions:
 
 class TestForgedReports:
     """The records genuine sweeps never produce, driven through ``_Checks``
-    with a forged sigma or with the relabel or the injection suite forced to
-    fail.  Two candidates share one report; each record carries its own
+    with a forged sigma, a forged containment order, or the uniqueness
+    certificate or the injection suite forced to fail.  Two candidates share one report; each record carries its own
     candidate's DFA and pins its keys in order (the JSON key order), and
     each candidate's DFA is built exactly once."""
 
@@ -381,12 +442,44 @@ class TestForgedReports:
         ]
 
     def test_uniqueness(self, monkeypatch):
-        monkeypatch.setattr(harness, "_relabels_to_expected", lambda d, klass, cache: False)
+        monkeypatch.setattr(harness, "has_maximal_order", lambda d, klass: False)
         report, texts = self._feed(build(IdealClass.RIGHT, 4), checks={"uniqueness"})
         assert [list(v.items()) for v in report.violations] == [
             [("check", "uniqueness"), ("class", "right"), ("dfa", text)] for text in texts
         ]
         stats = report.per_class["right"]
+        assert (stats.maximizers, stats.maximizers_relabeled) == (2, 0)
+
+    def test_uniqueness_of_a_chain(self):
+        # Sigma* a^3 is a left ideal whose containment order is the chain
+        # 0 < 1 < 2 < 3, not P*: with sigma forged to the left bound it must
+        # not pass as a maximiser.
+        d = trailing_runs_dfa(4)
+        report, texts = self._feed(d, sigma=67, checks={"uniqueness"})
+        assert [list(v.items()) for v in report.violations] == [
+            [("check", "uniqueness"), ("class", "left"), ("dfa", text)] for text in texts
+        ]
+        stats = report.per_class["left"]
+        assert (stats.maximizers, stats.maximizers_relabeled) == (2, 0)
+
+    def test_uniqueness_with_a_forged_order(self, monkeypatch):
+        # preorder forged to P* (0 below, the final state above an antichain)
+        # for Sigma* a^3 Sigma*, whose letter a sends 0 < 1 to 1, 2, which P*
+        # does not order: the letters, not the forged order, decide.
+        def forged(d):
+            (top,) = d.finals
+            leq = tuple(
+                tuple(p in (0, q) or q == top for q in range(d.n)) for p in range(d.n)
+            )
+            return StatePreorder(n=d.n, leq=leq)
+
+        monkeypatch.setattr(witness, "preorder", forged)
+        d = contains_run_dfa(4)
+        report, texts = self._feed(d, sigma=25, checks={"uniqueness"})
+        assert [list(v.items()) for v in report.violations] == [
+            [("check", "uniqueness"), ("class", "two-sided"), ("dfa", text)] for text in texts
+        ]
+        stats = report.per_class["two-sided"]
         assert (stats.maximizers, stats.maximizers_relabeled) == (2, 0)
 
     def test_injection(self, monkeypatch):
@@ -403,7 +496,7 @@ class TestForgedReports:
         # The two-sided witness is in all three classes.  Per candidate the
         # records come in plan order: the bound checks, then each class in
         # turn (right, left, two-sided) with tightness before injection.
-        monkeypatch.setattr(harness, "_relabels_to_expected", lambda d, klass, cache: False)
+        monkeypatch.setattr(harness, "has_maximal_order", lambda d, klass: False)
         self._failing_suite(monkeypatch)
         report, texts = self._feed(build(IdealClass.TWO_SIDED, 4), sigma=300)
         assert [(v["check"], v.get("class"), v["dfa"]) for v in report.violations] == [

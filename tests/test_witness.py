@@ -3,11 +3,18 @@ from itertools import product
 import pytest
 
 from synideal import witness
-from synideal.dfa import is_minimal, max_chain_length, preorder, transition_semigroup
+from synideal.dfa import Dfa, is_minimal, max_chain_length, preorder, transition_semigroup
 from synideal.ideals import classify
 from synideal.semigroup import generator_necessity
 from synideal.transform import Transformation, identity
-from synideal.witness import MIN_N, IdealClass, bound, build, expected_semigroup
+from synideal.witness import (
+    MIN_N,
+    IdealClass,
+    bound,
+    build,
+    expected_semigroup,
+    has_maximal_order,
+)
 
 from oracles import reference_expected_semigroup
 
@@ -119,6 +126,27 @@ class TestExpectedSemigroup:
             assert not exp.images != ref.images and not ref.images != exp.images
             assert exp.generators == ref.generators
 
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_is_every_map_preserving_the_maximal_order(self, klass):
+        # The premise of has_maximal_order: the maximal semigroup is M(P*),
+        # every map preserving P* (an antichain, with 0 below it for left and
+        # two-sided ideals and n-1 above it for right and two-sided) that
+        # fixes n-1 for right and two-sided.  Found here by brute force.
+        for n in range(MIN_N[klass], 7):
+            low = None if klass is IdealClass.RIGHT else 0
+            top = None if klass is IdealClass.LEFT else n - 1
+            pairs = [
+                (p, q) for p in range(n) for q in range(n) if p in (q, low) or q == top
+            ]
+            preserving = {
+                bytes(m)
+                for m in product(range(n), repeat=n)
+                if (top is None or m[top] == top)
+                and all(m[p] == m[q] or m[p] == low or m[q] == top for p, q in pairs)
+            }
+            assert frozenset(expected_semigroup(klass, n).images) == preserving
+            assert len(preserving) == bound(klass, n)
+
 
 class TestClosedForm:
     """``expected_semigroup`` images are a closed form that is never stored:
@@ -224,3 +252,29 @@ class TestWitnessShape:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_two_sided_chain_length(self, n):
         assert max_chain_length(preorder(build(IdealClass.TWO_SIDED, n))) == 3
+
+
+class TestHasMaximalOrder:
+    """The uniqueness certificate's three conditions, each one needed."""
+
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_witnesses(self, klass):
+        for n in range(MIN_N[klass], 11):
+            assert has_maximal_order(build(klass, n), klass), n
+
+    def test_order_other_than_p_star(self):
+        # aaSigma*: every letter fixes the sink and so preserves the right
+        # P*, but the dead state 3 lies below every state and 0 below 1.
+        d = Dfa(("a", "b"), (T(1, 2, 2, 3), T(3, 3, 2, 3)), 0, frozenset({2}))
+        assert is_minimal(d) and classify(d).is_right_ideal
+        assert not has_maximal_order(d, IdealClass.RIGHT)
+
+    def test_letter_moving_the_top(self):
+        # Both letters are constant, so they preserve 0 < 1, the order of
+        # this DFA; the constant to 0 moves the final state, which right and
+        # two-sided maximisers fix.
+        d = Dfa(("a", "c"), (T(1, 1), T(0, 0)), 0, frozenset({1}))
+        assert preorder(d).leq == ((True, True), (False, True))
+        assert not has_maximal_order(d, IdealClass.RIGHT)
+        assert not has_maximal_order(d, IdealClass.TWO_SIDED)
+        assert has_maximal_order(d, IdealClass.LEFT)
