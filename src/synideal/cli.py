@@ -195,12 +195,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = ideals.classify_minimal(d.transitions, d.finals_mask, sigma)
     chain = max_chain_length(preorder(d))
     classes = []
-    for klass, flag in [
-        (IdealClass.RIGHT, report.is_right_ideal),
-        (IdealClass.LEFT, report.is_left_ideal),
-        (IdealClass.TWO_SIDED, report.is_two_sided_ideal),
-    ]:
-        if flag:
+    for klass in IdealClass:
+        if report.in_class(klass):
             b = witness.bound(klass, report.n)
             classes.append({"class": klass.value, "bound": b, "met": report.sigma == b})
     data = report.to_json_dict()

@@ -291,7 +291,9 @@ class Transitions:
     all final sets; each is computed on first use.  Containment between the
     languages of p and q under final states F fails exactly when some pair
     reachable from (p, q) lies in ``crossing_pairs(n, F)``, so a union of pair
-    masks decides a whole family of containments with one AND.
+    masks decides a whole family of containments with one AND; ``preorder``
+    walks the same pair graph backward from the crossing pairs to decide
+    every containment at once.
     """
 
     def __init__(self, maps: Sequence[bytes], initial: int = 0) -> None:
@@ -602,45 +604,32 @@ def language_containment(d: Dfa, p: int, q: int) -> bool:
 
 
 def preorder(d: Dfa) -> StatePreorder:
-    """The full containment relation, by backward propagation of bad pairs.
+    """The full containment relation, by closing the bad pairs backward.
 
-    A pair (p, q) is bad (p not <= q) iff p is final and q is not, or some
-    letter leads to a bad pair.  Rows are masks: ``bad[p]`` holds the q with
-    (p, q) bad, seeded with the non-final states for every final p; a worklist
-    of new bad pairs pushes each back through the letters' preimages, and leq
-    is the complement.  Agrees pointwise with ``language_containment``.  The
-    classification of a candidate needs only three unions of pair masks, not
-    the whole relation (see ``Transitions``); this is the full relation for
-    the chain length and the injection constructions.
+    A pair (p, q) is bad (p not <= q) iff it is in ``crossing_pairs`` or some
+    letter leads it to a bad pair: the pairs from which ``classify_minimal``
+    finds a crossing pair walking forward over ``Transitions.pair_maps`` are
+    found here walking that pair graph backward from every crossing pair at
+    once, and leq is the complement.  Agrees pointwise with
+    ``language_containment``.  The classification of a candidate needs only
+    three unions of pair masks, not the whole relation; this is the full
+    relation for the chain length, the injection constructions and the
+    uniqueness certificate.
     """
     t = d.transitions
-    n, finals = t.n, d.finals_mask
-    nonfinal = ((1 << n) - 1) & ~finals
-    bad = [nonfinal if finals >> p & 1 else 0 for p in range(n)]
-    stack = [(x, y) for x in range(n) if bad[x] for y in range(n) if nonfinal >> y & 1]
-    preimages = []
-    for m in t.maps:
-        rows = [0] * n
-        for p, r in enumerate(m):
-            rows[r] |= 1 << p
-        preimages.append(rows)
-    while stack:
-        x, y = stack.pop()
-        for rows in preimages:
-            qs = rows[y]
-            ps = rows[x]
-            while ps:
-                low = ps & -ps
-                ps ^= low
-                p = low.bit_length() - 1
-                new = qs & ~bad[p]
-                if new:
-                    bad[p] |= new
-                    while new:
-                        low = new & -new
-                        new ^= low
-                        stack.append((p, low.bit_length() - 1))
-    leq = tuple(tuple(not row >> q & 1 for q in range(n)) for row in bad)
+    n = t.n
+    preimages: list[list[int]] = [[] for _ in range(n * n)]
+    for step in t.pair_maps:
+        for i, j in enumerate(step):
+            preimages[j].append(i)
+    bad = crossing_pairs(n, d.finals_mask)
+    queue = [j for j in range(n * n) if bad >> j & 1]
+    for j in queue:
+        for i in preimages[j]:
+            if not bad >> i & 1:
+                bad |= 1 << i
+                queue.append(i)
+    leq = tuple(tuple(not bad >> (p * n + q) & 1 for q in range(n)) for p in range(n))
     return StatePreorder(n=n, leq=leq)
 
 

@@ -182,13 +182,6 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-_CLASS_FLAG = {
-    IdealClass.RIGHT: "is_right_ideal",
-    IdealClass.LEFT: "is_left_ideal",
-    IdealClass.TWO_SIDED: "is_two_sided_ideal",
-}
-
-
 def run(spec: CampaignSpec, progress: bool = False) -> CampaignReport:
     report = CampaignReport(spec=spec)
     checks = _Checks(spec, report)
@@ -253,7 +246,7 @@ class _Checks:
         for klass in IdealClass:
             if spec.class_filter in (None, klass) and spec.n >= MIN_N[klass]:
                 stats = report.per_class[klass.value] = ClassStats(bound=bound(klass, spec.n))
-                self.tracked.append((klass, _CLASS_FLAG[klass], stats))
+                self.tracked.append((klass, stats))
         self.expected_cache: dict[IdealClass, TransformationSemigroup] = {}
         self.memo: dict = {}
         # id(report) -> (report, its classes, its steps); the report is kept
@@ -309,8 +302,8 @@ class _Checks:
             if n > 1 and not (n - 1 <= sigma <= n**n):
                 record({"check": "basic_bounds", "dfa": None, "sigma": sigma})
         classes = []
-        for klass, flag, stats in self.tracked:
-            if not getattr(rep, flag):
+        for klass, stats in self.tracked:
+            if not rep.in_class(klass):
                 continue
             classes.append(stats)
             if "tightness" in spec.checks and sigma > stats.bound:
@@ -518,7 +511,7 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> 
         report.minimal += 1
         result = transition_semigroup(d)
         rep = classify_minimal(d.transitions, d.finals_mask, result.size, memo=checks.memo)
-        if not getattr(rep, _CLASS_FLAG[klass]):
+        if not rep.in_class(klass):
             report.violations.append(
                 {"check": "sampler", "index": i, "detail": "not in the class", "dfa": to_text(d)}
             )

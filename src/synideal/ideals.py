@@ -32,6 +32,7 @@ from .dfa import (
     minimize,
     transition_semigroup,
 )
+from .witness import IdealClass
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,14 @@ class ClassificationReport:
     ur_depth: int | None
     sigma: int
     applicable_bounds: tuple[tuple[str, int], ...]
+
+    def in_class(self, klass: IdealClass) -> bool:
+        """Whether the language is an ideal of class ``klass``."""
+        return {
+            IdealClass.RIGHT: self.is_right_ideal,
+            IdealClass.LEFT: self.is_left_ideal,
+            IdealClass.TWO_SIDED: self.is_two_sided_ideal,
+        }[klass]
 
     def to_json_dict(self) -> dict:
         data = asdict(self)

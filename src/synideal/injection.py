@@ -124,18 +124,15 @@ class InjectionContext:
         return tuple(sum(1 << q for q, le in enumerate(row) if le) for row in self.po.leq)
 
 
-def make_context(
-    d: Dfa, klass: IdealClass | None = None, S: TransformationSemigroup | None = None
-) -> InjectionContext:
+def make_context(d: Dfa, klass: IdealClass | None = None) -> InjectionContext:
     """Build an injection context from any DFA, validating class membership
     and size: minimise, close and classify once, check the class and n, and
-    build with ``minimal_context`` from that closure.  With ``klass`` None
-    the class is two-sided if the language is a two-sided ideal, else left.
-
-    ``S`` is the maximal semigroup of the class at the minimal DFA's size;
-    a caller building many contexts passes the one it keeps, and otherwise
-    it is built here.  A campaign, which already holds a minimal DFA and its
-    classification, calls ``minimal_context`` directly.
+    build with ``minimal_context`` from that closure and the maximal
+    semigroup of the class.  With ``klass`` None the class is the first of
+    two-sided and left that the language is in and whose construction fits
+    its n (the first it is in when none fits, which then fails the n check).
+    A campaign, which already holds a minimal DFA and its classification,
+    calls ``minimal_context`` directly.
     """
     if klass is not None and klass not in MIN_CONTEXT_N:
         raise ValueError(f"no injection is defined for class {klass.value}")
@@ -143,38 +140,35 @@ def make_context(
     T = transition_semigroup(m)
     report = classify_minimal(m.transitions, m.finals_mask, sigma=T.size)
     if klass is None:
-        if report.is_two_sided_ideal:
-            klass = IdealClass.TWO_SIDED
-        elif report.is_left_ideal:
-            klass = IdealClass.LEFT
-        else:
+        member = [k for k in (IdealClass.TWO_SIDED, IdealClass.LEFT) if report.in_class(k)]
+        if not member:
             raise ValueError("not a left or two-sided ideal")
+        klass = next((k for k in member if m.n >= MIN_CONTEXT_N[k]), member[0])
     if m.n < MIN_CONTEXT_N[klass]:
         raise ValueError(
             f"{klass.value} injection needs n >= {MIN_CONTEXT_N[klass]}; "
             f"smaller sizes are covered by exhaustive checks"
         )
-    if klass is IdealClass.LEFT and not report.is_left_ideal:
-        raise ValueError("DFA does not accept a left ideal")
-    if klass is IdealClass.TWO_SIDED and not report.is_two_sided_ideal:
-        raise ValueError("DFA does not accept a two-sided ideal")
-    return minimal_context(m, klass, S, T)
+    if not report.in_class(klass):
+        raise ValueError(f"DFA does not accept a {klass.value} ideal")
+    return minimal_context(m, klass, expected_semigroup(klass, m.n), T)
 
 
 def minimal_context(
     m: Dfa,
     klass: IdealClass,
-    S: TransformationSemigroup | None = None,
+    S: TransformationSemigroup,
     T: TransformationSemigroup | None = None,
 ) -> InjectionContext:
     """The injection context of ``m``, a minimal DFA whose language the
-    caller knows to be in ``klass``, with enough states for it; nothing here
-    minimises, classifies or checks n.
+    caller knows to be in ``klass``, with enough states for it, and of ``S``,
+    the maximal semigroup of the class at that size; nothing here minimises,
+    classifies or checks n.
 
     The states are renumbered breadth-first as ``minimize`` numbers them and,
     for the two-sided class, the final sink is relabeled n-1; then the DFA is
     closed once and its preorder computed.  So a minimal ``m`` yields the
-    context ``make_context(m, klass, S)`` builds.  ``T``, when given, is the
+    context ``make_context(m, klass)`` builds.  ``T``, when given, is the
     transition semigroup of ``m``: it is conjugated by the renumbering and
     the sink relabeling instead of closing the renumbered DFA (most sweep
     candidates are renumbered; a sampled DFA is already numbered so).
@@ -186,7 +180,8 @@ def minimal_context(
         t.maps, m.finals_mask, bytes(range(n)), m.initial
     )
     m = from_maps(m.alphabet, maps, finals)
-    if klass is IdealClass.TWO_SIDED and len(m.finals) == 1:
+    if klass is IdealClass.TWO_SIDED:
+        # A two-sided ideal's minimal DFA has one final state, its sink.
         # Relabeling changes neither the classification nor sigma.
         (sink,) = m.finals
         m = sink_to_top(m)
@@ -195,13 +190,7 @@ def minimal_context(
         T = transition_semigroup(m)
     elif perm != list(range(n)):
         T = conjugated(T, perm)
-    return InjectionContext(
-        klass=klass,
-        dfa=m,
-        po=preorder(m),
-        T=T,
-        S=expected_semigroup(klass, m.n) if S is None else S,
-    )
+    return InjectionContext(klass=klass, dfa=m, po=preorder(m), T=T, S=S)
 
 
 def _unpacked(e: bytes) -> Transformation:

@@ -161,10 +161,14 @@ class TestBounds:
 
 
 class TestVerifyInjection:
-    def test_auto_class(self, capsys, dfa_file):
-        path = dfa_file(build(IdealClass.TWO_SIDED, 4))
+    @pytest.mark.parametrize("n, inferred", [(3, "left"), (4, "two-sided")])
+    def test_auto_class(self, capsys, dfa_file, n, inferred):
+        # The 3-state two-sided witness is too small for the two-sided
+        # construction, but its language is also a left ideal.
+        path = dfa_file(build(IdealClass.TWO_SIDED, n))
         code, out, _ = run_cli(capsys, "verify-injection", path)
         assert code == 0 and "injective True" in out
+        assert out.startswith(f"injection {inferred} n={n} ")
 
     def test_explicit_left(self, capsys, dfa_file):
         path = dfa_file(build(IdealClass.LEFT, 4))

@@ -535,9 +535,9 @@ class TestCampaignContexts:
     def _compare(self, monkeypatch, spec: CampaignSpec) -> list[Dfa]:
         built = []
 
-        def spy(m, klass, S=None, T=None):
+        def spy(m, klass, S, T=None):
             ctx = minimal_context(m, klass, S, T)
-            built.append((m, klass, S, ctx))
+            built.append((m, klass, ctx))
             return ctx
 
         def closed_again(d, cap=None):
@@ -548,8 +548,8 @@ class TestCampaignContexts:
             during_run.setattr(injection, "transition_semigroup", closed_again)
             report = run(spec)
         assert len(built) == report.injection_contexts > 0
-        for m, klass, S, ctx in built:
-            ref = make_context(m, klass, S)
+        for m, klass, ctx in built:
+            ref = make_context(m, klass)
             assert ctx.klass is ref.klass is klass
             assert ctx.dfa == ref.dfa, to_text(m)
             assert ctx.po.leq == ref.po.leq, to_text(m)

@@ -291,6 +291,20 @@ class TestInterning:
             count += 1
         assert len(first) < count
 
+    def test_in_class_reads_the_class_flags(self):
+        memo: dict = {}
+        for d, sigma in _sweep_candidates(3, 3):
+            classify_minimal(d.transitions, d.finals_mask, sigma, memo=memo)
+        seen = set()
+        for rep in memo.values():
+            flags = (rep.is_right_ideal, rep.is_left_ideal, rep.is_two_sided_ideal)
+            assert tuple(map(rep.in_class, IdealClass)) == flags, rep
+            seen.add(flags)
+        # every combination a classification allows occurs
+        assert seen == {
+            (False, False, False), (True, False, False), (False, True, False), (True, True, True)
+        }
+
 
 def _old_ur_chain(n: int, d: int) -> int:
     """The ur_chain value before it was proved: it assumed that every word

@@ -49,9 +49,17 @@ class TestContext:
         }
         assert left_ctx.S.size == 11
 
-    def test_rejects_wrong_class(self):
-        with pytest.raises(ValueError, match="left ideal"):
-            make_context(build(IdealClass.RIGHT, 4), IdealClass.LEFT)
+    @pytest.mark.parametrize(
+        "given, klass, n, message",
+        [
+            (None, IdealClass.RIGHT, 4, "not a left or two-sided ideal"),
+            (IdealClass.LEFT, IdealClass.RIGHT, 4, "DFA does not accept a left ideal"),
+            (IdealClass.TWO_SIDED, IdealClass.LEFT, 5, "DFA does not accept a two-sided ideal"),
+        ],
+    )
+    def test_rejects_wrong_class(self, given, klass, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_context(build(klass, n), given)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 4"):

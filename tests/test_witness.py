@@ -220,16 +220,11 @@ class TestClosedForm:
 class TestWitnessShape:
     @pytest.mark.parametrize("klass", list(IdealClass))
     def test_minimal_and_classified(self, klass):
-        flag = {
-            IdealClass.RIGHT: "is_right_ideal",
-            IdealClass.LEFT: "is_left_ideal",
-            IdealClass.TWO_SIDED: "is_two_sided_ideal",
-        }[klass]
         lo = 2 if klass is IdealClass.TWO_SIDED else 1
         for n in range(lo, 7):
             w = build(klass, n)
             assert is_minimal(w), (klass, n)
-            assert getattr(classify(w), flag), (klass, n)
+            assert classify(w).in_class(klass), (klass, n)
 
     def test_right_witness_is_not_left(self):
         rep = classify(build(IdealClass.RIGHT, 5))
