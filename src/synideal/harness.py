@@ -20,7 +20,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product, repeat
+from itertools import combinations, islice, product, repeat
 from math import comb
 from typing import AbstractSet, Callable
 
@@ -397,20 +397,37 @@ def _right_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, .
 def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ...], int]:
     """Sigma*.L by subset construction over suffix-run sets, from initial
     state 0: a subset is a mask, and every successor subset holds state 0.
-    Raises ``ValueError`` above 256 subsets, like the packed form."""
+
+    When no letter leads out of the final states (after ``_right_closure``
+    they are absorbing), every subset that meets them is numbered as the
+    first one found: one accept state, looping on every letter.  That is
+    exact.  The successor of such a subset holds the image of a final state,
+    a final state too, so every subset that meets them accepts Sigma*.  The
+    subsets that miss them are reached only from subsets that miss them too,
+    so the language and the minimal DFA stay the same.  Otherwise the
+    construction is plain.  Raises ``ValueError`` above 256 subsets, counted
+    after the collapse, like the packed form."""
     n = len(maps[0])
     bits = [[1 << r for r in m] for m in maps]
+    final_states = [q for q in range(n) if finals >> q & 1]
+    collapse = 0 if any(not finals >> m[q] & 1 for m in maps for q in final_states) else finals
+    accept = 1 if collapse & 1 else None
     number = {1: 0}
+    get = number.get
     order = [1]
     rows: list[list[int]] = [[] for _ in maps]
-    appends = [row.append for row in rows]
+    letters = list(zip([row.append for row in rows], bits))
     for subset in order:
         states = [q for q in range(n) if subset >> q & 1]
-        for append, bit in zip(appends, bits):
+        for append, bit in letters:
             nxt = 1
             for q in states:
                 nxt |= bit[q]
-            i = number.get(nxt)
+            if nxt & collapse:
+                if accept is None:
+                    accept = nxt
+                nxt = accept
+            i = get(nxt)
             if i is None:
                 i = number[nxt] = len(order)
                 order.append(nxt)
@@ -438,11 +455,23 @@ _CLOSURES = {
 def _draws(klass: IdealClass, n: int, alphabet_size: int, seed: int):
     """The sampler's draws, closed into the class: ``SAMPLE_ATTEMPTS`` packed
     ``(maps, finals)`` pairs from ``random.Random(seed)``.  Each draw is a
-    random complete DFA with initial state 0 and n - 1, n or n + 1 states in
-    turn (n when n <= 2); the random calls and their order fix every sample,
-    so they must not change."""
+    random complete DFA with initial state 0 and m = n - 1, n or n + 1
+    states in turn (n when n <= 2).
+
+    The random calls of a draw, in order, fix every sample:
+
+    1. ``m * alphabet_size`` values below m, letter by letter, each state's
+       image in turn, drawn as one stream of ``getrandbits(m.bit_length())``
+       that drops every value >= m.  That is the rejection loop
+       ``randrange(m)`` runs, so the values and the generator's state after
+       them are those of one ``randrange(m)`` call per value;
+    2. ``randrange(2)``, for one or two final states, when m > 1;
+    3. ``sample(range(m), final_count)``, the final states.
+
+    ``test_draws_are_the_reference_randrange_draws`` (tests/test_kernels.py)
+    compares them with the per-value ``randrange`` loop, state included."""
     rng = random.Random(seed)
-    randrange = rng.randrange
+    randrange, getrandbits = rng.randrange, rng.getrandbits
     close = _CLOSURES[klass]
     for attempt in range(SAMPLE_ATTEMPTS):
         m = n + (attempt % 3) - 1 if n > 2 else n
@@ -450,7 +479,10 @@ def _draws(klass: IdealClass, n: int, alphabet_size: int, seed: int):
             m = n
         if m > 256:
             raise ValueError("the packed form holds at most 256 states")
-        maps = tuple(bytes(map(randrange, repeat(m, m))) for _ in range(alphabet_size))
+        values = bytes(
+            islice(filter(m.__gt__, map(getrandbits, repeat(m.bit_length()))), m * alphabet_size)
+        )
+        maps = tuple(values[i : i + m] for i in range(0, m * alphabet_size, m))
         final_count = 1 if m == 1 else 1 + randrange(2)
         finals = 0
         for q in rng.sample(range(m), final_count):

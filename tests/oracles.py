@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Sequence
 
 from synideal.dfa import Dfa, StatePreorder, minimize, sink_to_top, transition_semigroup
-from synideal.harness import SAMPLE_ATTEMPTS
+from synideal.harness import _CLOSURES, SAMPLE_ATTEMPTS
 from synideal.ideals import ClassificationReport, applicable_bounds
 from synideal.injection import (
     CaseTag,
@@ -804,3 +804,59 @@ def reference_sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, se
         if candidate.n == n and candidate.finals:
             return candidate
     return None
+
+
+# The sampler's draws as ``synideal.harness._draws`` made them with one
+# ``randrange`` call per value, kept verbatim: the letter stream it draws now
+# must give the same values and leave the generator in the same state.
+
+
+def reference_draws(klass: IdealClass, n: int, alphabet_size: int, seed: int):
+    rng = random.Random(seed)
+    randrange = rng.randrange
+    close = _CLOSURES[klass]
+    for attempt in range(SAMPLE_ATTEMPTS):
+        m = n + (attempt % 3) - 1 if n > 2 else n
+        if m < 1:
+            m = n
+        if m > 256:
+            raise ValueError("the packed form holds at most 256 states")
+        maps = tuple(bytes(map(randrange, repeat(m, m))) for _ in range(alphabet_size))
+        final_count = 1 if m == 1 else 1 + randrange(2)
+        finals = 0
+        for q in rng.sample(range(m), final_count):
+            finals |= 1 << q
+        yield close(maps, finals)
+
+
+# ``synideal.harness._left_closure`` before it numbered every subset that meets
+# final states no letter leaves as one accept state, kept verbatim: where a
+# letter leaves the final states the two must agree byte for byte.
+
+
+def reference_packed_left_closure(
+    maps: tuple[bytes, ...], finals: int
+) -> tuple[tuple[bytes, ...], int]:
+    n = len(maps[0])
+    bits = [[1 << r for r in m] for m in maps]
+    number = {1: 0}
+    order = [1]
+    rows: list[list[int]] = [[] for _ in maps]
+    appends = [row.append for row in rows]
+    for subset in order:
+        states = [q for q in range(n) if subset >> q & 1]
+        for append, bit in zip(appends, bits):
+            nxt = 1
+            for q in states:
+                nxt |= bit[q]
+            i = number.get(nxt)
+            if i is None:
+                i = number[nxt] = len(order)
+                order.append(nxt)
+            append(i)
+    if len(order) > 256:
+        raise ValueError("the packed form holds at most 256 states")
+    return (
+        tuple(map(bytes, rows)),
+        sum(1 << i for i, subset in enumerate(order) if subset & finals),
+    )

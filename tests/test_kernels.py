@@ -26,7 +26,13 @@ from synideal.dfa import (
     preorder,
     same_language,
 )
-from synideal.harness import _CLOSURES, _draws, _left_closure, sample_ideal_dfa
+from synideal.harness import (
+    _CLOSURES,
+    _draws,
+    _left_closure,
+    _right_closure,
+    sample_ideal_dfa,
+)
 from synideal.ideals import classify_minimal
 from synideal.transform import Transformation
 from synideal.witness import IdealClass
@@ -36,6 +42,9 @@ from oracles import (
     containment_by_word_search,
     random_dfa,
     reference_classify_minimal,
+    reference_draws,
+    reference_left_closure,
+    reference_packed_left_closure,
     reference_partition,
     reference_preorder,
     reference_sample_ideal_dfa,
@@ -177,6 +186,48 @@ def test_packed_closures_agree_with_the_references():
     assert min(shapes.values()) >= 30, shapes
 
 
+def test_left_closure_collapses_only_final_states_no_letter_leaves():
+    # Random packed DFAs with initial state 0: where no letter leads out of
+    # the final states (after _right_closure always) the collapsed closure
+    # recognises Sigma*.L and minimises like the reference; elsewhere it is
+    # the plain subset construction, byte for byte.
+    rng = random.Random(20261019)
+    shapes = {"collapsed": 0, "initial_final": 0, "right_closed": 0, "plain": 0}
+    for i in range(600):
+        m = rng.randint(1, 7)
+        maps = [bytearray(rng.randrange(m) for _ in range(m)) for _ in range(rng.randint(1, 3))]
+        final_states = rng.sample(range(m), rng.randint(1, m))
+        finals = sum(1 << q for q in final_states)
+        if i % 3 == 0:
+            # keep every final state's images among the final states
+            for row in maps:
+                for q in final_states:
+                    if not finals >> row[q] & 1:
+                        row[q] = rng.choice(final_states)
+        maps = tuple(map(bytes, maps))
+        if i % 3 == 1:
+            maps, finals = _right_closure(maps, finals)
+            shapes["right_closed"] += 1
+        got = _left_closure(maps, finals)
+        if any(not finals >> row[q] & 1 for row in maps for q in final_states):
+            shapes["plain"] += 1
+            assert got == reference_packed_left_closure(maps, finals), (maps, finals)
+            continue
+        shapes["collapsed"] += 1
+        shapes["initial_final"] += finals & 1
+        letters = "abc"[: len(maps)]
+        expected = reference_left_closure(from_maps(letters, maps, finals))
+        closed = from_maps(letters, *got)
+        assert same_language(closed, expected), (maps, finals)
+        assert minimize(closed) == minimize(expected), (maps, finals)
+        # at most one accept state (none when no final state is reachable),
+        # with a loop on every letter
+        accepting = [q for q in range(closed.n) if q in closed.finals]
+        assert len(accepting) <= 1, (maps, finals)
+        assert all(g.image[q] == q for g in closed.delta for q in accepting), (maps, finals)
+    assert min(shapes.values()) >= 50, shapes
+
+
 def test_left_closure_refuses_more_than_256_subsets():
     # L = a.Sigma^8 (states 0..9 count, 10 is the sink): Sigma*.L remembers
     # the last nine letters, 512 subsets
@@ -228,3 +279,31 @@ def test_sampler_refuses_more_than_256_states():
     # the third draw has n + 1 = 257 states
     with pytest.raises(ValueError, match="at most 256 states"):
         sample_ideal_dfa(IdealClass.RIGHT, 256, 1, seed=0)
+
+
+def test_draws_are_the_reference_randrange_draws(monkeypatch):
+    # The letter stream of _draws against one randrange call per value: equal
+    # closed draws, and after each of the first 150 an equal generator state.
+    # Every class, n = 1..8 (m = 1..9, with the powers of two, where each value
+    # takes one bit more than m - 1 needs), alphabet sizes up to 26; the seed
+    # turns over 0..2 with n and the alphabet size.
+    rngs: list[random.Random] = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    for klass in IdealClass:
+        for n in range(1, 9):
+            for alphabet_size in (1, 2, 3, 7, 26):
+                seed = (n + alphabet_size) % 3
+                rngs.clear()
+                got = _draws(klass, n, alphabet_size, seed)
+                expected = reference_draws(klass, n, alphabet_size, seed)
+                for draw in range(150):
+                    assert next(got) == next(expected), (klass, n, alphabet_size, seed, draw)
+                    assert rngs[0].getstate() == rngs[1].getstate(), (
+                        klass, n, alphabet_size, seed, draw,
+                    )
