@@ -78,7 +78,8 @@ class SearchInfeasible(RuntimeError):
 
 
 class CapExceeded(RuntimeError):
-    """A closure exceeded its element cap."""
+    """A closure, or a search of ``generator_necessity``, exceeded its
+    element cap."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,6 @@ def closure(
 def _close_images(
     gen_images: Sequence[bytes],
     cap: int = DEFAULT_CAP,
-    stop_at: int | None = None,
 ) -> set[bytes] | None:
     """Closure over packed images: the set grown for membership is the
     result; None when the cap is exceeded.
@@ -160,26 +160,22 @@ def _close_images(
     formed in C, and the repeats among them (most of them) are dropped by
     ``filterfalse`` without running any Python code.  The filter is lazy:
     each product is tested after the one before it was added, so one made
-    twice in a pass is added once.  ``cap`` and ``stop_at`` are checked after
-    each generator's pass, so an overflow is detected within one frontier's
-    worth of products; without ``stop_at`` the result is None exactly when
-    the closure has more than ``cap`` elements.  ``stop_at`` allows an early
-    exit for callers that know the closure cannot exceed that size
-    (generators drawn from a known closed set).
+    twice in a pass is added once.  ``cap`` is checked after each
+    generator's pass, so an overflow is detected within one frontier's worth
+    of products; the result is None exactly when the closure has more than
+    ``cap`` elements.
 
     Once a round's frontier outgrows ``SPLIT_FRONTIER`` elements, the rest of
     the closure (``_close_by_relations``) keeps each round's new elements in
     one list per generator g that made them, and h's pass skips g's list
     whenever g*h is a generator or the identity: those products were formed
     a round earlier.  The passes whose lists are skipped most run first.  The
-    result, ``cap`` and ``stop_at`` are as before.
+    result and ``cap`` are as before.
 
     The set is the only table: it grew one element at a time, so it is sized
     for the closure (a copied set is sized for twice its length).
     """
     seen = set(gen_images)
-    if stop_at is not None and len(seen) >= stop_at:
-        return seen
     if len(seen) > cap:
         return None
     # repeat() without a count never runs out, so one per generator serves
@@ -190,15 +186,13 @@ def _close_images(
     frontier = list(seen)
     while frontier:
         if len(frontier) > SPLIT_FRONTIER:
-            return _close_by_relations(gen_images, seen, frontier, cap, stop_at)
+            return _close_by_relations(gen_images, seen, frontier, cap)
         new = []
         append = new.append
         for table in tables:
             for c in filterfalse(contained, map(bytes.translate, frontier, table)):
                 add(c)
                 append(c)
-            if stop_at is not None and len(seen) >= stop_at:
-                return seen
             if len(seen) > cap:
                 return None
         frontier = new
@@ -210,7 +204,6 @@ def _close_by_relations(
     seen: set[bytes],
     frontier: list[bytes],
     cap: int,
-    stop_at: int | None,
 ) -> set[bytes] | None:
     """The rest of ``_close_images`` from ``frontier``, whose elements are in
     ``seen`` and were not yet multiplied, with each round's new elements
@@ -264,8 +257,6 @@ def _close_by_relations(
                 for c in filterfalse(contained, map(bytes.translate, lists[i], table)):
                     add(c)
                     append(c)
-            if stop_at is not None and len(seen) >= stop_at:
-                return seen
             if len(seen) > cap:
                 return None
         lists = new
@@ -299,19 +290,81 @@ def contains(s: TransformationSemigroup, t: Transformation) -> bool:
 
 
 def generator_necessity(s: TransformationSemigroup) -> list[bool]:
-    """For each generator: does dropping it strictly shrink the closure?"""
-    flags = []
-    size = s.size
+    """For each generator: does dropping it strictly shrink the closure?
+
+    Decided from ``s.generators`` alone; nothing is closed.  Dropping g
+    shrinks the closure exactly when g is no product of the other letters.
+    The rank of a product is at most the rank of each factor and of each
+    prefix, so a product equal to g, of rank r, has only factors and
+    prefixes of rank >= r.  For each letter g:
+
+    1. Keep the other letters of rank >= r.  If none is left, g is necessary.
+    2. A word equal to g takes every tuple of states t to the tuple
+       ``t.translate(g)``.  Try each state q as a 1-byte tuple, then each
+       pair (p, q) that g merges, p the first state of q's kernel class: if
+       no non-empty word over the kept letters takes one of them to its
+       goal, g is necessary.
+    3. Otherwise search breadth first from the identity over the non-empty
+       products of the kept letters, keeping those of rank >= r: g is
+       necessary unless it appears.
+
+    Each search is ``_reaches``, and raises ``CapExceeded`` past
+    ``DEFAULT_CAP`` kept maps, as a closure does.  The pair projections
+    decide what the search would take longest on: for the left witness's
+    letter c it would keep n! maps, 3,628,800 at n=10.
+    """
+    n = s.n
+    pad = bytes(256 - n)
     packed = [g.packed() for g in s.generators]
-    for i in range(len(packed)):
-        rest = packed[:i] + packed[i + 1 :]
-        if not rest:
-            flags.append(size > 0)
-            continue
-        closed = _close_images(rest, stop_at=size)
-        assert closed is not None
-        flags.append(len(closed) < size)
+    ranks = [len(set(g)) for g in packed]
+    flags = []
+    for i, g in enumerate(packed):
+        r = ranks[i]
+        kept = [h + pad for j, h in enumerate(packed) if j != i and ranks[j] >= r]
+        table = g + pad
+        first = {}
+        for q in range(n):
+            first.setdefault(g[q], q)
+        starts = [bytes([q]) for q in range(n)]
+        starts += [bytes([first[g[q]], q]) for q in range(n) if first[g[q]] != q]
+        flags.append(
+            not kept
+            or not all(_reaches(t, t.translate(table), kept) for t in starts)
+            or not _reaches(bytes(range(n)), g, kept, floor=r)
+        )
     return flags
+
+
+def _reaches(
+    start: bytes, goal: bytes, tables: Sequence[bytes], floor: int | None = None
+) -> bool:
+    """Whether a non-empty product of the padded letters ``tables`` takes the
+    tuple of states ``start`` to ``goal``.
+
+    Breadth-first search over the tuples reached, each letter acting by
+    ``bytes.translate`` as in the closure engine; with ``floor``, tuples of
+    fewer than ``floor`` distinct states are dropped.  ``start`` is not
+    reached until some non-empty product gives it.  Raises ``CapExceeded``
+    once more than ``DEFAULT_CAP`` tuples are kept.
+    """
+    seen: set[bytes] = set()
+    add = seen.add
+    contained = seen.__contains__
+    frontier = [start]
+    while frontier:
+        new = []
+        append = new.append
+        for table in tables:
+            for c in filterfalse(contained, map(bytes.translate, frontier, repeat(table))):
+                if floor is None or len(set(c)) >= floor:
+                    add(c)
+                    append(c)
+            if goal in seen:
+                return True
+            if len(seen) > DEFAULT_CAP:
+                raise CapExceeded(f"necessity search exceeds cap {DEFAULT_CAP}")
+        frontier = new
+    return False
 
 
 def minimal_generator_count(

@@ -108,10 +108,26 @@ def minimal_generator_count_by_subsets(s: TransformationSemigroup, k_max: int) -
     element_images = sorted(s.images)
     for k in range(1, min(k_max, size) + 1):
         for subset in combinations(element_images, k):
-            closed = _close_images(subset, stop_at=size)
-            if closed is not None and len(closed) == size:
+            if len(_close_images(subset)) == size:
                 return k
     return None
+
+
+def reference_generator_necessity(s: TransformationSemigroup) -> list[bool]:
+    """For each generator: does dropping it strictly shrink the closure?
+    Decided by closing the other generators fully and comparing sizes."""
+    flags = []
+    size = s.size
+    packed = [g.packed() for g in s.generators]
+    for i in range(len(packed)):
+        rest = packed[:i] + packed[i + 1 :]
+        if not rest:
+            flags.append(size > 0)
+            continue
+        closed = _close_images(rest)
+        assert closed is not None
+        flags.append(len(closed) < size)
+    return flags
 
 
 def reference_expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:

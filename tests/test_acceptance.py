@@ -10,6 +10,9 @@ import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
+from synideal import dfa, semigroup
 from synideal.dfa import (
     language_containment,
     max_chain_length,
@@ -22,7 +25,7 @@ from synideal.harness import CampaignSpec, SampleMode, run, sample_ideal_dfa
 from synideal.ideals import classify, special_quotient_bound
 from synideal.semigroup import closure, generator_necessity, minimal_generator_count
 from synideal.transform import compose, format_notation, identity, parse_notation
-from synideal.witness import IdealClass, bound, build, expected_semigroup
+from synideal.witness import MIN_N, IdealClass, bound, build, expected_semigroup
 
 from oracles import (
     containment_by_word_search,
@@ -176,6 +179,21 @@ def test_criterion_6_generator_facts():
             for n in (4, 5, 6):
                 s = transition_semigroup(build(klass, n))
                 assert all(generator_necessity(s)), (klass, n)
+
+        # Necessity from the letters alone, where no closure could be held
+        # (the left n=9 semigroup has 43 million maps): nothing is closed.
+        def no_closure(*args, **kwargs):
+            raise AssertionError("generator necessity closed a semigroup")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in [
+                (semigroup, "closure"), (semigroup, "_close_images"), (dfa, "transition_semigroup"),
+            ]:
+                patch.setattr(module, name, no_closure)
+            for klass in IdealClass:
+                for n in range(MIN_N[klass], 65):
+                    s = expected_semigroup(klass, n)
+                    assert generator_necessity(s) == [True] * len(s.generators), (klass, n)
 
         left3 = transition_semigroup(build(IdealClass.LEFT, 3))
         assert minimal_generator_count(left3, k_max=4) == 4

@@ -40,6 +40,7 @@ from oracles import (
     naive_closure,
     random_transformation,
     reference_conjugated_images,
+    reference_generator_necessity,
 )
 
 
@@ -122,24 +123,13 @@ class TestClosure:
         assert result.size == 256
 
     def test_cap_is_exact_on_the_right_witness(self):
-        # cap and stop_at are checked once per generator pass; the answer
-        # must still turn on the exact size.
+        # The cap is checked once per generator pass; the answer must still
+        # turn on the exact size.
         gens = build(IdealClass.RIGHT, 5).delta
         with pytest.raises(CapExceeded):
             closure(gens, cap=624)
         s = closure(gens, cap=625)
         assert isinstance(s, TransformationSemigroup) and s.size == 625
-
-    def test_stop_at_returns_enough_and_no_more_than_the_closure(self):
-        for gens in [build(IdealClass.RIGHT, 5).delta, *self.NAIVE_CASES]:
-            packed = [g.packed() for g in gens]
-            full = _close_images(packed)
-            assert {tuple(e) for e in full} == naive_closure(gens), gens
-            size = len(full)
-            for k in (1, 2, 4, 5, size // 2, size - 1, size, size + 75):
-                part = _close_images(packed, stop_at=k)
-                assert len(part) >= min(k, size), (gens, k)
-                assert part <= full
 
     def test_result_holds_one_right_sized_table(self):
         # A frozenset copied from a set is sized for twice its length: 256
@@ -240,8 +230,8 @@ def _relation_cases(packed: list[bytes]) -> set[str]:
 
 class TestRelationSkipping:
     """Above ``SPLIT_FRONTIER`` the closure skips every product that a
-    generator relation proves repeated.  The result, the cap and ``stop_at``
-    must not notice: checked against ``naive_closure`` with the switch moved
+    generator relation proves repeated.  The result and the cap must not
+    notice: checked against ``naive_closure`` with the switch moved
     down to every small size, and against the closed forms at the default."""
 
     SWITCHES = (0, 1, 3, 10, SPLIT_FRONTIER)
@@ -266,9 +256,6 @@ class TestRelationSkipping:
                         assert _close_images(packed) == expected, (gens, switch)
                         assert _close_images(packed, cap=size) == expected, (gens, switch)
                         assert _close_images(packed, cap=size - 1) is None, (gens, switch)
-                        for stop in (1, size // 2, size - 1, size):
-                            part = _close_images(packed, stop_at=stop)
-                            assert min(stop, size) <= len(part) and part <= expected
         assert cases == {
             "duplicate", "identity generator", "constant", "identity product",
             "idempotent", "third generator",
@@ -282,15 +269,12 @@ class TestRelationSkipping:
                     images = closure(build(klass, n).delta).images
                     assert images == expected_semigroup(klass, n).images, (klass, n, switch)
 
-    def test_cap_and_stop_at_are_exact_across_the_switch(self):
+    def test_cap_is_exact_across_the_switch(self):
         packed = [g.packed() for g in build(IdealClass.RIGHT, 6).delta]
         full = _close_images(packed)
         assert len(full) == 7776 > SPLIT_FRONTIER
         assert _close_images(packed, cap=7775) is None
         assert _close_images(packed, cap=7776) == full
-        for stop in (1, SPLIT_FRONTIER, SPLIT_FRONTIER + 1, 5000, 7775, 7776, 9000):
-            part = _close_images(packed, stop_at=stop)
-            assert min(stop, 7776) <= len(part) and part <= full, stop
 
     def test_products_formed_on_the_n7_witnesses(self, monkeypatch):
         # Without the relations each element is multiplied by every letter:
@@ -396,6 +380,64 @@ class TestGeneratorNecessity:
     def test_duplicate_generators(self):
         s = closure([identity(2), identity(2)])
         assert generator_necessity(s) == [False, False]
+
+    # ``generator_necessity`` reads the generators only: rank-bounded
+    # letters, one- and two-state projections, then a rank-bounded search.
+    # ``reference_generator_necessity`` closes the other letters instead.
+    def test_agrees_with_the_closures_on_random_generating_sets(self, monkeypatch):
+        # Every search that decides a letter logs how: a projection that
+        # fails, or the search of step 3.
+        paths = []
+        reaches = semigroup._reaches
+
+        def logged(start, goal, tables, floor=None):
+            found = reaches(start, goal, tables, floor)
+            if floor is not None:
+                paths.append("search finds" if found else "search exhausts")
+            elif not found:
+                paths.append("state projection" if len(start) == 1 else "pair projection")
+            return found
+
+        monkeypatch.setattr(semigroup, "_reaches", logged)
+        rng = random.Random(19)
+        for i in range(2000):
+            gens = _relation_rich(rng, 1 + i % 6, rng.randint(1, 7))
+            s = closure(gens)
+            assert generator_necessity(s) == reference_generator_necessity(s), gens
+            ranks = [len(set(g.image)) for g in gens]
+            paths.extend(
+                "no kept letter"
+                for j, r in enumerate(ranks)
+                if all(other < r for other in ranks[:j] + ranks[j + 1 :])
+            )
+        assert set(paths) == {
+            "no kept letter", "state projection", "pair projection",
+            "search finds", "search exhausts",
+        }
+
+    def test_agrees_with_the_closures_on_the_witnesses(self):
+        for klass, lo in MIN_N.items():
+            for n in range(lo, 8):
+                s = transition_semigroup(build(klass, n))
+                flags = generator_necessity(s)
+                assert flags == reference_generator_necessity(s) == [True] * len(flags), (klass, n)
+
+    def test_left_n9_witness_letters_are_necessary(self):
+        # Its closure would hold 43 million maps.
+        s = expected_semigroup(IdealClass.LEFT, 9)
+        assert generator_necessity(s) == [True] * len(s.generators)
+
+    def test_a_search_past_the_cap_raises(self, monkeypatch):
+        # Every projection of b passes: a and a^3 move any state anywhere,
+        # and b merges no pair.  So b is decided by the search of step 3,
+        # which keeps the six powers of a, past a cap of two.
+        a = Transformation((1, 2, 3, 4, 5, 0))
+        gens = [a, Transformation((1, 0, 2, 3, 4, 5)), compose(compose(a, a), a)]
+        s = closure(gens)
+        assert generator_necessity(s) == reference_generator_necessity(s) == [True, True, False]
+        monkeypatch.setattr(semigroup, "DEFAULT_CAP", 2)
+        with pytest.raises(CapExceeded, match="^necessity search exceeds cap 2$"):
+            generator_necessity(s)
 
 
 class TestMinimalGeneratorCount:
