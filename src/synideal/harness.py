@@ -452,66 +452,150 @@ _CLOSURES = {
 }
 
 
-def _draws(klass: IdealClass, n: int, alphabet_size: int, seed: int):
-    """The sampler's draws, closed into the class: ``SAMPLE_ATTEMPTS`` packed
-    ``(maps, finals)`` pairs from ``random.Random(seed)``.  Each draw is a
-    random complete DFA with initial state 0 and m = n - 1, n or n + 1
-    states in turn (n when n <= 2).
+def _reach_avoiding(maps: tuple[bytes, ...], avoid: int) -> int:
+    """The number of states that state 0 reaches along paths that enter no
+    state of the mask ``avoid``, state 0 included (it must not be in it)."""
+    order = [0]
+    seen = avoid | 1
+    for q in order:
+        for m in maps:
+            r = m[q]
+            if not seen >> r & 1:
+                seen |= 1 << r
+                order.append(r)
+    return len(order)
 
-    The random calls of a draw, in order, fix every sample:
+
+def _right_bound(maps: tuple[bytes, ...], finals: int) -> int:
+    return len(maps[0])
+
+
+def _left_bound(maps: tuple[bytes, ...], finals: int) -> int:
+    return 1 << (_reach_avoiding(maps, 0) - 1)
+
+
+def _two_sided_bound(maps: tuple[bytes, ...], finals: int) -> int:
+    if finals & 1:
+        return 1
+    return (1 << (_reach_avoiding(maps, finals) - 1)) + 1
+
+
+#: An upper bound on the number of states of ``_CLOSURES[klass]``'s output,
+#: read from the draw before it is closed; ``sample_ideal_dfa`` proves each.
+_CLOSURE_BOUNDS = {
+    IdealClass.RIGHT: _right_bound,
+    IdealClass.LEFT: _left_bound,
+    IdealClass.TWO_SIDED: _two_sided_bound,
+}
+
+#: ``random.sample`` picks up to five items from a list copy of a population
+#: of at most this many; from a larger one it redraws each pick a set of the
+#: earlier picks already holds.
+_SAMPLE_POOL_MAX = 21
+
+
+def _draws(n: int, alphabet_size: int, seed: int):
+    """The sampler's draws, not yet closed into a class: ``SAMPLE_ATTEMPTS``
+    packed ``(maps, finals)`` pairs from ``random.Random(seed)``.  Each draw
+    is a random complete DFA with initial state 0, m = n - 1, n or n + 1
+    states in turn (n when n <= 2), and one or two final states.
+
+    Every random call is a ``getrandbits``.  A value below b is drawn as
+    ``getrandbits(b.bit_length())``, repeated while the result is b or more:
+    the rejection loop of ``randrange(b)``, so the values and the
+    generator's state after them are those of one ``randrange(b)`` call per
+    value.  The values of a draw, in order, fix every sample:
 
     1. ``m * alphabet_size`` values below m, letter by letter, each state's
        image in turn, drawn as one stream of ``getrandbits(m.bit_length())``
-       that drops every value >= m.  That is the rejection loop
-       ``randrange(m)`` runs, so the values and the generator's state after
-       them are those of one ``randrange(m)`` call per value;
-    2. ``randrange(2)``, for one or two final states, when m > 1;
-    3. ``sample(range(m), final_count)``, the final states.
+       that drops every value >= m;
+    2. when m > 1, a value below 2, 0 for one final state and 1 for two
+       (``1 + randrange(2)``);
+    3. q, the next value of the stream of step 1: the first final state;
+    4. for a second final state, the pick of ``sample(range(m), 2)``: when
+       m <= 21, a value p below m - 1, standing for state m - 1 when p = q
+       (the pool branch, which moves state m - 1 into q's place); otherwise
+       the next value of the stream of step 1 that is not q (the set branch).
 
     ``test_draws_are_the_reference_randrange_draws`` (tests/test_kernels.py)
-    compares them with the per-value ``randrange`` loop, state included."""
+    compares them with the ``randrange`` and ``sample`` calls, state
+    included, on both branches of ``sample``."""
     rng = random.Random(seed)
-    randrange, getrandbits = rng.randrange, rng.getrandbits
-    close = _CLOSURES[klass]
+    getrandbits = rng.getrandbits
     for attempt in range(SAMPLE_ATTEMPTS):
         m = n + (attempt % 3) - 1 if n > 2 else n
         if m < 1:
             m = n
         if m > 256:
             raise ValueError("the packed form holds at most 256 states")
-        values = bytes(
-            islice(filter(m.__gt__, map(getrandbits, repeat(m.bit_length()))), m * alphabet_size)
-        )
+        below_m = filter(m.__gt__, map(getrandbits, repeat(m.bit_length())))
+        values = bytes(islice(below_m, m * alphabet_size))
         maps = tuple(values[i : i + m] for i in range(0, m * alphabet_size, m))
-        final_count = 1 if m == 1 else 1 + randrange(2)
-        finals = 0
-        for q in rng.sample(range(m), final_count):
-            finals |= 1 << q
-        yield close(maps, finals)
+        two = 0
+        if m > 1:
+            two = getrandbits(2)
+            while two > 1:
+                two = getrandbits(2)
+        q = next(below_m)
+        finals = 1 << q
+        if two:
+            if m > _SAMPLE_POOL_MAX:
+                p = next(filter(q.__ne__, below_m))
+            else:
+                k = m - 1
+                p = getrandbits(k.bit_length())
+                while p >= k:
+                    p = getrandbits(k.bit_length())
+                if p == q:
+                    p = k
+            finals |= 1 << p
+        yield maps, finals
 
 
 def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -> Dfa | None:
     """A random minimal DFA with exactly n states of a non-empty language
     closed into the class, or None.
 
-    Rejection sampling: take the next draw of ``_draws`` (a random DFA whose
-    language is closed into the class), minimize it, and accept when exactly
-    n states remain and some state is final.  A draw whose closure has fewer
-    than n states, or fewer than n language classes under ``_partition``, is
-    rejected before any renumbering, since its minimal DFA keeps only the
-    reachable classes; most draws end there.  The rest are numbered with
-    ``quotient_maps`` on the same partition, which is ``minimal_maps``.
-    Each draw stays packed (``bytes`` letter maps and a finals mask) to the
-    accept test; only the accepted sample becomes a ``Dfa``.
+    Rejection sampling: take the next draw of ``_draws`` (a random DFA),
+    close its language into the class, minimize it, and accept when exactly
+    n states remain and some state is final.  The minimal DFA keeps at most
+    the closure's states, so a draw is rejected, cheapest test first:
+
+    1. bound: when ``_CLOSURE_BOUNDS[klass]`` of the draw, an upper bound
+       on the closure's states, is below n; the draw is never closed.  The
+       bound is m for L.Sigma*, which keeps the m states.  Every subset the
+       Sigma*.L construction reaches holds state 0 and only states that 0
+       reaches: at most 2^(r-1) subsets, with r counting those states.  For
+       Sigma*.L.Sigma* the final states become absorbing, so every subset
+       that meets them becomes the one accept state, and a subset that
+       misses them is reached only from subsets that miss them too: it
+       holds state 0 and only non-final states that 0 reaches without
+       passing a final state.  At most 2^(r-1) + 1 states, with r counting
+       those states, and one when state 0 is final;
+    2. close: when the closure has fewer than n states;
+    3. partition: when the closure has fewer than n language classes under
+       ``_partition``, before any renumbering, since the minimal DFA keeps
+       only the reachable classes.
+
+    The rest are numbered with ``quotient_maps`` on the same partition,
+    which is ``minimal_maps``.  Each draw stays packed (``bytes`` letter
+    maps and a finals mask) to the accept test; only the accepted sample
+    becomes a ``Dfa``.  The random stream does not depend on which test
+    rejects a draw, so a closure skipped changes no sample.
 
     L.Sigma*, Sigma*.L and Sigma*.L.Sigma* are ideals of their class whenever
     they are non-empty, so nothing here classifies the sample; the campaign
     classifies it once and reports a sample outside the class as a
     ``sampler`` violation.  Deterministic in the seed; None after
     ``SAMPLE_ATTEMPTS`` draws.  Raises ``ValueError`` when a draw or its
-    closure would exceed the packed form's 256 states.
+    closure would exceed the packed form's 256 states (such a closure's
+    bound is above 256, so it is never skipped).
     """
-    for maps, finals in _draws(klass, n, alphabet_size, seed):
+    close, most = _CLOSURES[klass], _CLOSURE_BOUNDS[klass]
+    for maps, finals in _draws(n, alphabet_size, seed):
+        if most(maps, finals) < n:
+            continue
+        maps, finals = close(maps, finals)
         if len(maps[0]) < n:
             continue
         block = _partition(maps, finals)

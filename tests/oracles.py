@@ -13,7 +13,7 @@ from itertools import combinations, product, repeat
 from typing import Sequence
 
 from synideal.dfa import Dfa, StatePreorder, minimize, sink_to_top, transition_semigroup
-from synideal.harness import _CLOSURES, SAMPLE_ATTEMPTS
+from synideal.harness import SAMPLE_ATTEMPTS
 from synideal.ideals import ClassificationReport, applicable_bounds
 from synideal.injection import (
     CaseTag,
@@ -823,14 +823,15 @@ def reference_sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, se
 
 
 # The sampler's draws as ``synideal.harness._draws`` made them with one
-# ``randrange`` call per value, kept verbatim: the letter stream it draws now
-# must give the same values and leave the generator in the same state.
+# ``randrange`` call per value and ``random.sample`` for the final states,
+# kept verbatim but for the closure into a class, which the sampler now runs
+# only on a draw its state bound keeps: the ``getrandbits`` stream it draws
+# now must give the same values and leave the generator in the same state.
 
 
-def reference_draws(klass: IdealClass, n: int, alphabet_size: int, seed: int):
+def reference_draws(n: int, alphabet_size: int, seed: int):
     rng = random.Random(seed)
     randrange = rng.randrange
-    close = _CLOSURES[klass]
     for attempt in range(SAMPLE_ATTEMPTS):
         m = n + (attempt % 3) - 1 if n > 2 else n
         if m < 1:
@@ -842,7 +843,7 @@ def reference_draws(klass: IdealClass, n: int, alphabet_size: int, seed: int):
         finals = 0
         for q in rng.sample(range(m), final_count):
             finals |= 1 << q
-        yield close(maps, finals)
+        yield maps, finals
 
 
 # ``synideal.harness._left_closure`` before it numbered every subset that meets

@@ -18,15 +18,18 @@ import pytest
 
 from synideal.dfa import (
     Dfa,
+    Transitions,
     _partition,
     from_maps,
     is_minimal,
     minimal_maps,
     minimize,
     preorder,
+    reachable_states,
     same_language,
 )
 from synideal.harness import (
+    _CLOSURE_BOUNDS,
     _CLOSURES,
     _draws,
     _left_closure,
@@ -248,25 +251,70 @@ def test_sampler_draws_what_the_reference_draws(klass):
                 )
 
 
+def test_closure_bounds_hold_on_every_finals_mask():
+    # The bound of each class on random packed DFAs with initial state 0
+    # (m = 1..8, one to three letters) and every finals mask, none and all
+    # included: at least the states of the closure, and the count the proof
+    # gives, read off the DFA another way.  Left: 2^(r-1), r the states
+    # reachable from 0.  Two-sided: 2^(r-1) + 1, r the non-final states the
+    # right closure reaches from a non-final state 0 (its final states are
+    # absorbing, so it reaches a non-final state only along paths that avoid
+    # the final states); 1 when state 0 is final.
+    rng = random.Random(20261020)
+    attained = dict.fromkeys(IdealClass, 0)
+    for m in range(1, 9):
+        for letters in range(1, 4):
+            for _ in range(24 >> max(0, m - 5)):
+                maps = tuple(bytes(rng.randrange(m) for _ in range(m)) for _ in range(letters))
+                left = 1 << (len(reachable_states(Transitions(maps))) - 1)
+                for finals in range(1 << m):
+                    two_sided = 1
+                    if not finals & 1:
+                        right_maps = _right_closure(maps, finals)[0]
+                        reach = reachable_states(Transitions(right_maps))
+                        two_sided = (1 << (sum(not finals >> q & 1 for q in reach) - 1)) + 1
+                    expected = {
+                        IdealClass.RIGHT: m,
+                        IdealClass.LEFT: left,
+                        IdealClass.TWO_SIDED: two_sided,
+                    }
+                    for klass, close in _CLOSURES.items():
+                        bound = _CLOSURE_BOUNDS[klass](maps, finals)
+                        assert bound == expected[klass], (klass, maps, finals)
+                        states = len(close(maps, finals)[0][0])
+                        assert states <= bound, (klass, maps, finals)
+                        attained[klass] += states == bound
+    assert min(attained.values()) > 100, attained
+
+
 def test_sampler_rejects_early_only_what_minimisation_rejects():
-    # Over the sampler's own draws up to its accepted one: a closure with
-    # fewer than n states, or fewer than n language classes, must minimise
-    # to something the sampler rejects anyway, and the first draw that
-    # minimises to n states with a final state is the sample.
-    early = {"states": 0, "classes": 0}
+    # Over the sampler's own draws up to its accepted one: a draw whose
+    # closure bound is below n, a closure with fewer than n states, or one
+    # with fewer than n language classes, must minimise to something the
+    # sampler rejects anyway, and the first draw that minimises to n states
+    # with a final state is the sample.  Every closure keeps to its bound.
+    early = {"bound": 0, "states": 0, "classes": 0}
     for klass in IdealClass:
+        close, most = _CLOSURES[klass], _CLOSURE_BOUNDS[klass]
         for n in range(1, 7):
             for alphabet_size in range(1, 4):
                 for seed in range(40):
                     accepted = None
-                    for maps, finals in _draws(klass, n, alphabet_size, seed):
+                    for maps, finals in _draws(n, alphabet_size, seed):
+                        bound = most(maps, finals)
+                        maps, finals = close(maps, finals)
+                        assert len(maps[0]) <= bound, (klass, n, maps, finals)
+                        few_bound = bound < n
                         few_states = len(maps[0]) < n
                         few_classes = not few_states and len(set(_partition(maps, finals))) < n
+                        early["bound"] += few_bound
                         early["states"] += few_states
                         early["classes"] += few_classes
                         minimal, minimal_finals = minimal_maps(maps, finals)
                         if len(minimal[0]) == n and minimal_finals:
-                            assert not (few_states or few_classes), (klass, n, maps, finals)
+                            assert not (few_bound or few_states or few_classes), (
+                                klass, n, maps, finals,
+                            )
                             accepted = from_maps("abc"[:alphabet_size], minimal, minimal_finals)
                             break
                     assert sample_ideal_dfa(klass, n, alphabet_size, seed) == accepted, (
@@ -282,11 +330,16 @@ def test_sampler_refuses_more_than_256_states():
 
 
 def test_draws_are_the_reference_randrange_draws(monkeypatch):
-    # The letter stream of _draws against one randrange call per value: equal
-    # closed draws, and after each of the first 150 an equal generator state.
-    # Every class, n = 1..8 (m = 1..9, with the powers of two, where each value
-    # takes one bit more than m - 1 needs), alphabet sizes up to 26; the seed
-    # turns over 0..2 with n and the alphabet size.
+    # The getrandbits stream of _draws against one randrange call per value
+    # and random.sample for the final states: equal draws, and after each of
+    # the first 150 an equal generator state.  n = 1..8 (m = 1..9, with the
+    # powers of two, where each value takes one bit more than m - 1 needs)
+    # and n = 21, 22, 30 (m = 20..23 and 29..31: random.sample picks the
+    # second final state from a pool up to m = 21 and from a set above it);
+    # alphabet sizes up to 26; the seed turns over 0..2 with n and the
+    # alphabet size.  The draws are compared before they are closed: each
+    # closure is a function of its draw, so equal draws close alike in every
+    # class.
     rngs: list[random.Random] = []
 
     class Recording(random.Random):
@@ -295,15 +348,14 @@ def test_draws_are_the_reference_randrange_draws(monkeypatch):
             rngs.append(self)
 
     monkeypatch.setattr(random, "Random", Recording)
-    for klass in IdealClass:
-        for n in range(1, 9):
-            for alphabet_size in (1, 2, 3, 7, 26):
-                seed = (n + alphabet_size) % 3
-                rngs.clear()
-                got = _draws(klass, n, alphabet_size, seed)
-                expected = reference_draws(klass, n, alphabet_size, seed)
-                for draw in range(150):
-                    assert next(got) == next(expected), (klass, n, alphabet_size, seed, draw)
-                    assert rngs[0].getstate() == rngs[1].getstate(), (
-                        klass, n, alphabet_size, seed, draw,
-                    )
+    for n in [*range(1, 9), 21, 22, 30]:
+        for alphabet_size in (1, 2, 3, 7, 26):
+            seed = (n + alphabet_size) % 3
+            rngs.clear()
+            got = _draws(n, alphabet_size, seed)
+            expected = reference_draws(n, alphabet_size, seed)
+            for draw in range(150):
+                assert next(got) == next(expected), (n, alphabet_size, seed, draw)
+                assert rngs[0].getstate() == rngs[1].getstate(), (
+                    n, alphabet_size, seed, draw,
+                )

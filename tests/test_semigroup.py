@@ -145,8 +145,11 @@ class TestClosure:
         # only the frontier lists are alive.  A discovery-order list frozen
         # into a second table peaks at 1.24x (n=6) and 1.35x (n=7) of the
         # result; the one table at 1.05x and 1.09x.  Allocation sizes, so
-        # the figures repeat exactly.
+        # the figures repeat exactly.  ``malloc_trim`` is resolved first, so
+        # that importing ctypes on a closure's first switch past
+        # SPLIT_FRONTIER is not traced in a process that has not closed one.
         gens = build(IdealClass.RIGHT, n).delta
+        semigroup._malloc_trim()
         tracemalloc.start()
         try:
             images = closure(gens).images
