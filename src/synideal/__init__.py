@@ -10,7 +10,6 @@ verification campaigns at desk scale.
 from .dfa import (
     Dfa,
     StatePreorder,
-    language_containment,
     max_chain_length,
     minimize,
     preorder,
@@ -48,7 +47,6 @@ __all__ = [
     "closure",
     "compose",
     "expected_semigroup",
-    "language_containment",
     "make_context",
     "max_chain_length",
     "minimal_context",

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import dfa as dfa_mod
-from . import harness, ideals, injection, semigroup, witness
+from . import harness, ideals, injection, witness
 from .dfa import Dfa, DfaParseError, max_chain_length, minimize, preorder
 from .semigroup import CapExceeded, SearchInfeasible
 from .witness import IdealClass

@@ -477,38 +477,19 @@ def _partition(maps: Sequence[bytes], finals: int) -> bytes:
             return block
 
 
-def minimal_maps(
-    maps: Sequence[bytes], finals: int, initial: int = 0
-) -> tuple[tuple[bytes, ...], int]:
-    """The canonical minimal DFA of a packed DFA, packed: its letter maps and
-    its final states as a mask, with initial state 0.
-
-    ``quotient_maps`` of the ``_partition`` blocks: equivalent states merge,
-    unreachable states drop out and equal languages yield identical maps.
-    """
-    return quotient_maps(maps, finals, _partition(maps, finals), initial)
-
-
 def quotient_maps(
     maps: Sequence[bytes], finals: int, block: bytes, initial: int = 0
-) -> tuple[tuple[bytes, ...], int]:
+) -> tuple[tuple[bytes, ...], int, list[int]]:
     """The packed DFA of the blocks of a congruence (state -> block id, as
     ``_partition`` returns it) reachable from the initial state's block,
-    numbered breadth-first with letters explored in order, initial state 0.
+    numbered breadth-first with letters explored in order, initial state 0,
+    and the new state of every state whose block is reached (0 for others).
 
-    With the language partition this is ``minimal_maps``; with every state
-    in a block of its own (``bytes(range(n))``) it renumbers a minimal DFA
-    into the form ``minimize`` gives it, without refining anything.
+    On the ``_partition`` blocks this is the canonical minimal DFA that
+    ``minimize`` returns; with every state in a block of its own
+    (``bytes(range(n))``) it renumbers a minimal DFA into that form without
+    refining anything, and the labels are the renumbering.
     """
-    return labelled_quotient_maps(maps, finals, block, initial)[:2]
-
-
-def labelled_quotient_maps(
-    maps: Sequence[bytes], finals: int, block: bytes, initial: int = 0
-) -> tuple[tuple[bytes, ...], int, list[int]]:
-    """``quotient_maps``, and the new state of every state whose block is
-    reached (0 for the others): with every state in a block of its own,
-    the renumbering itself."""
     number = {block[initial]: 0}
     reps = [initial]
     for q in reps:
@@ -536,21 +517,17 @@ def from_maps(alphabet: Sequence[str], maps: Sequence[bytes], finals: int) -> Df
 
 
 def minimize(d: Dfa) -> Dfa:
-    """The canonical minimal DFA for the same language: ``minimal_maps`` on
-    the packed form, so at most 256 states (``ValueError`` above).
+    """The canonical minimal DFA for the same language: ``quotient_maps`` of
+    the ``_partition`` blocks on the packed form, so at most 256 states
+    (``ValueError`` above).
 
     Unreachable states are dropped, equivalent states merged, and the result
     renumbered breadth-first from the initial state with letters explored in
     alphabet order, so equal languages yield identical automata.
     """
-    return from_maps(d.alphabet, *minimal_maps(d.transitions.maps, d.finals_mask, d.initial))
-
-
-def is_minimal(d: Dfa) -> bool:
-    t = d.transitions
-    if len(reachable_states(t)) != d.n:
-        return False
-    return len(set(_partition(t.maps, d.finals_mask))) == d.n
+    maps, finals = d.transitions.maps, d.finals_mask
+    maps, finals, _ = quotient_maps(maps, finals, _partition(maps, finals), d.initial)
+    return from_maps(d.alphabet, maps, finals)
 
 
 def sink_to_top(d: Dfa) -> Dfa:
@@ -578,31 +555,6 @@ def sink_to_top(d: Dfa) -> Dfa:
 # the state preorder
 
 
-def language_containment(d: Dfa, p: int, q: int) -> bool:
-    """Whether the language of p is contained in the language of q.
-
-    Containment fails exactly when some word sends p to a final state and q
-    to a non-final one; breadth-first search over state pairs finds such a
-    word if one exists.
-    """
-    n = d.n
-    if not (0 <= p < n and 0 <= q < n):
-        raise ValueError("state out of range")
-    finals = d.finals
-    pair = (p, q)
-    seen = {pair}
-    queue = [pair]
-    for x, y in queue:
-        if x in finals and y not in finals:
-            return False
-        for g in d.delta:
-            nxt = (g.image[x], g.image[y])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
-
-
 def preorder(d: Dfa) -> StatePreorder:
     """The full containment relation, by closing the bad pairs backward.
 
@@ -610,11 +562,10 @@ def preorder(d: Dfa) -> StatePreorder:
     letter leads it to a bad pair: the pairs from which ``classify_minimal``
     finds a crossing pair walking forward over ``Transitions.pair_maps`` are
     found here walking that pair graph backward from every crossing pair at
-    once, and leq is the complement.  Agrees pointwise with
-    ``language_containment``.  The classification of a candidate needs only
-    three unions of pair masks, not the whole relation; this is the full
-    relation for the chain length, the injection constructions and the
-    uniqueness certificate.
+    once, and leq is the complement.  The classification of a candidate
+    needs only three unions of pair masks, not the whole relation; this is
+    the full relation for the chain length, the injection constructions and
+    the uniqueness certificate.
     """
     t = d.transitions
     n = t.n
@@ -661,21 +612,3 @@ def transition_semigroup(d: Dfa, cap: int | None = None) -> TransformationSemigr
 def syntactic_complexity(d: Dfa, cap: int | None = None) -> int:
     """Size of the transition semigroup of the minimal DFA."""
     return transition_semigroup(minimize(d), cap=cap).size
-
-
-def same_language(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality via product reachability (alphabets must match)."""
-    if d1.alphabet != d2.alphabet:
-        raise ValueError("alphabets differ")
-    pair = (d1.initial, d2.initial)
-    seen = {pair}
-    queue = [pair]
-    for x, y in queue:
-        if (x in d1.finals) != (y in d2.finals):
-            return False
-        for g1, g2 in zip(d1.delta, d2.delta):
-            nxt = (g1.image[x], g2.image[y])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True

@@ -405,8 +405,8 @@ def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ..
     a final state too, so every subset that meets them accepts Sigma*.  The
     subsets that miss them are reached only from subsets that miss them too,
     so the language and the minimal DFA stay the same.  Otherwise the
-    construction is plain.  Raises ``ValueError`` above 256 subsets, counted
-    after the collapse, like the packed form."""
+    construction is plain.  Raises ``ValueError`` as the 257th subset is
+    numbered, counted after the collapse, like the packed form."""
     n = len(maps[0])
     bits = [[1 << r for r in m] for m in maps]
     final_states = [q for q in range(n) if finals >> q & 1]
@@ -430,10 +430,10 @@ def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ..
             i = get(nxt)
             if i is None:
                 i = number[nxt] = len(order)
+                if i == 256:
+                    raise ValueError("the packed form holds at most 256 states")
                 order.append(nxt)
             append(i)
-    if len(order) > 256:
-        raise ValueError("the packed form holds at most 256 states")
     return (
         tuple(map(bytes, rows)),
         sum(1 << i for i, subset in enumerate(order) if subset & finals),
@@ -577,11 +577,11 @@ def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -
        ``_partition``, before any renumbering, since the minimal DFA keeps
        only the reachable classes.
 
-    The rest are numbered with ``quotient_maps`` on the same partition,
-    which is ``minimal_maps``.  Each draw stays packed (``bytes`` letter
-    maps and a finals mask) to the accept test; only the accepted sample
-    becomes a ``Dfa``.  The random stream does not depend on which test
-    rejects a draw, so a closure skipped changes no sample.
+    The rest are numbered with ``quotient_maps`` on the same partition: the
+    minimal DFA as ``minimize`` numbers it.  Each draw stays packed
+    (``bytes`` letter maps and a finals mask) to the accept test; only the
+    accepted sample becomes a ``Dfa``.  The random stream does not depend on
+    which test rejects a draw, so a closure skipped changes no sample.
 
     L.Sigma*, Sigma*.L and Sigma*.L.Sigma* are ideals of their class whenever
     they are non-empty, so nothing here classifies the sample; the campaign
@@ -601,7 +601,7 @@ def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -
         block = _partition(maps, finals)
         if len(set(block)) < n:
             continue
-        maps, finals = quotient_maps(maps, finals, block)
+        maps, finals, _ = quotient_maps(maps, finals, block)
         if len(maps[0]) == n and finals:
             return from_maps(_LETTERS[:alphabet_size], maps, finals)
     return None

@@ -44,9 +44,9 @@ from .dfa import (
     Dfa,
     StatePreorder,
     from_maps,
-    labelled_quotient_maps,
     minimize,
     preorder,
+    quotient_maps,
     sink_to_top,
     transition_semigroup,
 )
@@ -176,9 +176,7 @@ def minimal_context(
     n = m.n
     t = m.transitions
     # perm[q]: the label state q of m ends up with, needed only to move T.
-    maps, finals, perm = labelled_quotient_maps(
-        t.maps, m.finals_mask, bytes(range(n)), m.initial
-    )
+    maps, finals, perm = quotient_maps(t.maps, m.finals_mask, bytes(range(n)), m.initial)
     m = from_maps(m.alphabet, maps, finals)
     if klass is IdealClass.TWO_SIDED:
         # A two-sided ideal's minimal DFA has one final state, its sink.

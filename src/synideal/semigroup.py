@@ -110,7 +110,9 @@ class TransformationSemigroup:
         return tuple(Transformation(tuple(b)) for b in sorted(self.images))
 
     def __contains__(self, t: Transformation) -> bool:
-        return contains(self, t)
+        if t.n != self.n:
+            raise ValueError(f"size mismatch: {t.n} vs {self.n}")
+        return t.packed() in self.images
 
     def to_text(self) -> str:
         lines = [f"semigroup n={self.n} size={self.size}"]
@@ -281,12 +283,6 @@ def _malloc_trim() -> Callable[[int], int] | None:
     trim.argtypes = [ctypes.c_size_t]
     trim.restype = ctypes.c_int
     return trim
-
-
-def contains(s: TransformationSemigroup, t: Transformation) -> bool:
-    if t.n != s.n:
-        raise ValueError(f"size mismatch: {t.n} vs {s.n}")
-    return t.packed() in s.images
 
 
 def generator_necessity(s: TransformationSemigroup) -> list[bool]:

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from itertools import combinations, product, repeat
 from typing import Sequence
 
-from synideal.dfa import Dfa, StatePreorder, minimize, sink_to_top, transition_semigroup
+from synideal.dfa import (
+    Dfa,
+    StatePreorder,
+    _partition,
+    minimize,
+    reachable_states,
+    sink_to_top,
+    transition_semigroup,
+)
 from synideal.harness import SAMPLE_ATTEMPTS
 from synideal.ideals import ClassificationReport, applicable_bounds
 from synideal.injection import (
@@ -72,6 +80,35 @@ def containment_by_word_search(d: Dfa, p: int, q: int) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return True
+
+
+def same_language(d1: Dfa, d2: Dfa) -> bool:
+    """Language equality via product reachability (alphabets must match)."""
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("alphabets differ")
+    pair = (d1.initial, d2.initial)
+    seen = {pair}
+    queue = [pair]
+    for x, y in queue:
+        if (x in d1.finals) != (y in d2.finals):
+            return False
+        for g1, g2 in zip(d1.delta, d2.delta):
+            nxt = (g1.image[x], g2.image[y])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
+def is_minimal(d: Dfa) -> bool:
+    """Every state reachable and no two equivalent, on the package's own
+    kernels (``reachable_states``, ``dfa._partition``): a predicate for
+    tests, checked itself against ``reference_partition`` in
+    ``test_kernels.py``."""
+    t = d.transitions
+    if len(reachable_states(t)) != d.n:
+        return False
+    return len(set(_partition(t.maps, d.finals_mask))) == d.n
 
 
 def orbit_reaches_fixed_point(t: Transformation, q0: int) -> bool:
@@ -303,7 +340,7 @@ def reference_preorder(d: Dfa) -> StatePreorder:
 
     A pair (p, q) is bad (p not <= q) iff p is final and q is not, or some
     letter leads to a bad pair; the worklist closes the bad set, and leq is
-    its complement.  Agrees pointwise with ``language_containment``.
+    its complement.  Agrees pointwise with ``containment_by_word_search``.
     """
     n = d.n
     finals = d.finals

@@ -6,15 +6,12 @@ from synideal.dfa import (
     Dfa,
     DfaParseError,
     from_json_dict,
-    is_minimal,
-    labelled_quotient_maps,
-    language_containment,
     max_chain_length,
     minimize,
     parse_dfa,
     parse_dfa_json,
     preorder,
-    same_language,
+    quotient_maps,
     sink_to_top,
     syntactic_complexity,
     to_dot,
@@ -27,8 +24,11 @@ from synideal.transform import Transformation, identity
 from synideal.witness import IdealClass, build
 
 from oracles import (
+    containment_by_word_search,
     containment_by_words,
+    is_minimal,
     random_dfa,
+    same_language,
     sigma_ladder_dfas,
     trailing_runs_dfa,
     unary_threshold_dfa,
@@ -169,7 +169,7 @@ class TestMinimize:
                 frozenset(perm[f] for f in m.finals),
             )
             t = d.transitions
-            maps, finals, label = labelled_quotient_maps(
+            maps, finals, label = quotient_maps(
                 t.maps, d.finals_mask, bytes(range(d.n)), d.initial
             )
             assert maps == m.transitions.maps and finals == m.finals_mask
@@ -199,18 +199,18 @@ class TestSinkToTop:
 class TestContainment:
     def test_reflexive(self):
         d = trailing_runs_dfa(3)
-        assert language_containment(d, 1, 1)
+        assert preorder(d).leq[1][1]
 
     def test_trailing_runs_chain(self):
-        d = trailing_runs_dfa(3)
-        assert language_containment(d, 0, 1)
-        assert language_containment(d, 1, 2)
-        assert not language_containment(d, 1, 0)
+        leq = preorder(trailing_runs_dfa(3)).leq
+        assert leq[0][1]
+        assert leq[1][2]
+        assert not leq[1][0]
 
     def test_left_witness_row_zero(self):
-        w = build(IdealClass.LEFT, 4)
+        leq = preorder(build(IdealClass.LEFT, 4)).leq
         for q in range(4):
-            assert language_containment(w, 0, q)
+            assert leq[0][q]
 
     def test_against_word_oracle(self):
         rng = random.Random(11)
@@ -218,11 +218,7 @@ class TestContainment:
             n = rng.randrange(2, 5)
             d = random_dfa(rng, n, 2)
             p, q = rng.randrange(n), rng.randrange(n)
-            assert language_containment(d, p, q) == containment_by_words(d, p, q)
-
-    def test_state_out_of_range(self):
-        with pytest.raises(ValueError):
-            language_containment(trailing_runs_dfa(3), 0, 5)
+            assert preorder(d).leq[p][q] == containment_by_words(d, p, q)
 
 
 class TestPreorder:
@@ -237,7 +233,7 @@ class TestPreorder:
             po = preorder(d)
             for p in range(d.n):
                 for q in range(d.n):
-                    assert po.leq[p][q] == language_containment(d, p, q)
+                    assert po.leq[p][q] == containment_by_word_search(d, p, q)
 
     def test_transitive_and_reflexive(self):
         rng = random.Random(17)

@@ -10,10 +10,8 @@ from synideal.dfa import (
     Dfa,
     StatePreorder,
     from_maps,
-    is_minimal,
     minimize,
     parse_dfa,
-    same_language,
     to_text,
     transition_semigroup,
 )
@@ -36,8 +34,10 @@ from synideal.witness import IdealClass, bound, build, has_maximal_order
 from oracles import (
     contains_run_dfa,
     is_initially_aperiodic,
+    is_minimal,
     random_dfa,
     reference_relabels_to_expected,
+    same_language,
     sigma_star_prefix_dfa,
     trailing_runs_dfa,
 )

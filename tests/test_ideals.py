@@ -6,9 +6,7 @@ import pytest
 from synideal.dfa import (
     Dfa,
     from_maps,
-    is_minimal,
     minimize,
-    same_language,
     transition_semigroup,
 )
 from synideal import harness
@@ -19,10 +17,12 @@ from synideal.witness import IdealClass, build
 
 from oracles import (
     contains_run_dfa,
+    is_minimal,
     naive_closure,
     not_left_ideal_dfa,
     random_dfa,
     reference_ur_chain,
+    same_language,
     sigma_star_prefix_dfa,
     trailing_runs_dfa,
     unary_threshold_dfa,

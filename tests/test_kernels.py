@@ -1,7 +1,7 @@
 """The packed candidate kernels against the reference implementations they
 replaced and against containment decided by word search.
 
-``dfa._partition``, ``dfa.minimal_maps``, ``dfa.preorder``,
+``dfa._partition``, ``dfa.quotient_maps``, ``dfa.preorder``,
 ``ideals.classify_minimal`` and the ideal sampler with its closures work on
 ``bytes`` maps and ``int`` masks; ``oracles.reference_*`` are the dict- and
 ``Dfa``-based versions.  Classification is compared on every DFA, minimal or
@@ -12,6 +12,7 @@ two must agree everywhere.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -21,12 +22,10 @@ from synideal.dfa import (
     Transitions,
     _partition,
     from_maps,
-    is_minimal,
-    minimal_maps,
     minimize,
     preorder,
+    quotient_maps,
     reachable_states,
-    same_language,
 )
 from synideal.harness import (
     _CLOSURE_BOUNDS,
@@ -43,6 +42,7 @@ from synideal.witness import IdealClass
 from oracles import (
     REFERENCE_CLOSURES,
     containment_by_word_search,
+    is_minimal,
     random_dfa,
     reference_classify_minimal,
     reference_draws,
@@ -51,6 +51,7 @@ from oracles import (
     reference_partition,
     reference_preorder,
     reference_sample_ideal_dfa,
+    same_language,
 )
 
 
@@ -65,7 +66,8 @@ def _reachable(d: Dfa) -> list[int]:
 
 def _check_minimal(d: Dfa) -> None:
     m = minimize(d)
-    assert minimal_maps(d.transitions.maps, d.finals_mask, d.initial) == (
+    maps, finals = d.transitions.maps, d.finals_mask
+    assert quotient_maps(maps, finals, _partition(maps, finals), d.initial)[:2] == (
         m.transitions.maps,
         m.finals_mask,
     ), d
@@ -240,6 +242,30 @@ def test_left_closure_refuses_more_than_256_subsets():
         _left_closure((a, b), 1 << 9)
 
 
+def test_left_closure_refuses_as_the_257th_subset_is_numbered():
+    # L = a.Sigma^14 (states 0..15 count, 16 is the sink): Sigma*.L has
+    # 2^15 subsets, and numbering every one of them before refusing traced
+    # a peak of ~4 MB.  Refused as subset 257 is numbered, the tables hold
+    # 256 subsets.
+    k = 14
+    a = bytes([1, *range(2, k + 2), k + 2, k + 2])
+    b = bytes([k + 2, *range(2, k + 2), k + 2, k + 2])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 256 states"):
+            _left_closure((a, b), 1 << (k + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
+    # 0 reads b to itself and the others count on to state 8; every letter
+    # leaves the final state 1, so nothing collapses, and the subsets are 0
+    # with any set of 1..8: exactly 256, still closed.
+    a = bytes([1, 2, 3, 4, 5, 6, 7, 8, 8])
+    b = bytes([0, 2, 3, 4, 5, 6, 7, 8, 8])
+    assert len(_left_closure((a, b), 1 << 1)[0][0]) == 256
+
+
 @pytest.mark.parametrize("klass", list(IdealClass))
 def test_sampler_draws_what_the_reference_draws(klass):
     for n in range(1, 6):
@@ -310,7 +336,9 @@ def test_sampler_rejects_early_only_what_minimisation_rejects():
                         early["bound"] += few_bound
                         early["states"] += few_states
                         early["classes"] += few_classes
-                        minimal, minimal_finals = minimal_maps(maps, finals)
+                        minimal, minimal_finals, _ = quotient_maps(
+                            maps, finals, _partition(maps, finals)
+                        )
                         if len(minimal[0]) == n and minimal_finals:
                             assert not (few_bound or few_states or few_classes), (
                                 klass, n, maps, finals,

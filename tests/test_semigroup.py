@@ -19,7 +19,6 @@ from synideal.semigroup import (
     _conjugated_images,
     closure,
     conjugated,
-    contains,
     equal_up_to_relabeling,
     generator_necessity,
     minimal_generator_count,
@@ -356,9 +355,9 @@ class TestContains:
         # identity) and the total collapse onto the sink is present, while
         # any map moving the sink is not.
         s = transition_semigroup(build(IdealClass.RIGHT, 4))
-        assert contains(s, identity(4))
-        assert contains(s, T(3, 3, 3, 3))
-        assert not contains(s, T(0, 1, 2, 0))
+        assert identity(4) in s
+        assert T(3, 3, 3, 3) in s
+        assert T(0, 1, 2, 0) not in s
 
     def test_generators_are_members(self):
         s = transition_semigroup(build(IdealClass.LEFT, 4))
@@ -368,7 +367,7 @@ class TestContains:
     def test_size_mismatch(self):
         s = closure([identity(2)])
         with pytest.raises(ValueError):
-            contains(s, identity(3))
+            identity(3) in s
 
 
 class TestGeneratorNecessity:

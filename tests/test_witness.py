@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from synideal import witness
-from synideal.dfa import Dfa, is_minimal, max_chain_length, preorder, transition_semigroup
+from synideal.dfa import Dfa, max_chain_length, preorder, transition_semigroup
 from synideal.ideals import classify
 from synideal.semigroup import generator_necessity
 from synideal.transform import Transformation, identity
@@ -16,7 +16,7 @@ from synideal.witness import (
     has_maximal_order,
 )
 
-from oracles import reference_expected_semigroup
+from oracles import is_minimal, reference_expected_semigroup
 
 
 def T(*image):
