@@ -196,7 +196,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     chain = max_chain_length(preorder(d))
     classes = []
     for klass in IdealClass:
-        if report.in_class(klass):
+        # Below MIN_N a class has no witness and so no bound; campaigns skip it too.
+        if report.in_class(klass) and report.n >= witness.MIN_N[klass]:
             b = witness.bound(klass, report.n)
             classes.append({"class": klass.value, "bound": b, "met": report.sigma == b})
     data = report.to_json_dict()

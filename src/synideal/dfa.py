@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .semigroup import TransformationSemigroup, closure
-from .transform import Transformation, conjugate
+from .transform import Transformation
 
 
 class DfaParseError(ValueError):
@@ -44,11 +44,12 @@ class Dfa:
         for g in self.delta:
             if g.n != n:
                 raise ValueError("transition sizes disagree")
-        if not 0 <= self.initial < n:
-            raise ValueError(f"initial state {self.initial} out of range")
+        # bool is a subclass of int, and no state index.
+        if type(self.initial) is not int or not 0 <= self.initial < n:
+            raise ValueError(f"initial state {self.initial!r} is not a state of [0, {n})")
         for q in self.finals:
-            if not 0 <= q < n:
-                raise ValueError(f"final state {q} out of range")
+            if type(q) is not int or not 0 <= q < n:
+                raise ValueError(f"final state {q!r} is not a state of [0, {n})")
 
     @property
     def n(self) -> int:
@@ -208,6 +209,8 @@ def to_json_dict(d: Dfa) -> dict:
 def from_json_dict(data: dict) -> Dfa:
     try:
         n = data["states"]
+        if type(n) is not int:
+            raise DfaParseError(f"'states' is {n!r}, not an integer")
         letters = list(data["alphabet"])
         trans = data["trans"]
         delta = []
@@ -323,16 +326,6 @@ class Transitions:
                 if r & bit:
                     out[q] = r | via
         return tuple(out)
-
-    @_fact
-    def fixed(self) -> int:
-        """The states that every letter fixes."""
-        out = (1 << self.n) - 1
-        for m in self.maps:
-            for q, r in enumerate(m):
-                if q != r:
-                    out &= ~(1 << q)
-        return out
 
     @_fact
     def pair_maps(self) -> tuple[tuple[int, ...], ...]:
@@ -528,27 +521,6 @@ def minimize(d: Dfa) -> Dfa:
     maps, finals = d.transitions.maps, d.finals_mask
     maps, finals, _ = quotient_maps(maps, finals, _partition(maps, finals), d.initial)
     return from_maps(d.alphabet, maps, finals)
-
-
-def sink_to_top(d: Dfa) -> Dfa:
-    """The same DFA with its one final state relabeled n-1.
-
-    The final state and state n-1 swap labels; every other state keeps its
-    own, so the initial state 0 of a minimal ideal DFA with n >= 2 stays 0.
-    A DFA whose final state is already n-1 is returned as it is.
-    """
-    (f,) = d.finals
-    n = d.n
-    if f == n - 1:
-        return d
-    perm = list(range(n))
-    perm[f], perm[n - 1] = n - 1, f
-    return Dfa(
-        alphabet=d.alphabet,
-        delta=tuple(conjugate(g, perm) for g in d.delta),
-        initial=perm[d.initial],
-        finals=frozenset({n - 1}),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -524,8 +524,6 @@ def _draws(n: int, alphabet_size: int, seed: int):
     getrandbits = rng.getrandbits
     for attempt in range(SAMPLE_ATTEMPTS):
         m = n + (attempt % 3) - 1 if n > 2 else n
-        if m < 1:
-            m = n
         if m > 256:
             raise ValueError("the packed form holds at most 256 states")
         below_m = filter(m.__gt__, map(getrandbits, repeat(m.bit_length())))

@@ -91,11 +91,11 @@ def classify_minimal(
     Every fact that depends on the letters alone comes from ``t``, computed
     once per letter tuple: forward reach masks, the three unions of pair
     masks that decide the left-ideal, all-sided and suffix-closed
-    containments, the fixed states and the unique-reachability depth.  What
-    depends on the final states is then a few integer ANDs: a containment
-    family holds iff its pair union misses ``crossing_pairs(n, finals)``; q is
-    dead iff ``reach[q] & finals`` is empty and all-accepting iff
-    ``reach[q]`` misses the non-final states.
+    containments, and the unique-reachability depth.  What depends on the
+    final states is then a few integer ANDs: a containment family holds iff
+    its pair union misses ``crossing_pairs(n, finals)``; q is dead iff
+    ``reach[q] & finals`` is empty and all-accepting iff ``reach[q]`` misses
+    the non-final states.
 
     A report is a pure function of n, the right / left / all-sided / prefix
     / suffix flags, the four special-quotient flags, the ur depth and sigma.
@@ -109,7 +109,9 @@ def classify_minimal(
     cross = crossing_pairs(n, finals)
     non_empty = finals != 0
 
-    right = non_empty and finals & (finals - 1) == 0 and finals & t.fixed != 0
+    # One final state f, fixed by every letter: f is its only successor.
+    f = finals.bit_length() - 1
+    right = non_empty and finals == 1 << f and t.successors[f] == finals
     left = non_empty and not t.initial_step_pairs & cross
     all_sided = non_empty and not t.step_pairs & cross
 

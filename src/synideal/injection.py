@@ -40,19 +40,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .dfa import (
-    Dfa,
-    StatePreorder,
-    from_maps,
-    minimize,
-    preorder,
-    quotient_maps,
-    sink_to_top,
-    transition_semigroup,
-)
+from .dfa import Dfa, StatePreorder, minimize, preorder, quotient_maps, transition_semigroup
 from .ideals import classify_minimal
 from .semigroup import TransformationSemigroup, conjugated
-from .transform import Transformation
+from .transform import Transformation, conjugate
 from .witness import IdealClass, expected_semigroup
 
 #: Smallest state count with an injection construction, per class.
@@ -165,29 +156,29 @@ def minimal_context(
     the maximal semigroup of the class at that size; nothing here minimises,
     classifies or checks n.
 
-    The states are renumbered breadth-first as ``minimize`` numbers them and,
-    for the two-sided class, the final sink is relabeled n-1; then the DFA is
-    closed once and its preorder computed.  So a minimal ``m`` yields the
-    context ``make_context(m, klass)`` builds.  ``T``, when given, is the
-    transition semigroup of ``m``: it is conjugated by the renumbering and
-    the sink relabeling instead of closing the renumbered DFA (most sweep
-    candidates are renumbered; a sampled DFA is already numbered so).
+    One permutation relabels the states: breadth-first, as ``minimize``
+    numbers them, and for the two-sided class with the final sink then
+    swapped with n-1.  So a minimal ``m`` yields the context
+    ``make_context(m, klass)`` builds.  ``T``, when given, is the transition
+    semigroup of ``m`` and is conjugated by the same permutation instead of
+    closing the relabeled DFA.  When the permutation is the identity, as for
+    every sampled left ideal, ``m`` and ``T`` are used as they are.
     """
     n = m.n
-    t = m.transitions
-    # perm[q]: the label state q of m ends up with, needed only to move T.
-    maps, finals, perm = quotient_maps(t.maps, m.finals_mask, bytes(range(n)), m.initial)
-    m = from_maps(m.alphabet, maps, finals)
+    # perm[q]: the label state q of m ends up with.
+    _, _, perm = quotient_maps(m.transitions.maps, m.finals_mask, bytes(range(n)), m.initial)
     if klass is IdealClass.TWO_SIDED:
         # A two-sided ideal's minimal DFA has one final state, its sink.
         # Relabeling changes neither the classification nor sigma.
-        (sink,) = m.finals
-        m = sink_to_top(m)
+        (sink,) = (perm[f] for f in m.finals)
         perm = [n - 1 if r == sink else sink if r == n - 1 else r for r in perm]
+    if perm != list(range(n)):
+        delta = tuple(conjugate(g, perm) for g in m.delta)
+        m = Dfa(m.alphabet, delta, 0, frozenset(perm[f] for f in m.finals))
+        if T is not None:
+            T = conjugated(T, perm)
     if T is None:
         T = transition_semigroup(m)
-    elif perm != list(range(n)):
-        T = conjugated(T, perm)
     return InjectionContext(klass=klass, dfa=m, po=preorder(m), T=T, S=S)
 
 

@@ -33,7 +33,8 @@ class Transformation:
         if n == 0:
             raise ValueError("transformation needs at least one state")
         for q, r in enumerate(image):
-            if not (isinstance(r, int) and 0 <= r < n):
+            # bool is a subclass of int, and no state index.
+            if not (type(r) is int and 0 <= r < n):
                 raise ValueError(f"image of state {q} is {r!r}, not in [0, {n})")
 
     @property

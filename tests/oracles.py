@@ -18,7 +18,6 @@ from synideal.dfa import (
     _partition,
     minimize,
     reachable_states,
-    sink_to_top,
     transition_semigroup,
 )
 from synideal.harness import SAMPLE_ATTEMPTS
@@ -215,8 +214,15 @@ def reference_relabels_to_expected(d: Dfa, klass: IdealClass) -> bool:
     to n <= RELABEL_MAX_N, like ``equal_up_to_relabeling``."""
     fixed = {0}
     if klass in (IdealClass.RIGHT, IdealClass.TWO_SIDED):
-        d = sink_to_top(d)
-        fixed.add(d.n - 1)
+        # Swap the labels of the one final state and n-1; a swap is its own
+        # inverse, so state q's new image is swap[image[swap[q]]].
+        (f,) = d.finals
+        top = d.n - 1
+        swap = list(range(d.n))
+        swap[f], swap[top] = top, f
+        delta = tuple(Transformation(tuple(swap[g.image[r]] for r in swap)) for g in d.delta)
+        d = Dfa(d.alphabet, delta, swap[d.initial], frozenset({top}))
+        fixed.add(top)
     target = expected_semigroup(klass, d.n)
     return equal_up_to_relabeling(transition_semigroup(d), target, fixed) is not None
 
@@ -241,11 +247,6 @@ def sigma_star_prefix_dfa(d: Dfa) -> Dfa:
         0,
         frozenset(i for i, subset in enumerate(order) if subset & d.finals),
     )
-
-
-def enumerate_words(alphabet: tuple[str, ...], max_len: int):
-    for length in range(max_len + 1):
-        yield from product(alphabet, repeat=length)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,52 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/x.dfa")
         assert code == 2
 
+    def test_sigma_star_meets_the_classes_it_has_witnesses_for(self, capsys, tmp_path):
+        # The one-state DFA of Sigma* is an ideal of every class, but the
+        # two-sided witnesses start at n = 2.
+        path = tmp_path / "all.dfa"
+        path.write_text("states 1\nalphabet a\ninitial 0\nfinal 0\ntrans a 0\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, err) == (0, "")
+        assert "is_two_sided_ideal True" in out
+        bounds = [line for line in out.splitlines() if line.startswith(("class_", "bound_"))]
+        assert bounds == [
+            "class_bound right 1 met True",
+            "class_bound left 1 met True",
+            "bound_met True",
+        ]
+
+
+#: A valid two-state DFA in JSON, and edits of it whose state count or state
+#: indices are floats or booleans.
+TWO_STATES = {"states": 2, "alphabet": ["a"], "initial": 0, "final": [1], "trans": {"a": [1, 1]}}
+NON_INTEGER_STATES = {
+    "float initial": {"initial": 1.0},
+    "float final": {"final": [1.0]},
+    "bool initial": {"initial": False},
+    "bool final": {"final": [True]},
+    "bool image": {"trans": {"a": [True, 1]}},
+    "float states": {"states": 2.0},
+    "bool states": {"states": True, "final": [], "trans": {"a": [0]}},
+}
+
+
+class TestJsonStateIndices:
+    @pytest.mark.parametrize("command", ["analyze", "classify", "export-dot"])
+    @pytest.mark.parametrize("edit", NON_INTEGER_STATES.values(), ids=NON_INTEGER_STATES)
+    def test_non_integer_states_exit_2(self, capsys, tmp_path, command, edit):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TWO_STATES, **edit}))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_the_unedited_file_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(TWO_STATES))
+        code, out, _ = run_cli(capsys, "export-dot", str(path))
+        assert code == 0 and "  __start -> 0;" in out and "  0 -> 1 [" in out
+
 
 class TestClassifyCommand:
     def test_text(self, capsys, dfa_file):

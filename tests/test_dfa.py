@@ -12,7 +12,6 @@ from synideal.dfa import (
     parse_dfa_json,
     preorder,
     quotient_maps,
-    sink_to_top,
     syntactic_complexity,
     to_dot,
     to_json_dict,
@@ -175,25 +174,6 @@ class TestMinimize:
             assert maps == m.transitions.maps and finals == m.finals_mask
             assert [conjugate(g, label) for g in d.delta] == list(m.delta)
             assert label[d.initial] == 0 and sorted(label) == list(range(d.n))
-
-
-class TestSinkToTop:
-    def test_final_state_becomes_top(self):
-        rng = random.Random(41)
-        moved = 0
-        for _ in range(100):
-            d = random_dfa(rng, rng.randrange(2, 6), 2)
-            d = Dfa(d.alphabet, d.delta, 0, frozenset({rng.randrange(1, d.n)}))
-            top = sink_to_top(d)
-            assert top.finals == {d.n - 1} and top.initial == 0
-            assert same_language(d, top)
-            moved += top != d
-        assert moved
-
-    def test_final_state_already_on_top_is_unchanged(self):
-        w = build(IdealClass.TWO_SIDED, 4)
-        assert w.finals == {3}
-        assert sink_to_top(w) is w
 
 
 class TestContainment:

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from synideal.dfa import Dfa, StatePreorder
+from synideal.dfa import Dfa, StatePreorder, transition_semigroup
 from synideal.harness import sample_ideal_dfa
 from synideal.injection import (
     CASE_LABELS,
@@ -13,13 +13,14 @@ from synideal.injection import (
     apply_f,
     classify_case,
     make_context,
+    minimal_context,
     verify_injection,
 )
 from synideal.semigroup import TransformationSemigroup
-from synideal.transform import Transformation
-from synideal.witness import IdealClass, build
+from synideal.transform import Transformation, conjugate
+from synideal.witness import IdealClass, build, expected_semigroup
 
-from oracles import reference_verify_injection
+from oracles import reference_verify_injection, same_language
 
 
 def T(*image):
@@ -73,6 +74,47 @@ class TestContext:
         n = two_sided_ctx.n
         assert two_sided_ctx.dfa.finals == {n - 1}
         assert all(t.image[n - 1] == n - 1 for t in two_sided_ctx.T.elements)
+
+    def test_two_sided_samples_move_their_sink_to_n_minus_1(self):
+        # The sampler numbers states breadth-first, so its sink is n-1 only
+        # by chance; a shuffled copy also moves the initial state off 0.
+        # Both must come out as the same context DFA.
+        rng = random.Random(41)
+        moved = 0
+        for n in (4, 5, 6):
+            S = expected_semigroup(IdealClass.TWO_SIDED, n)
+            for seed in range(8):
+                m = sample_ideal_dfa(IdealClass.TWO_SIDED, n, 2, seed=seed)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                shuffled = Dfa(
+                    m.alphabet,
+                    tuple(conjugate(g, perm) for g in m.delta),
+                    perm[m.initial],
+                    frozenset(perm[f] for f in m.finals),
+                )
+                ctx = minimal_context(m, IdealClass.TWO_SIDED, S, transition_semigroup(m))
+                assert ctx.dfa.finals == {n - 1} and ctx.dfa.initial == 0
+                assert same_language(ctx.dfa, m)
+                assert ctx.T.images == transition_semigroup(ctx.dfa).images
+                other = minimal_context(
+                    shuffled, IdealClass.TWO_SIDED, S, transition_semigroup(shuffled)
+                )
+                assert other.dfa == ctx.dfa and other.T.images == ctx.T.images
+                moved += m.finals != {n - 1}
+        assert moved
+
+    def test_identity_relabeling_uses_the_inputs_as_they_are(self):
+        # A sampled left ideal is numbered breadth-first already, and so is
+        # the two-sided n=4 witness, whose sink is 3: each permutation is the
+        # identity, so nothing is rebuilt or conjugated.
+        left = IdealClass.LEFT
+        cases = [(left, sample_ideal_dfa(left, n, 2, seed=n)) for n in (3, 4, 5)]
+        cases.append((IdealClass.TWO_SIDED, build(IdealClass.TWO_SIDED, 4)))
+        for klass, m in cases:
+            T = transition_semigroup(m)
+            ctx = minimal_context(m, klass, expected_semigroup(klass, m.n), T)
+            assert ctx.dfa is m and ctx.T is T
 
 
 class TestClassifyCase:
