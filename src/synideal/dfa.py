@@ -211,10 +211,21 @@ def from_json_dict(data: dict) -> Dfa:
         n = data["states"]
         if type(n) is not int:
             raise DfaParseError(f"'states' is {n!r}, not an integer")
-        letters = list(data["alphabet"])
+        letters = data["alphabet"]
+        if type(letters) is not list:
+            raise DfaParseError(f"'alphabet' is {letters!r}, not a list of letters")
+        for a in letters:
+            # A letter is one token of the text format: no whitespace.
+            if type(a) is not str or a.split() != [a]:
+                raise DfaParseError(f"bad letter {a!r} in alphabet")
         trans = data["trans"]
+        for a in trans:
+            if a not in letters:
+                raise DfaParseError(f"letter '{a}' not in alphabet")
         delta = []
         for a in letters:
+            if a not in trans:
+                raise DfaParseError(f"missing transition row for letter '{a}'")
             images = trans[a]
             if len(images) != n:
                 raise DfaParseError(f"letter '{a}': expected {n} images")

@@ -17,24 +17,43 @@ c and c*d = c, the left witness's constant e has x*e = e) that forms 20%
 (right), 36% (left) and 31% (two-sided) fewer products.  Below the switch the
 per-generator lists would cost more than they save.
 
+Past the switch, a closure whose permutation letters generate the whole
+symmetric group G = Sym(M) on the states M they move, with |M|! above
+``SPLIT_FRONTIER``, adds whole orbits of G instead (Linton, Pfeiffer,
+Robertson & Ruskuc 1998; East, Egri-Nagy, Mitchell & Peresse 2019).  G lies
+in the closure, so the closure is a union of orbits t*G; only one
+representative per orbit is multiplied, and a new element costs one insert
+where the relations path forms about three products per element and looks
+each one up.  The right and left witnesses at n=8 have Sym on 7 states as
+units (7! = 5,040) and take this path: 4,140 and 4,141 orbits, so 16,560
+and 20,705 products past the switch, against ~6.7M each by the relations.
+Their closures take about half as long: 1.1-1.2 s against 2.4-2.6 s
+(right) and 1.2-1.8 s against 2.5-3.2 s (left), three alternated runs
+each.  The two-sided n=8 witness's units act on 6 states (6! = 720) and
+every witness's at n <= 7 on at most 6, so those skip products by the
+relations.
+
 Past the switch a closure also hands the set tables it outgrows back to the
-OS once a round (glibc's ``malloc_trim``; nothing happens off Linux or where
-the C library lacks it), so it peaks at its elements plus one table however
-many closures the process has already run.  Without the trim, freeing one
-closure's mmapped tables raises glibc's dynamic mmap threshold (up to 32 MB),
-and the next closure's tables up to that size come from the heap, where they
-stay resident once outgrown.  Closing the two-sided, right and left n=8
-witnesses in one process then peaked at 206.8 MB, against 182.0 MB with the
-trim; one right or left closure alone peaks at ~181.5 MB (``ru_maxrss``,
-CPython 3.11.7, x86_64 Linux).  The price is that later rounds fault the
-returned pages in again: ``verdict_s`` of the benchmark's ``closure``
-workload reads about 3% higher.
+OS, once a round or, on the orbit path, each time the set's table grows
+(glibc's ``malloc_trim``; nothing happens off Linux or where the C library
+lacks it), so it peaks at its elements plus one table however many closures
+the process has already run.  Without the trim, freeing one closure's mmapped
+tables raises glibc's dynamic mmap threshold (up to 32 MB), and the next
+closure's tables up to that size come from the heap, where they stay resident
+once outgrown.  Closing the two-sided, right and left n=8 witnesses in one
+process then peaked at 206.8 MB, against 182.0 MB with the trim; one right or
+left closure alone peaks at ~181.5 MB, and closing the right one twice peaks
+at 180.3 MB both times on the orbit path, against 181.3 and 212.0 MB without
+the trim (``ru_maxrss``, CPython 3.11.7, x86_64 Linux).  The price is that
+later rounds fault the returned pages in again: ``verdict_s`` of the
+benchmark's ``closure`` workload reads about 3% higher.
 
 On the witness semigroups at n=7 and n=8 (2.1M elements each for right and
-left ideals at n=8) the engine closes about 6.8e5 elements/s
+left ideals at n=8) the engine closes about 1.5e6 elements/s
 (``semigroup.closure.elements_per_s`` of the benchmark's ``closure``
-workload, median of four traced runs at seed 7919, which read 6.3e5-7.4e5;
-CPython 3.11.7, shared 2-vCPU x86_64 host).
+workload, median of four traced runs at seed 7919, which read 1.39e6-1.56e6;
+7.0e5-8.3e5 without the orbit path, in runs alternated with those; CPython
+3.11.7, shared 2-vCPU x86_64 host).
 """
 
 from __future__ import annotations
@@ -43,6 +62,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, filterfalse, permutations, repeat
+from math import factorial
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Sequence
 
@@ -59,13 +79,16 @@ DEFAULT_CAP = 2_100_000
 #: bounds |S| and with it the size of every class searched.
 GENERATOR_SEARCH_BUDGET = 100
 
-#: Frontier length beyond which a closure keeps each round's new elements in
-#: one list per generator that made them, so that it can skip the products a
-#: generator relation proves repeated (``_close_by_relations``).  Setting up
-#: those lists costs more than it saves on small closures: split from the
-#: first round, the 32,640 two-letter closures at n=4 take ~50 us each
-#: instead of ~18 us.  No n=4 sweep closure (at most 256 elements) and none
-#: of the benchmark's sampled campaigns (at most 167) reaches this length.
+#: Frontier length beyond which a closure either adds whole orbits of its
+#: unit group, when the permutation letters generate Sym(M) on the states M
+#: they move and |M|! exceeds this length too (``_close_by_orbits``), or
+#: else keeps each round's new elements in one list per generator that made
+#: them, so that it can skip the products a generator relation proves
+#: repeated (``_close_by_relations``).  Setting up those lists costs more
+#: than it saves on small closures: split from the first round, the 32,640
+#: two-letter closures at n=4 take ~50 us each instead of ~18 us.  No n=4
+#: sweep closure (at most 256 elements) and none of the benchmark's sampled
+#: campaigns (at most 167) reaches this length.
 SPLIT_FRONTIER = 1024
 
 #: Relabeling search is factorial in the movable states; refuse beyond this.
@@ -126,11 +149,15 @@ def closure(
 ) -> TransformationSemigroup:
     """All distinct composites of one or more generators.
 
-    Frontier-style breadth-first search: each new element is right-multiplied
-    by every generator.  If more than ``cap`` elements appear (default
-    ``DEFAULT_CAP``), ``CapExceeded`` is raised; no partially-closed set ever
-    escapes.  A cap below 1 is a
-    ValueError: every closure has at least one element.
+    Frontier-style breadth-first search (``_close_images``): each new element
+    is right-multiplied by every generator, or past ``SPLIT_FRONTIER`` by
+    the generators that no relation among them rules out; when the
+    permutation letters generate the whole symmetric group on the states
+    they move, only one element per orbit of that group is multiplied, on
+    the left, and each new orbit is added whole.  If more than ``cap``
+    elements appear (default ``DEFAULT_CAP``), ``CapExceeded`` is raised; no
+    partially-closed set ever escapes.  A cap below 1 is a ValueError:
+    every closure has at least one element.
     """
     gens = tuple(generators)
     if not gens:
@@ -172,7 +199,10 @@ def _close_images(
     one list per generator g that made them, and h's pass skips g's list
     whenever g*h is a generator or the identity: those products were formed
     a round earlier.  The passes whose lists are skipped most run first.  The
-    result and ``cap`` are as before.
+    result and ``cap`` are as before.  When the permutation letters generate
+    the whole symmetric group on the states they move, and it has more than
+    ``SPLIT_FRONTIER`` elements (``_symmetric_units``), the rest of the
+    closure adds whole orbits of that group instead (``_close_by_orbits``).
 
     The set is the only table: it grew one element at a time, so it is sized
     for the closure (a copied set is sized for twice its length).
@@ -188,6 +218,9 @@ def _close_images(
     frontier = list(seen)
     while frontier:
         if len(frontier) > SPLIT_FRONTIER:
+            moved = _symmetric_units(gen_images, cap)
+            if moved is not None:
+                return _close_by_orbits(gen_images, seen, moved, cap)
             return _close_by_relations(gen_images, seen, frontier, cap)
         new = []
         append = new.append
@@ -265,6 +298,90 @@ def _close_by_relations(
         if trim is not None:
             trim(0)
     return seen
+
+
+def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
+    """The states M moved by the permutation letters, in increasing order,
+    when those letters generate the whole symmetric group Sym(M) and
+    SPLIT_FRONTIER < |M|! <= cap; None otherwise.
+
+    The group is closed by a loop of its own, never by ``_close_images``,
+    whose switch past ``SPLIT_FRONTIER`` would call back here.  It has at
+    most |M|! elements, so ``cap`` bounds the loop too.  M must not be empty:
+    with no state moved every orbit is a single element.
+    """
+    n = len(gen_images[0])
+    units = [g + bytes(256 - n) for g in gen_images if len(set(g)) == n]
+    moved = bytes(q for q in range(n) if any(g[q] != q for g in units))
+    order = factorial(len(moved))
+    if not moved or not SPLIT_FRONTIER < order <= cap:
+        return None
+    one = bytes(range(n))
+    group = {one}
+    frontier = [one]
+    while frontier:
+        new = []
+        for t in frontier:
+            for g in units:
+                c = t.translate(g)
+                if c not in group:
+                    group.add(c)
+                    new.append(c)
+        frontier = new
+    return moved if len(group) == order else None
+
+
+def _close_by_orbits(
+    gen_images: Sequence[bytes],
+    seen: set[bytes],
+    moved: bytes,
+    cap: int,
+) -> set[bytes] | None:
+    """The rest of ``_close_images`` when the permutation letters generate
+    the whole symmetric group G on the states ``moved`` (``_symmetric_units``).
+
+    G lies in the closure S, so S is a union of orbits t*G: right
+    multiplication by G renumbers the values of t in ``moved`` and keeps the
+    others.  An element not yet in the result is the representative of a
+    new orbit, which goes in whole: if the element takes j values in
+    ``moved``, one ``translate`` for each injection of those values into
+    ``moved``, the tables made on the fly by ``bytes.maketrans``.  Since
+    g*(r*h) = (g*r)*h, multiplying only the representatives on the left by
+    the letters closes S; a product already in the result lies in an orbit
+    that is there whole.  The elements of ``seen``, a few thousand at the
+    switch, seed the first orbits, in a set of their own that is the result.
+    Each time its table grows, the one it outgrew is handed back to the OS
+    (``_malloc_trim``; see the module docstring).
+
+    A new element costs one insert, where ``_close_by_relations`` forms
+    about three products per element and looks each one up.  The result
+    and ``cap`` are as in ``_close_images``.
+    """
+    n = len(gen_images[0])
+    fixed = bytes(q for q in range(n) if q not in moved)
+    pad = bytes(256 - n)
+    maketrans = bytes.maketrans
+    trim = _malloc_trim()
+    closed: set[bytes] = set()
+    table_size = sys.getsizeof(closed)
+    products: Iterable[bytes] = seen
+    while True:
+        reps = []
+        for t in products:
+            if t in closed:
+                continue
+            values = bytes(dict.fromkeys(t.translate(None, fixed)))
+            injections = map(bytes, permutations(moved, len(values)))
+            closed.update(map(t.translate, map(maketrans, repeat(values), injections)))
+            if len(closed) > cap:
+                return None
+            if trim is not None and sys.getsizeof(closed) != table_size:
+                table_size = sys.getsizeof(closed)
+                trim(0)
+            reps.append(t)
+        if not reps:
+            return closed
+        products = (g.translate(r + pad) for r in reps for g in gen_images)
 
 
 @cache

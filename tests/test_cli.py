@@ -138,6 +138,36 @@ class TestJsonStateIndices:
         assert code == 0 and "  __start -> 0;" in out and "  0 -> 1 [" in out
 
 
+#: Edits of TWO_STATES whose letters the JSON reader once misread, with the
+#: error each now exits 2 with: a string read as its characters, a
+#: transition row outside the alphabet dropped, the empty letter accepted.
+BAD_LETTERS = {
+    "string alphabet": (
+        {"alphabet": "ab", "trans": {"a": [1, 1], "b": [0, 1]}},
+        "'alphabet' is 'ab', not a list of letters",
+    ),
+    "row outside the alphabet": (
+        {"trans": {"a": [1, 1], "c": [0, 0]}},
+        "letter 'c' not in alphabet",
+    ),
+    "empty letter": ({"alphabet": [""], "trans": {"": [1, 1]}}, "bad letter '' in alphabet"),
+    "letter with a space": (
+        {"alphabet": ["a b"], "trans": {"a b": [1, 1]}},
+        "bad letter 'a b' in alphabet",
+    ),
+    "missing row": ({"alphabet": ["a", "b"]}, "missing transition row for letter 'b'"),
+}
+
+
+class TestJsonLetters:
+    @pytest.mark.parametrize("edit, message", BAD_LETTERS.values(), ids=BAD_LETTERS)
+    def test_bad_letters_exit_2(self, capsys, tmp_path, edit, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TWO_STATES, **edit}))
+        code, out, err = run_cli(capsys, "export-dot", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestClassifyCommand:
     def test_text(self, capsys, dfa_file):
         path = dfa_file(build(IdealClass.LEFT, 4))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import permutations, product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -303,10 +304,157 @@ class TestRelationSkipping:
                 assert products[0] == count, (klass, switch)
 
 
+def _no_call(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"the closure took {name}")
+
+    return fail
+
+
+def _calls(monkeypatch, name: str) -> list:
+    """Record each call of ``semigroup.<name>``, which still runs."""
+    real = getattr(semigroup, name)
+    calls = []
+
+    def logged(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, name, logged)
+    return calls
+
+
+def _all_maps(n: int) -> set[bytes]:
+    return set(map(bytes, product(range(n), repeat=n)))
+
+
+class TestUnitOrbits:
+    """When the permutation letters generate the whole symmetric group on
+    the states they move, and it has more than ``SPLIT_FRONTIER`` elements,
+    a closure past the switch adds whole orbits of that group
+    (``_close_by_orbits``).  Every other closure takes
+    ``_close_by_relations``."""
+
+    # Unit groups that are not the whole symmetric group on the states they
+    # move: a lone 4-cycle (4 of 24), <(0 1 2)(3 4)> (6 of 120), and an
+    # identity letter (no state moved).
+    OTHER_UNITS = [
+        [T(1, 2, 3, 0)],
+        [T(1, 2, 3, 0), T(0, 0, 2, 3)],
+        [T(1, 2, 0, 4, 3), T(0, 0, 2, 3, 4)],
+        [T(1, 2, 0, 4, 3), T(0, 0, 2, 3, 4), T(3, 3, 4, 0, 1)],
+        [identity(4), T(1, 2, 0, 1), T(0, 0, 2, 3)],
+    ]
+
+    def test_other_unit_groups_fall_back_to_the_relations(self, monkeypatch):
+        # With the switch at 0, |M|! > SPLIT_FRONTIER for every M: the group
+        # alone decides.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        monkeypatch.setattr(semigroup, "_close_by_orbits", _no_call("_close_by_orbits"))
+        calls = _calls(monkeypatch, "_close_by_relations")
+        for gens in self.OTHER_UNITS:
+            expected = {bytes(e) for e in naive_closure(gens)}
+            del calls[:]
+            assert _close_images([g.packed() for g in gens]) == expected, gens
+            assert calls, gens
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_units_moving_every_state_fall_back_up_to_the_switch(self, monkeypatch, n):
+        # The whole monoid of maps: its units are Sym(n), which must outgrow
+        # SPLIT_FRONTIER.  At the default switch that holds from n=7 on.
+        relations = _calls(monkeypatch, "_close_by_relations")
+        orbits = _calls(monkeypatch, "_close_by_orbits")
+        for switch, path in ((factorial(n), relations), (factorial(n) - 1, orbits)):
+            monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
+            del relations[:], orbits[:]
+            assert closure(full_monoid_generators(n)).images == _all_maps(n), (n, switch)
+            assert len(path) == 1 and len(relations) + len(orbits) == 1, (n, switch)
+
+    def test_orbit_closures_equal_the_closed_forms(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
+        for n in range(2, 7):
+            assert closure(full_monoid_generators(n)).images == _all_maps(n), n
+        for klass, lo in MIN_N.items():
+            # The two smallest witnesses of each class have an identity letter.
+            for n in range(lo + 2, 8):
+                images = closure(build(klass, n).delta).images
+                assert images == expected_semigroup(klass, n).images, (klass, n)
+
+    def test_the_relations_still_close_the_witnesses(self, monkeypatch):
+        # With the switch at 0 most witnesses now add orbits; the relations
+        # path must still close them, as it does every other closure.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
+        monkeypatch.setattr(semigroup, "_close_by_orbits", _no_call("_close_by_orbits"))
+        for klass, lo in MIN_N.items():
+            for n in range(lo, 7):
+                images = closure(build(klass, n).delta).images
+                assert images == expected_semigroup(klass, n).images, (klass, n)
+
+    def test_random_symmetric_units_agree_with_naive_closure(self, monkeypatch):
+        # The moved states anywhere among the fixed ones, with random maps
+        # beside a cycle and a transposition of them.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        calls = _calls(monkeypatch, "_close_by_orbits")
+        rng = random.Random(23)
+        for n in range(2, 6):
+            for _ in range(10):
+                moved = rng.sample(range(n), rng.randint(2, n))
+                cycle = dict(zip(moved, moved[1:] + moved[:1]))
+                swap = {moved[0]: moved[1], moved[1]: moved[0]}
+                gens = [T(*(cycle.get(q, q) for q in range(n))), T(*(swap.get(q, q) for q in range(n)))]
+                gens += [random_transformation(rng, n) for _ in range(rng.randint(1, 2))]
+                rng.shuffle(gens)
+                packed = [g.packed() for g in gens]
+                if _close_images(packed, cap=300) is None:
+                    continue  # too large for the quadratic reference
+                del calls[:]
+                assert _close_images(packed) == {bytes(e) for e in naive_closure(gens)}, gens
+                assert calls, gens
+
+    @pytest.mark.parametrize(
+        "switch, klass, n",
+        [
+            (0, IdealClass.RIGHT, 4),
+            (0, IdealClass.LEFT, 5),
+            (100, IdealClass.RIGHT, 6),
+            (100, IdealClass.LEFT, 6),
+        ],
+    )
+    def test_cap_is_exact_in_the_orbit_path(self, monkeypatch, switch, klass, n):
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
+        monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
+        packed = [g.packed() for g in build(klass, n).delta]
+        size = bound(klass, n)
+        assert _close_images(packed, cap=size - 1) is None
+        assert _close_images(packed, cap=size) == expected_semigroup(klass, n).images
+
+    def test_orbit_closure_holds_one_table_at_its_peak(self, monkeypatch):
+        # As test_closure_holds_one_table_at_its_peak, with the switch below
+        # 6! = 720 so that the right n=7 witness adds whole orbits: they go
+        # straight into the one set, and only the representatives are listed.
+        # The peak is 1.06x of the result.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 512)
+        monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
+        gens = build(IdealClass.RIGHT, 7).delta
+        semigroup._malloc_trim()
+        tracemalloc.start()
+        try:
+            images = closure(gens).images
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(images) == 7**6
+        held = sys.getsizeof(images) + sum(map(sys.getsizeof, images))
+        assert peak <= 1.15 * held, peak / held
+
+
 class TestOutgrownTables:
     """Past ``SPLIT_FRONTIER`` a closure returns the set tables it outgrows to
-    the OS once per round (glibc's ``malloc_trim``), so a process peaks at
-    one closure's memory however many closures it has already run."""
+    the OS (glibc's ``malloc_trim``), once per round or, adding whole orbits,
+    each time its set's table grows, so a process peaks at one closure's
+    memory however many closures it has already run."""
 
     CLOSE_TWICE = """
 import resource
@@ -318,21 +466,49 @@ for _ in range(2):
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
-    def test_a_second_n8_closure_peaks_where_the_first_did(self):
+    # The right n=8 witness adds whole orbits of Sym(7), never taking the
+    # relations.
+    CLOSE_RIGHT_TWICE = """
+import resource
+from synideal import semigroup
+from synideal.semigroup import closure
+from synideal.witness import IdealClass, build
+def no_relations(*args):
+    raise AssertionError("the closure took _close_by_relations")
+semigroup._close_by_relations = no_relations
+gens = build(IdealClass.RIGHT, 8).delta
+for _ in range(2):
+    assert closure(gens).size == 2_097_152
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+    @staticmethod
+    def _peaks_kb(script: str) -> tuple[int, int]:
+        """ru_maxrss after each of the two closures ``script`` runs, in a
+        fresh process: this one's heap already holds other tests' tables.
+        ru_maxrss is in KiB on Linux, the only platform with a trim."""
         if semigroup._malloc_trim() is None:
             pytest.skip("no malloc_trim in this C library")
-        # A fresh process: this one's heap already holds other tests' tables.
-        # Without the trim the second closure's tables, up to the raised mmap
-        # threshold, come from the heap and stay resident: 37.1 -> 43.3 MB,
-        # against 36.4 -> 37.6 MB with it (CPython 3.11.7).  ru_maxrss is in
-        # KiB on Linux, the only platform with a trim.
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", self.CLOSE_TWICE],
+            [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=120, check=True,
         )
         first_kb, second_kb = map(int, proc.stdout.split())
+        return first_kb, second_kb
+
+    def test_a_second_n8_closure_peaks_where_the_first_did(self):
+        # Without the trim the second closure's tables, up to the raised mmap
+        # threshold, come from the heap and stay resident: 37.1 -> 43.3 MB,
+        # against 36.4 -> 37.6 MB with it (CPython 3.11.7).
+        first_kb, second_kb = self._peaks_kb(self.CLOSE_TWICE)
+        assert second_kb - first_kb < 3 * 1024, (first_kb, second_kb)
+
+    def test_a_second_orbit_closure_peaks_where_the_first_did(self):
+        # The orbit path trims each time its set's table grows: 180.3 ->
+        # 180.3 MB.  Without the trim, 181.3 -> 212.0 MB (CPython 3.11.7).
+        first_kb, second_kb = self._peaks_kb(self.CLOSE_RIGHT_TWICE)
         assert second_kb - first_kb < 3 * 1024, (first_kb, second_kb)
 
     def test_closures_are_the_same_without_malloc_trim(self, monkeypatch):
