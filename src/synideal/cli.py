@@ -153,7 +153,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "bounds":
         klass = IdealClass.from_string(args.klass)
-        rows = [(n, witness.bound(klass, n)) for n in range(witness.MIN_N[klass], args.n_max + 1)]
+        lo = witness.MIN_N[klass]
+        if args.n_max < lo:
+            raise ValueError(
+                f"--n-max must be at least {lo} for the {klass.value} class, got {args.n_max}"
+            )
+        rows = [(n, witness.bound(klass, n)) for n in range(lo, args.n_max + 1)]
         if args.json:
             print(json.dumps({"class": klass.value, "bounds": rows}))
         else:

@@ -22,16 +22,19 @@ symmetric group G = Sym(M) on the states M they move, with |M|! above
 ``SPLIT_FRONTIER``, adds whole orbits of G instead (Linton, Pfeiffer,
 Robertson & Ruskuc 1998; East, Egri-Nagy, Mitchell & Peresse 2019).  G lies
 in the closure, so the closure is a union of orbits t*G; only one
-representative per orbit is multiplied, and a new element costs one insert
-where the relations path forms about three products per element and looks
-each one up.  The right and left witnesses at n=8 have Sym on 7 states as
-units (7! = 5,040) and take this path: 4,140 and 4,141 orbits, so 16,560
-and 20,705 products past the switch, against ~6.7M each by the relations.
-Their closures take about half as long: 1.1-1.2 s against 2.4-2.6 s
-(right) and 1.2-1.8 s against 2.5-3.2 s (left), three alternated runs
-each.  The two-sided n=8 witness's units act on 6 states (6! = 720) and
-every witness's at n <= 7 on at most 6, so those skip products by the
-relations.
+representative per orbit is multiplied.  Each new orbit is listed from its
+representative, renumbered by one ``maketrans``, through translate tables
+built once per closure, one per permutation of M and shared by every orbit;
+so a new element costs one ``translate`` and one insert, where the
+relations path forms about three products per element and looks each one
+up.  The right and left witnesses at n=8 have Sym on 7 states as units
+(7! = 5,040 tables, about 1.5 MB) and take this path: 4,140 and 4,141
+orbits, so 16,560 and 20,705 products past the switch, against ~6.7M each
+by the relations.  Their closures take under a third as long: 0.85-0.93 s
+against 2.8-3.0 s (right) and 0.86-0.97 s against 2.8-3.3 s (left), three
+alternated runs each.  The two-sided n=8 witness's units act on 6 states
+(6! = 720) and every witness's at n <= 7 on at most 6, so those skip
+products by the relations.
 
 Past the switch a closure also hands the set tables it outgrows back to the
 OS, once a round or, on the orbit path, each time the set's table grows
@@ -49,11 +52,10 @@ later rounds fault the returned pages in again: ``verdict_s`` of the
 benchmark's ``closure`` workload reads about 3% higher.
 
 On the witness semigroups at n=7 and n=8 (2.1M elements each for right and
-left ideals at n=8) the engine closes about 1.5e6 elements/s
+left ideals at n=8) the engine closes about 2.0e6 elements/s
 (``semigroup.closure.elements_per_s`` of the benchmark's ``closure``
-workload, median of four traced runs at seed 7919, which read 1.39e6-1.56e6;
-7.0e5-8.3e5 without the orbit path, in runs alternated with those; CPython
-3.11.7, shared 2-vCPU x86_64 host).
+workload, median of four traced runs at seed 7919, which read 1.84e6-2.67e6;
+CPython 3.11.7, shared 2-vCPU x86_64 host).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from functools import cache, cached_property
 from itertools import combinations, filterfalse, permutations, repeat
 from math import factorial
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .transform import Transformation, conjugate
 
@@ -343,9 +345,9 @@ def _close_by_orbits(
     G lies in the closure S, so S is a union of orbits t*G: right
     multiplication by G renumbers the values of t in ``moved`` and keeps the
     others.  An element not yet in the result is the representative of a
-    new orbit, which goes in whole: if the element takes j values in
-    ``moved``, one ``translate`` for each injection of those values into
-    ``moved``, the tables made on the fly by ``bytes.maketrans``.  Since
+    new orbit, which goes in whole (``_orbit``): one ``translate`` per
+    injection of its values into ``moved``, through translate tables built
+    once on entry and shared by every orbit (``_injection_tables``).  Since
     g*(r*h) = (g*r)*h, multiplying only the representatives on the left by
     the letters closes S; a product already in the result lies in an orbit
     that is there whole.  The elements of ``seen``, a few thousand at the
@@ -353,14 +355,14 @@ def _close_by_orbits(
     Each time its table grows, the one it outgrew is handed back to the OS
     (``_malloc_trim``; see the module docstring).
 
-    A new element costs one insert, where ``_close_by_relations`` forms
-    about three products per element and looks each one up.  The result
-    and ``cap`` are as in ``_close_images``.
+    A new element costs one ``translate`` and one insert, where
+    ``_close_by_relations`` forms about three products per element and looks
+    each one up.  The result and ``cap`` are as in ``_close_images``.
     """
     n = len(gen_images[0])
     fixed = bytes(q for q in range(n) if q not in moved)
     pad = bytes(256 - n)
-    maketrans = bytes.maketrans
+    tables = _injection_tables(moved)
     trim = _malloc_trim()
     closed: set[bytes] = set()
     table_size = sys.getsizeof(closed)
@@ -370,9 +372,7 @@ def _close_by_orbits(
         for t in products:
             if t in closed:
                 continue
-            values = bytes(dict.fromkeys(t.translate(None, fixed)))
-            injections = map(bytes, permutations(moved, len(values)))
-            closed.update(map(t.translate, map(maketrans, repeat(values), injections)))
+            closed.update(_orbit(t, fixed, moved, tables))
             if len(closed) > cap:
                 return None
             if trim is not None and sys.getsizeof(closed) != table_size:
@@ -382,6 +382,42 @@ def _close_by_orbits(
         if not reps:
             return closed
         products = (g.translate(r + pad) for r in reps for g in gen_images)
+
+
+def _injection_tables(moved: bytes) -> list[list[bytes]]:
+    """``tables[j]`` for j = 0..|M|, M = ``moved``: one translate table per
+    injection of moved[:j] into M, |M|!/(|M|-j)! of them.
+
+    Each is the table of a permutation p of M (moved[i] to p[i], every
+    other byte to itself), the one that sends moved[:j] as the injection
+    does and lists the rest of M in increasing order; so p is in
+    ``tables[j]`` for every j from the start of its longest increasing tail
+    on, and the lists share |M|! tables, 5,040 at |M| = 7 (about 1.5 MB).
+    """
+    k = len(moved)
+    tables: list[list[bytes]] = [[] for _ in range(k + 1)]
+    for p in permutations(moved):
+        table = bytes.maketrans(moved, bytes(p))
+        start = k - 1
+        while start > 0 and p[start - 1] < p[start]:
+            start -= 1
+        for j in range(max(start, 0), k + 1):
+            tables[j].append(table)
+    return tables
+
+
+def _orbit(t: bytes, fixed: bytes, moved: bytes, tables: list[list[bytes]]) -> Iterator[bytes]:
+    """The orbit of t under Sym(``moved``), ``fixed`` the other states: one
+    element per table of ``tables[j]`` (``_injection_tables``), j the number
+    of t's values in ``moved``.
+
+    t is first renumbered onto moved[:j], its values in the order they first
+    appear: that element is the same for every element of the orbit, so the
+    orbit is listed in one order whichever of its elements is given.
+    """
+    values = bytes(dict.fromkeys(t.translate(None, fixed)))
+    j = len(values)
+    return map(t.translate(bytes.maketrans(values, moved[:j])).translate, tables[j])
 
 
 @cache

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, permutations, product, repeat
 from typing import Sequence
 
 from synideal.dfa import (
@@ -134,6 +134,18 @@ def naive_closure(gens: list[Transformation]) -> set[tuple[int, ...]]:
         if not new:
             return elems
         elems |= new
+
+
+def orbit_by_injections(t: bytes, moved: bytes) -> list[bytes]:
+    """The orbit of the packed map t under the symmetric group on the states
+    ``moved``, one element per injection of t's values in ``moved`` (in
+    order of first appearance) into ``moved``, each through a
+    ``bytes.maketrans`` table of its own: nothing is shared or renumbered."""
+    values = bytes(dict.fromkeys(q for q in t if q in moved))
+    return [
+        t.translate(bytes.maketrans(values, bytes(image)))
+        for image in permutations(moved, len(values))
+    ]
 
 
 def minimal_generator_count_by_subsets(s: TransformationSemigroup, k_max: int) -> int | None:

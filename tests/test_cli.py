@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,16 @@ class TestBounds:
         data = json.loads(out)
         assert [b for _, b in data["bounds"]] == [1, 2, 9, 64, 625, 7776, 117649]
 
+    @pytest.mark.parametrize(
+        "klass, n_max, least",
+        [("right", "0", 1), ("left", "-3", 1), ("two-sided", "1", 2)],
+    )
+    def test_below_the_smallest_witness_exit_2(self, capsys, klass, n_max, least):
+        code, out, err = run_cli(capsys, "bounds", "--class", klass, "--n-max", n_max)
+        assert code == 2 and out == ""
+        message = f"--n-max must be at least {least} for the {klass} class, got {n_max}"
+        assert err == f"error: {message}\n"
+
 
 class TestVerifyInjection:
     @pytest.mark.parametrize("n, inferred", [(3, "left"), (4, "two-sided")])
@@ -297,6 +308,29 @@ class TestEnumerate:
     def test_budget_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--alphabet-size", "4")
         assert code == 3
+
+    def test_budget_message_gives_a_small_count_exactly(self, capsys):
+        code, _, err = run_cli(capsys, "enumerate", "--n", "5", "--alphabet-size", "2")
+        assert code == 3
+        assert err == "error: 151415625 candidate DFAs exceed the budget 100000000\n"
+
+    @pytest.mark.parametrize("n", ["200", "3000"])
+    def test_budget_exit_3_at_large_n(self, capsys, n):
+        # The exact counts have over 10,000 digits; the refusal builds none
+        # of them, so it neither overflows int-to-str nor takes long.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", "--n", n, "--alphabet-size", "26")
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out == ""
+        assert err == (
+            "error: more than 10000000000000000 candidate DFAs exceed the budget 100000000\n"
+        )
+
+    def test_sample_mode_above_the_closure_limit_exit_2(self, capsys):
+        args = ["--n", "256", "--alphabet-size", "2", "--class", "left", "--mode", "sample"]
+        code, out, err = run_cli(capsys, "enumerate", *args, "--count", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: n must be at most 255") and "got 256" in err
 
     def test_identical_bytes(self, capsys):
         args = ["enumerate", "--n", "2", "--alphabet-size", "2", "--json"]

@@ -2,6 +2,7 @@ import gc
 import hashlib
 from dataclasses import replace
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -59,6 +60,29 @@ class TestSpec:
         CampaignSpec(n=4, alphabet_size=3)
         with pytest.raises(BudgetExceeded):
             CampaignSpec(n=4, alphabet_size=4)
+
+    def test_refusal_agrees_with_the_binomial_count(self):
+        # Refused exactly above the budget, with the count given exactly up
+        # to the budget's square; a count cut short at stop_above is above
+        # it and at most the count.  The n <= 8 counts fit in a few hundred
+        # digits, so the reference can afford to build them.
+        budget = harness.EXHAUSTIVE_BUDGET
+        for n in range(1, 9):
+            for a in range(1, 27):
+                count = sum(comb(n**n, size) for size in range(1, a + 1)) * (2**n - 1)
+                assert exhaustive_candidates(n, a) == count, (n, a)
+                for stop in (10, budget, budget**2):
+                    cut = exhaustive_candidates(n, a, stop_above=stop)
+                    assert cut == count if count <= stop else stop < cut <= count, (n, a, stop)
+                if count <= budget:
+                    CampaignSpec(n=n, alphabet_size=a)
+                    continue
+                with pytest.raises(BudgetExceeded) as refused:
+                    CampaignSpec(n=n, alphabet_size=a)
+                shown = f"{count}" if count <= budget**2 else f"more than {budget**2}"
+                assert str(refused.value) == (
+                    f"{shown} candidate DFAs exceed the budget {budget}"
+                ), (n, a)
 
     @pytest.mark.parametrize("n, a", [(2, 2), (3, 2), (3, 3)])
     def test_budget_estimate_is_the_examined_count(self, n, a):

@@ -18,6 +18,8 @@ from synideal.semigroup import (
     TransformationSemigroup,
     _close_images,
     _conjugated_images,
+    _injection_tables,
+    _orbit,
     closure,
     conjugated,
     equal_up_to_relabeling,
@@ -38,6 +40,7 @@ from oracles import (
     full_monoid_generators,
     minimal_generator_count_by_subsets,
     naive_closure,
+    orbit_by_injections,
     random_transformation,
     reference_conjugated_images,
     reference_generator_necessity,
@@ -429,6 +432,53 @@ class TestUnitOrbits:
         size = bound(klass, n)
         assert _close_images(packed, cap=size - 1) is None
         assert _close_images(packed, cap=size) == expected_semigroup(klass, n).images
+
+    @staticmethod
+    def _maps_with_moved_values(rng, moved, fixed, j, count):
+        """``count`` random maps of the states ``moved`` + ``fixed`` whose
+        values in ``moved`` are exactly j, in a random order of appearance."""
+        n = len(moved) + len(fixed)
+        for _ in range(count):
+            values = rng.sample(moved, j)
+            image = values + [rng.choice(values + list(fixed)) for _ in range(n - j)]
+            rng.shuffle(image)
+            yield bytes(image)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_shared_tables_list_each_orbit_once(self, k):
+        # |M| = k moved states among two fixed ones; for every j the tables
+        # of tables[j] are one per injection of moved[:j] into M.
+        rng = random.Random(k)
+        n = k + 2
+        moved = bytes(sorted(rng.sample(range(n), k)))
+        fixed = bytes(q for q in range(n) if q not in moved)
+        tables = _injection_tables(moved)
+        sizes = [factorial(k) // factorial(k - j) for j in range(k + 1)]
+        assert [len(t) for t in tables] == sizes
+        assert len({id(t) for ts in tables for t in ts}) == factorial(k)
+        for j in range(k + 1):
+            for t in self._maps_with_moved_values(rng, list(moved), fixed, j, 6):
+                orbit = list(_orbit(t, fixed, moved, tables))
+                assert len(set(orbit)) == len(orbit) == sizes[j], (k, j, t)
+                assert set(orbit) == set(orbit_by_injections(t, moved)), (k, j, t)
+                assert t in orbit, (k, j, t)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_element_of_an_orbit_lists_it_in_one_order(self, k):
+        # The representative is renumbered by first appearance of its values
+        # in M, which every element of its orbit shares; renumbering by value
+        # would list t*g from a different element than t.
+        rng = random.Random(100 + k)
+        n = k + 2
+        moved = bytes(sorted(rng.sample(range(n), k)))
+        fixed = bytes(q for q in range(n) if q not in moved)
+        tables = _injection_tables(moved)
+        for j in range(k + 1):
+            for t in self._maps_with_moved_values(rng, list(moved), fixed, j, 3):
+                listed = list(_orbit(t, fixed, moved, tables))
+                for p in permutations(moved):
+                    tg = t.translate(bytes.maketrans(moved, bytes(p)))
+                    assert list(_orbit(tg, fixed, moved, tables)) == listed, (k, t, p)
 
     def test_orbit_closure_holds_one_table_at_its_peak(self, monkeypatch):
         # As test_closure_holds_one_table_at_its_peak, with the switch below
