@@ -70,6 +70,9 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .transform import Transformation, conjugate
 
+#: Most states a closure takes; it packs each map one state per byte.
+MAX_STATES = 255
+
 #: Default element cap of a closure: just above the largest witness semigroup
 #: at n <= 8 (the left ideal one, 2,097,159 elements).
 DEFAULT_CAP = 2_100_000
@@ -168,8 +171,8 @@ def closure(
     for g in gens:
         if g.n != n:
             raise ValueError(f"size mismatch: {g.n} vs {n}")
-    if n > 255:
-        raise ValueError("closure supports at most 255 states")
+    if n > MAX_STATES:
+        raise ValueError(f"closure supports at most {MAX_STATES} states")
     limit = DEFAULT_CAP if cap is None else cap
     if limit < 1:
         raise ValueError(f"closure cap must be at least 1, got {limit}")
@@ -401,7 +404,7 @@ def _injection_tables(moved: bytes) -> list[list[bytes]]:
         start = k - 1
         while start > 0 and p[start - 1] < p[start]:
             start -= 1
-        for j in range(max(start, 0), k + 1):
+        for j in range(start, k + 1):
             tables[j].append(table)
     return tables
 

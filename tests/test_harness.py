@@ -63,17 +63,13 @@ class TestSpec:
 
     def test_refusal_agrees_with_the_binomial_count(self):
         # Refused exactly above the budget, with the count given exactly up
-        # to the budget's square; a count cut short at stop_above is above
-        # it and at most the count.  The n <= 8 counts fit in a few hundred
+        # to the budget's square.  The n <= 8 counts fit in a few hundred
         # digits, so the reference can afford to build them.
         budget = harness.EXHAUSTIVE_BUDGET
         for n in range(1, 9):
             for a in range(1, 27):
                 count = sum(comb(n**n, size) for size in range(1, a + 1)) * (2**n - 1)
                 assert exhaustive_candidates(n, a) == count, (n, a)
-                for stop in (10, budget, budget**2):
-                    cut = exhaustive_candidates(n, a, stop_above=stop)
-                    assert cut == count if count <= stop else stop < cut <= count, (n, a, stop)
                 if count <= budget:
                     CampaignSpec(n=n, alphabet_size=a)
                     continue
