@@ -410,7 +410,7 @@ def _right_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, .
     return tuple(out), finals
 
 
-def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ...], int]:
+def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ...], int] | None:
     """Sigma*.L by subset construction over suffix-run sets, from initial
     state 0: a subset is a mask, and every successor subset holds state 0.
 
@@ -421,8 +421,8 @@ def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ..
     a final state too, so every subset that meets them accepts Sigma*.  The
     subsets that miss them are reached only from subsets that miss them too,
     so the language and the minimal DFA stay the same.  Otherwise the
-    construction is plain.  Raises ``ValueError`` as the 257th subset is
-    numbered, counted after the collapse, like the packed form."""
+    construction is plain.  None as the 257th subset is numbered, counted
+    after the collapse: the packed form holds at most 256 states."""
     n = len(maps[0])
     bits = [[1 << r for r in m] for m in maps]
     final_states = [q for q in range(n) if finals >> q & 1]
@@ -447,7 +447,7 @@ def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ..
             if i is None:
                 i = number[nxt] = len(order)
                 if i == 256:
-                    raise ValueError("the packed form holds at most 256 states")
+                    return None
                 order.append(nxt)
             append(i)
     return (
@@ -456,7 +456,9 @@ def _left_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ..
     )
 
 
-def _two_sided_closure(maps: tuple[bytes, ...], finals: int) -> tuple[tuple[bytes, ...], int]:
+def _two_sided_closure(
+    maps: tuple[bytes, ...], finals: int
+) -> tuple[tuple[bytes, ...], int] | None:
     """Sigma*.L.Sigma*."""
     return _left_closure(*_right_closure(maps, finals))
 
@@ -586,7 +588,9 @@ def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -
        holds state 0 and only non-final states that 0 reaches without
        passing a final state.  At most 2^(r-1) + 1 states, with r counting
        those states, and one when state 0 is final;
-    2. close: when the closure has fewer than n states;
+    2. close: when the closure has fewer than n states, or more than the
+       packed form's 256, where ``_left_closure`` stops numbering subsets
+       (at n <= 8 no draw's bound exceeds 256);
     3. partition: when the closure has fewer than n language classes under
        ``_partition``, before any renumbering, since the minimal DFA keeps
        only the reachable classes.
@@ -601,17 +605,17 @@ def sample_ideal_dfa(klass: IdealClass, n: int, alphabet_size: int, seed: int) -
     they are non-empty, so nothing here classifies the sample; the campaign
     classifies it once and reports a sample outside the class as a
     ``sampler`` violation.  Deterministic in the seed; None after
-    ``SAMPLE_ATTEMPTS`` draws.  Raises ``ValueError`` when a draw or its
-    closure would exceed the packed form's 256 states (such a closure's
-    bound is above 256, so it is never skipped).
+    ``SAMPLE_ATTEMPTS`` draws.  Raises ``ValueError`` when a draw would
+    exceed the packed form's 256 states.
     """
     close, most = _CLOSURES[klass], _CLOSURE_BOUNDS[klass]
     for maps, finals in _draws(n, alphabet_size, seed):
         if most(maps, finals) < n:
             continue
-        maps, finals = close(maps, finals)
-        if len(maps[0]) < n:
+        closed = close(maps, finals)
+        if closed is None or len(closed[0][0]) < n:
             continue
+        maps, finals = closed
         block = _partition(maps, finals)
         if len(set(block)) < n:
             continue

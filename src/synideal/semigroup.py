@@ -19,51 +19,54 @@ per-generator lists would cost more than they save.
 
 Past the switch, a closure whose permutation letters generate the whole
 symmetric group G = Sym(M) on the states M they move, with |M|! above
-``SPLIT_FRONTIER``, adds whole orbits of G instead (Linton, Pfeiffer,
+``SPLIT_FRONTIER``, works on orbits of G instead (Linton, Pfeiffer,
 Robertson & Ruskuc 1998; East, Egri-Nagy, Mitchell & Peresse 2019).  G lies
-in the closure, so the closure is a union of orbits t*G; only one
-representative per orbit is multiplied.  Each new orbit is listed from its
-representative, renumbered by one ``maketrans``, through translate tables
-built once per closure, one per permutation of M and shared by every orbit;
-so a new element costs one ``translate`` and one insert, where the
-relations path forms about three products per element and looks each one
-up.  The right and left witnesses at n=8 have Sym on 7 states as units
-(7! = 5,040 tables, about 1.5 MB) and take this path: 4,140 and 4,141
-orbits, so 16,560 and 20,705 products past the switch, against ~6.7M each
-by the relations.  Their closures take under a third as long: 0.85-0.93 s
-against 2.8-3.0 s (right) and 0.86-0.97 s against 2.8-3.3 s (left), three
-alternated runs each.  The two-sided n=8 witness's units act on 6 states
-(6! = 720) and every witness's at n <= 7 on at most 6, so those skip
-products by the relations.
+in the closure, so the closure is a union of orbits t*G.  It keeps one
+canonical representative per orbit, multiplies only those, and returns them
+as an ``OrbitUnion``: its length is the sum of the orbit sizes, membership
+canonicalises the map asked about, and iteration lists each orbit through
+translate tables shared by every orbit, one per permutation of M, built on
+the first iteration.  No orbit element is stored.  The right and left
+witnesses at n=8 have Sym on 7 states as units and take this path: 4,140
+and 4,141 orbits from 16,560 and 20,705 products past the switch, against
+~6.7M products each by the relations.  Their closures take 0.055-0.075 s,
+and listing the 2.1M elements of one, to compare it with its closed form,
+~0.28 s through 7! = 5,040 tables (about 1.5 MB).  The two-sided n=8
+witness's units act on 6 states (6! = 720) and every witness's at n <= 7
+on at most 6, so those skip products by the relations.  From n=9 on every
+witness takes the orbit path and its size is known without listing an
+element: 0.25-0.30 s per closure at n=9 (21,147, 21,148 and 17,136 orbits
+for right, left and two-sided) and 1.4-1.9 s at n=10 (115,975, 115,976 and
+95,085), of which ~0.35 s closes the unit group Sym(9) in
+``_symmetric_units``.
 
-Past the switch a closure also hands the set tables it outgrows back to the
-OS, once a round or, on the orbit path, each time the set's table grows
-(glibc's ``malloc_trim``; nothing happens off Linux or where the C library
-lacks it), so it peaks at its elements plus one table however many closures
-the process has already run.  Without the trim, freeing one closure's mmapped
-tables raises glibc's dynamic mmap threshold (up to 32 MB), and the next
-closure's tables up to that size come from the heap, where they stay resident
-once outgrown.  Closing the two-sided, right and left n=8 witnesses in one
-process then peaked at 206.8 MB, against 182.0 MB with the trim; one right or
-left closure alone peaks at ~181.5 MB, and closing the right one twice peaks
-at 180.3 MB both times on the orbit path, against 181.3 and 212.0 MB without
-the trim (``ru_maxrss``, CPython 3.11.7, x86_64 Linux).  The price is that
-later rounds fault the returned pages in again: ``verdict_s`` of the
-benchmark's ``closure`` workload reads about 3% higher.
+Past the switch a closure by the relations also hands the set tables it
+outgrows back to the OS once a round (glibc's ``malloc_trim``; nothing
+happens off Linux or where the C library lacks it), so it peaks at its
+elements plus one table however many closures the process has already run.
+Without the trim, freeing one closure's mmapped tables raises glibc's
+dynamic mmap threshold (up to 32 MB), and the next closure's tables up to
+that size come from the heap, where they stay resident once outgrown.
+Closing the right n=8 witness twice by the relations (its unit group hidden)
+peaks at 180.3 and 180.4 MB with the trim, against 185.5 and 211.8 MB
+without it (``ru_maxrss``, CPython 3.11.7, x86_64 Linux).  The price is that
+later rounds fault the returned pages in again.  The orbit path grows no
+such set and does not trim.
 
-On the witness semigroups at n=7 and n=8 (2.1M elements each for right and
-left ideals at n=8) the engine closes about 2.0e6 elements/s
-(``semigroup.closure.elements_per_s`` of the benchmark's ``closure``
-workload, median of four traced runs at seed 7919, which read 1.84e6-2.67e6;
-CPython 3.11.7, shared 2-vCPU x86_64 host).
+On the witness semigroups at n=7 and n=8 the engine reaches about 7.4e6
+elements/s (``semigroup.closure.elements_per_s`` of the benchmark's
+``closure`` workload, two traced runs at seed 7919, which read 7.1e6 and
+7.8e6; CPython 3.11.7, shared 2-vCPU x86_64 host).  The closures by the
+relations, at n=7 and the two-sided one at n=8, take most of that time.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, filterfalse, permutations, repeat
+from itertools import chain, combinations, filterfalse, permutations, repeat
 from math import factorial
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
@@ -84,10 +87,10 @@ DEFAULT_CAP = 2_100_000
 #: bounds |S| and with it the size of every class searched.
 GENERATOR_SEARCH_BUDGET = 100
 
-#: Frontier length beyond which a closure either adds whole orbits of its
-#: unit group, when the permutation letters generate Sym(M) on the states M
-#: they move and |M|! exceeds this length too (``_close_by_orbits``), or
-#: else keeps each round's new elements in one list per generator that made
+#: Frontier length beyond which a closure either keeps one element per orbit
+#: of its unit group, when the permutation letters generate Sym(M) on the
+#: states M they move and |M|! exceeds this length too (``_close_by_orbits``),
+#: or else keeps each round's new elements in one list per generator that made
 #: them, so that it can skip the products a generator relation proves
 #: repeated (``_close_by_relations``).  Setting up those lists costs more
 #: than it saves on small closures: split from the first round, the 32,640
@@ -116,9 +119,11 @@ class TransformationSemigroup:
 
     ``images`` holds the packed element bodies: for a closure, the very
     ``set`` the closure grew (copying it into a frozenset would double the
-    table), or a closed form (``witness.expected_semigroup``) that is
-    enumerated on demand.  Either is read-only by convention and neither is
-    hashable, so neither is a semigroup holding one.  ``generators`` records
+    table) or, for one that worked on orbits of its unit group, an
+    ``OrbitUnion`` of one representative per orbit; or a closed form
+    (``witness.expected_semigroup``).  The last two list their elements on
+    demand.  Each is read-only by convention and none is hashable, so
+    neither is a semigroup holding one.  ``generators`` records
     the provenance (each generator is an element, and every element is a
     composite of one or more generators).  The identity is present only if
     it is such a composite: this is a semigroup, not a monoid.
@@ -130,7 +135,11 @@ class TransformationSemigroup:
 
     @property
     def size(self) -> int:
-        return len(self.images)
+        """The number of elements: the ``size`` of ``images`` where it has
+        one (a ``ClosedForm``, which can hold more than ``len`` reports),
+        else its length."""
+        size = getattr(self.images, "size", None)
+        return len(self.images) if size is None else size
 
     @cached_property
     def elements(self) -> tuple[Transformation, ...]:
@@ -159,7 +168,8 @@ def closure(
     the generators that no relation among them rules out; when the
     permutation letters generate the whole symmetric group on the states
     they move, only one element per orbit of that group is multiplied, on
-    the left, and each new orbit is added whole.  If more than ``cap``
+    the left, and kept: the images are an ``OrbitUnion``, which lists the
+    orbits on demand.  If more than ``cap``
     elements appear (default ``DEFAULT_CAP``), ``CapExceeded`` is raised; no
     partially-closed set ever escapes.  A cap below 1 is a ValueError:
     every closure has at least one element.
@@ -185,9 +195,10 @@ def closure(
 def _close_images(
     gen_images: Sequence[bytes],
     cap: int = DEFAULT_CAP,
-) -> set[bytes] | None:
-    """Closure over packed images: the set grown for membership is the
-    result; None when the cap is exceeded.
+) -> AbstractSet[bytes] | None:
+    """Closure over packed images: the set grown for membership, or an
+    ``OrbitUnion`` from ``_close_by_orbits``, is the result; None when the
+    cap is exceeded.
 
     Each round right-multiplies that round's frontier (the elements new in
     the previous round) by one generator at a time, so the products are
@@ -207,10 +218,11 @@ def _close_images(
     result and ``cap`` are as before.  When the permutation letters generate
     the whole symmetric group on the states they move, and it has more than
     ``SPLIT_FRONTIER`` elements (``_symmetric_units``), the rest of the
-    closure adds whole orbits of that group instead (``_close_by_orbits``).
+    closure keeps one representative per orbit of that group instead
+    (``_close_by_orbits``).
 
-    The set is the only table: it grew one element at a time, so it is sized
-    for the closure (a copied set is sized for twice its length).
+    A set result is the only table: it grew one element at a time, so it is
+    sized for the closure (a copied set is sized for twice its length).
     """
     seen = set(gen_images)
     if len(seen) > cap:
@@ -341,50 +353,114 @@ def _close_by_orbits(
     seen: set[bytes],
     moved: bytes,
     cap: int,
-) -> set[bytes] | None:
+) -> OrbitUnion | None:
     """The rest of ``_close_images`` when the permutation letters generate
     the whole symmetric group G on the states ``moved`` (``_symmetric_units``).
 
     G lies in the closure S, so S is a union of orbits t*G: right
     multiplication by G renumbers the values of t in ``moved`` and keeps the
-    others.  An element not yet in the result is the representative of a
-    new orbit, which goes in whole (``_orbit``): one ``translate`` per
-    injection of its values into ``moved``, through translate tables built
-    once on entry and shared by every orbit (``_injection_tables``).  Since
-    g*(r*h) = (g*r)*h, multiplying only the representatives on the left by
-    the letters closes S; a product already in the result lies in an orbit
-    that is there whole.  The elements of ``seen``, a few thousand at the
-    switch, seed the first orbits, in a set of their own that is the result.
-    Each time its table grows, the one it outgrew is handed back to the OS
-    (``_malloc_trim``; see the module docstring).
+    others.  Only each orbit's representative is kept (``_canonical``), with
+    the orbit's size counted towards ``cap``; the result is an
+    ``OrbitUnion``, which lists the elements on demand.  Since g*(r*h) =
+    (g*r)*h, multiplying only the representatives on the left by the
+    letters closes S; a product whose representative is already kept lies
+    in an orbit that is there whole.  The elements of ``seen``, a few
+    thousand at the switch, seed the first orbits.
 
-    A new element costs one ``translate`` and one insert, where
-    ``_close_by_relations`` forms about three products per element and looks
-    each one up.  The result and ``cap`` are as in ``_close_images``.
+    A product costs one ``translate`` and one canonical form, and no orbit
+    element is stored.  The result and ``cap`` are as in ``_close_images``.
     """
     n = len(gen_images[0])
     fixed = bytes(q for q in range(n) if q not in moved)
     pad = bytes(256 - n)
-    tables = _injection_tables(moved)
-    trim = _malloc_trim()
-    closed: set[bytes] = set()
-    table_size = sys.getsizeof(closed)
+    sizes = _orbit_sizes(len(moved))
+    reps: dict[bytes, int] = {}
+    size = 0
     products: Iterable[bytes] = seen
     while True:
-        reps = []
+        new = []
         for t in products:
-            if t in closed:
+            r, j = _canonical(t, fixed, moved)
+            if r in reps:
                 continue
-            closed.update(_orbit(t, fixed, moved, tables))
-            if len(closed) > cap:
+            reps[r] = j
+            size += sizes[j]
+            if size > cap:
                 return None
-            if trim is not None and sys.getsizeof(closed) != table_size:
-                table_size = sys.getsizeof(closed)
-                trim(0)
-            reps.append(t)
-        if not reps:
-            return closed
-        products = (g.translate(r + pad) for r in reps for g in gen_images)
+            new.append(r)
+        if not new:
+            return OrbitUnion(n, moved, reps, size)
+        products = (g.translate(r + pad) for r in new for g in gen_images)
+
+
+def _orbit_sizes(k: int) -> list[int]:
+    """``sizes[j]`` = k!/(k-j)!, the injections of j values into k states: the
+    size of an orbit of Sym on k states whose maps take j values there."""
+    return [factorial(k) // factorial(k - j) for j in range(k + 1)]
+
+
+def _canonical(t: bytes, fixed: bytes, moved: bytes) -> tuple[bytes, int]:
+    """``(r, j)``: the representative r of t's orbit under Sym(``moved``),
+    ``fixed`` the other states, and the number j of t's values in
+    ``moved``.  r is t with those values renumbered onto moved[:j] in the
+    order they first appear, which every element of the orbit shares."""
+    values = bytes(dict.fromkeys(t.translate(None, fixed)))
+    j = len(values)
+    return t.translate(bytes.maketrans(values, moved[:j])), j
+
+
+class OrbitUnion(Set):
+    """A union of orbits t*G of G = Sym(M), M = ``moved``, on maps of n
+    states, kept as one representative per orbit (``_canonical``) and
+    listed on demand: what ``_close_by_orbits`` returns.
+
+    ``reps`` maps each representative to the number j of its values in M;
+    its orbit has |M|!/(|M|-j)! elements.  The length is the sum of the
+    orbit sizes.  Iteration lists each orbit through translate tables
+    shared by every orbit (``_injection_tables``), built on the first
+    iteration, so a size alone never builds them.  Membership canonicalises
+    its argument and looks the representative up.  Equality with another
+    union of the same group compares the representatives, with a set or
+    any other union it tests every listed element, and any other ``Set``
+    decides it (a ``ClosedForm`` tests the listed elements in bulk).  The
+    ``Set`` operators build plain frozensets.  Read-only and not hashable.
+    """
+
+    def __init__(self, n: int, moved: bytes, reps: dict[bytes, int], size: int) -> None:
+        self.n = n
+        self._moved = moved
+        self._fixed = bytes(q for q in range(n) if q not in moved)
+        self._states = bytes(range(n))
+        self._reps = reps
+        self._len = size
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[bytes]) -> frozenset[bytes]:
+        return frozenset(it)
+
+    @cached_property
+    def _tables(self) -> list[list[bytes]]:
+        return _injection_tables(self._moved)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[bytes]:
+        tables = self._tables
+        return chain.from_iterable(map(r.translate, tables[j]) for r, j in self._reps.items())
+
+    def __contains__(self, e: object) -> bool:
+        # A byte >= n would be renumbered into M like a value there.
+        if not isinstance(e, bytes) or len(e) != self.n or e.translate(None, self._states):
+            return False
+        return _canonical(e, self._fixed, self._moved)[0] in self._reps
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OrbitUnion) and (other.n, other._moved) == (self.n, self._moved):
+            return self._reps.keys() == other._reps.keys()
+        if not isinstance(other, (set, frozenset, OrbitUnion)):
+            return NotImplemented
+        return len(other) == self._len and all(map(other.__contains__, self))
 
 
 def _injection_tables(moved: bytes) -> list[list[bytes]]:
@@ -407,20 +483,6 @@ def _injection_tables(moved: bytes) -> list[list[bytes]]:
         for j in range(start, k + 1):
             tables[j].append(table)
     return tables
-
-
-def _orbit(t: bytes, fixed: bytes, moved: bytes, tables: list[list[bytes]]) -> Iterator[bytes]:
-    """The orbit of t under Sym(``moved``), ``fixed`` the other states: one
-    element per table of ``tables[j]`` (``_injection_tables``), j the number
-    of t's values in ``moved``.
-
-    t is first renumbered onto moved[:j], its values in the order they first
-    appear: that element is the same for every element of the orbit, so the
-    orbit is listed in one order whichever of its elements is given.
-    """
-    values = bytes(dict.fromkeys(t.translate(None, fixed)))
-    j = len(values)
-    return map(t.translate(bytes.maketrans(values, moved[:j])).translate, tables[j])
 
 
 @cache

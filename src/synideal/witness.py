@@ -183,7 +183,9 @@ class ClosedForm(Set):
                 if bytes([v]) in self._by_first:
                     raise ValueError(f"two families allow state 0 to map to {v}")
                 self._by_first[bytes([v])] = family
-        self._len = sum(prod(map(len, self._factors(f))) for f in self._families)
+        #: The number of maps; ``len`` gives it too up to ``sys.maxsize``,
+        #: which the right and left forms pass at n = 17.
+        self.size = sum(prod(map(len, self._factors(f))) for f in self._families)
         # _flags[q][v] == 1 iff the first family does not let state q map to v.
         self._flags = [
             bytes(v not in allowed for v in range(256))
@@ -203,7 +205,7 @@ class ClosedForm(Set):
         return frozenset(it)
 
     def __len__(self) -> int:
-        return self._len
+        return self.size
 
     def __iter__(self) -> Iterator[bytes]:
         return chain.from_iterable(
@@ -224,7 +226,7 @@ class ClosedForm(Set):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Set):
             return NotImplemented
-        return len(other) == self._len and self._holds_all(other)
+        return len(other) == self.size and self._holds_all(other)
 
     def _holds_all(self, maps: Iterable[object]) -> bool:
         """Whether every element of ``maps`` lies in the closed form, tested

@@ -326,6 +326,17 @@ class TestEnumerate:
             "error: more than 10000000000000000 candidate DFAs exceed the budget 100000000\n"
         )
 
+    @pytest.mark.parametrize("klass", ["left", "two-sided"])
+    @pytest.mark.parametrize("n", ["14", "20"])
+    def test_sample_mode_past_the_packed_closures(self, capsys, klass, n):
+        # Some draws' Sigma*.L subset constructions pass 256 subsets, more
+        # than the packed form holds: the sampler rejects them.  At n=20 the
+        # closed form has more maps than len() reports (20^19 + 19).
+        args = ["--n", n, "--alphabet-size", "2", "--class", klass, "--mode", "sample"]
+        code, out, err = run_cli(capsys, "enumerate", *args, "--count", "3", "--seed", "1", "--json")
+        assert code in (0, 1) and err == "", err
+        assert json.loads(out)["samples_obtained"] == 3
+
     def test_sample_mode_above_the_closure_limit_exit_2(self, capsys):
         args = ["--n", "256", "--alphabet-size", "2", "--class", "left", "--mode", "sample"]
         code, out, err = run_cli(capsys, "enumerate", *args, "--count", "1")

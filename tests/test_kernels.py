@@ -238,22 +238,20 @@ def test_left_closure_refuses_more_than_256_subsets():
     # the last nine letters, 512 subsets
     a = bytes([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10])
     b = bytes([10, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10])
-    with pytest.raises(ValueError, match="at most 256 states"):
-        _left_closure((a, b), 1 << 9)
+    assert _left_closure((a, b), 1 << 9) is None
 
 
 def test_left_closure_refuses_as_the_257th_subset_is_numbered():
     # L = a.Sigma^14 (states 0..15 count, 16 is the sink): Sigma*.L has
     # 2^15 subsets, and numbering every one of them before refusing traced
-    # a peak of ~4 MB.  Refused as subset 257 is numbered, the tables hold
-    # 256 subsets.
+    # a peak of ~4 MB.  Refused (None) as subset 257 is numbered, the tables
+    # hold 256 subsets.
     k = 14
     a = bytes([1, *range(2, k + 2), k + 2, k + 2])
     b = bytes([k + 2, *range(2, k + 2), k + 2, k + 2])
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="at most 256 states"):
-            _left_closure((a, b), 1 << (k + 1))
+        assert _left_closure((a, b), 1 << (k + 1)) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,6 +347,30 @@ def test_sampler_rejects_early_only_what_minimisation_rejects():
                         klass, n, alphabet_size, seed,
                     )
     assert min(early.values()) > 1000, early
+
+
+@pytest.mark.parametrize("klass", [IdealClass.LEFT, IdealClass.TWO_SIDED])
+def test_sampler_rejects_a_closure_past_256_states(klass):
+    # The first three samples of a 14-state, 2-letter campaign at seed 1
+    # (the CLI's seeds 1_000_003 + i) pass a draw whose Sigma*.L
+    # construction numbers a 257th subset: it is rejected like any other
+    # draw, and each sample is still the first draw that minimises to n
+    # states with a final state.
+    n, close, most = 14, _CLOSURES[klass], _CLOSURE_BOUNDS[klass]
+    refused = 0
+    for seed in range(1_000_003, 1_000_006):
+        for maps, finals in _draws(n, 2, seed):
+            if most(maps, finals) < n:
+                continue
+            closed = close(maps, finals)
+            if closed is None:
+                refused += 1
+                continue
+            minimal, minimal_finals, _ = quotient_maps(*closed, _partition(*closed))
+            if len(minimal[0]) == n and minimal_finals:
+                break
+        assert sample_ideal_dfa(klass, n, 2, seed) == from_maps("ab", minimal, minimal_finals)
+    assert refused, klass
 
 
 def test_sampler_refuses_more_than_256_states():

@@ -14,12 +14,14 @@ from synideal.semigroup import (
     DEFAULT_CAP,
     SPLIT_FRONTIER,
     CapExceeded,
+    OrbitUnion,
     SearchInfeasible,
     TransformationSemigroup,
+    _canonical,
     _close_images,
     _conjugated_images,
     _injection_tables,
-    _orbit,
+    _orbit_sizes,
     closure,
     conjugated,
     equal_up_to_relabeling,
@@ -33,7 +35,7 @@ from synideal.transform import (
     constant,
     identity,
 )
-from synideal.witness import MIN_N, IdealClass, bound, build, expected_semigroup
+from synideal.witness import MIN_N, ClosedForm, IdealClass, bound, build, expected_semigroup
 from synideal.dfa import transition_semigroup
 
 from oracles import (
@@ -331,6 +333,28 @@ def _all_maps(n: int) -> set[bytes]:
     return set(map(bytes, product(range(n), repeat=n)))
 
 
+def _symmetric_unit_cases(rng: random.Random, n: int, count: int):
+    """``count`` generator lists of n states whose permutation letters
+    generate Sym(M): a cycle and a transposition of the moved states M,
+    placed anywhere among the fixed ones, beside one or two random maps."""
+    for _ in range(count):
+        moved = rng.sample(range(n), rng.randint(2, n))
+        cycle = dict(zip(moved, moved[1:] + moved[:1]))
+        swap = {moved[0]: moved[1], moved[1]: moved[0]}
+        gens = [T(*(cycle.get(q, q) for q in range(n))), T(*(swap.get(q, q) for q in range(n)))]
+        gens += [random_transformation(rng, n) for _ in range(rng.randint(1, 2))]
+        rng.shuffle(gens)
+        yield gens
+
+
+def _orbit(t: bytes, moved: bytes) -> list[bytes]:
+    """The orbit of t under Sym(``moved``) as an ``OrbitUnion`` of that one
+    orbit lists it."""
+    fixed = bytes(q for q in range(len(t)) if q not in moved)
+    r, j = _canonical(t, fixed, moved)
+    return list(OrbitUnion(len(t), moved, {r: j}, _orbit_sizes(len(moved))[j]))
+
+
 class TestUnitOrbits:
     """When the permutation letters generate the whole symmetric group on
     the states they move, and it has more than ``SPLIT_FRONTIER`` elements,
@@ -402,13 +426,7 @@ class TestUnitOrbits:
         calls = _calls(monkeypatch, "_close_by_orbits")
         rng = random.Random(23)
         for n in range(2, 6):
-            for _ in range(10):
-                moved = rng.sample(range(n), rng.randint(2, n))
-                cycle = dict(zip(moved, moved[1:] + moved[:1]))
-                swap = {moved[0]: moved[1], moved[1]: moved[0]}
-                gens = [T(*(cycle.get(q, q) for q in range(n))), T(*(swap.get(q, q) for q in range(n)))]
-                gens += [random_transformation(rng, n) for _ in range(rng.randint(1, 2))]
-                rng.shuffle(gens)
+            for gens in _symmetric_unit_cases(rng, n, 10):
                 packed = [g.packed() for g in gens]
                 if _close_images(packed, cap=300) is None:
                     continue  # too large for the quadratic reference
@@ -454,11 +472,11 @@ class TestUnitOrbits:
         fixed = bytes(q for q in range(n) if q not in moved)
         tables = _injection_tables(moved)
         sizes = [factorial(k) // factorial(k - j) for j in range(k + 1)]
-        assert [len(t) for t in tables] == sizes
+        assert [len(t) for t in tables] == sizes == _orbit_sizes(k)
         assert len({id(t) for ts in tables for t in ts}) == factorial(k)
         for j in range(k + 1):
             for t in self._maps_with_moved_values(rng, list(moved), fixed, j, 6):
-                orbit = list(_orbit(t, fixed, moved, tables))
+                orbit = _orbit(t, moved)
                 assert len(set(orbit)) == len(orbit) == sizes[j], (k, j, t)
                 assert set(orbit) == set(orbit_by_injections(t, moved)), (k, j, t)
                 assert t in orbit, (k, j, t)
@@ -472,19 +490,19 @@ class TestUnitOrbits:
         n = k + 2
         moved = bytes(sorted(rng.sample(range(n), k)))
         fixed = bytes(q for q in range(n) if q not in moved)
-        tables = _injection_tables(moved)
         for j in range(k + 1):
             for t in self._maps_with_moved_values(rng, list(moved), fixed, j, 3):
-                listed = list(_orbit(t, fixed, moved, tables))
+                listed = _orbit(t, moved)
                 for p in permutations(moved):
                     tg = t.translate(bytes.maketrans(moved, bytes(p)))
-                    assert list(_orbit(tg, fixed, moved, tables)) == listed, (k, t, p)
+                    assert _orbit(tg, moved) == listed, (k, t, p)
 
-    def test_orbit_closure_holds_one_table_at_its_peak(self, monkeypatch):
-        # As test_closure_holds_one_table_at_its_peak, with the switch below
-        # 6! = 720 so that the right n=7 witness adds whole orbits: they go
-        # straight into the one set, and only the representatives are listed.
-        # The peak is 1.06x of the result.
+    def test_orbit_closure_peaks_far_below_its_flat_maps(self, monkeypatch):
+        # With the switch below 6! = 720 the right n=7 witness adds whole
+        # orbits.  It keeps one representative per orbit, 877 of them, and
+        # lists none of the 7^6 maps: its traced peak (the set at the switch,
+        # the representatives and the products of one round) is 3.4% of the
+        # maps held flat in one set, as the relations path holds them.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 512)
         monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
         gens = build(IdealClass.RIGHT, 7).delta
@@ -496,15 +514,161 @@ class TestUnitOrbits:
         finally:
             tracemalloc.stop()
         assert len(images) == 7**6
-        held = sys.getsizeof(images) + sum(map(sys.getsizeof, images))
-        assert peak <= 1.15 * held, peak / held
+        flat = set(images)
+        held = sys.getsizeof(flat) + sum(map(sys.getsizeof, flat))
+        assert peak <= 0.05 * held, peak / held
+
+
+class TestOrbitUnion:
+    """The result of an orbit-path closure: one representative per orbit of
+    the unit group, with the elements listed on demand.  Whatever it is
+    compared with, it must answer as the flat set of its elements would."""
+
+    def test_membership_agrees_with_naive_closure_on_every_map(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        rng = random.Random(29)
+        unions = 0
+        for n in range(2, 6):
+            everything = _all_maps(n)
+            for gens in _symmetric_unit_cases(rng, n, 6):
+                packed = [g.packed() for g in gens]
+                if _close_images(packed, cap=300) is None:
+                    continue  # too large for the quadratic reference
+                images = _close_images(packed)
+                assert isinstance(images, OrbitUnion), gens
+                unions += 1
+                expected = {bytes(e) for e in naive_closure(gens)}
+                assert {e for e in everything if e in images} == expected, gens
+                assert len(images) == len(expected), gens
+                member = bytes(next(iter(expected)))
+                assert bytes(member) + b"\0" not in images
+                assert member[:-1] not in images
+                assert list(member) not in images and bytearray(member) not in images
+                assert None not in images and b"" not in images
+                # Each byte >= n once, in place of a member's value.
+                for q in range(n):
+                    for v in (n, n + 1, 255):
+                        e = bytearray(member)
+                        e[q] = v
+                        assert bytes(e) not in images, (gens, q, v)
+        assert unions >= 10, unions
+
+    def test_a_byte_past_the_states_is_no_member(self):
+        # Canonical form alone would renumber 200 onto state 0 and read the
+        # identity: the guard, not the lookup, rejects it.
+        images = closure(build(IdealClass.RIGHT, 8).delta).images
+        assert isinstance(images, OrbitUnion)
+        assert bytes(range(8)) in images
+        assert bytes([200, 1, 2, 3, 4, 5, 6, 7]) not in images
+        assert bytes([0, 1, 2, 3, 4, 5, 6, 8]) not in images
+
+    def test_iteration_lists_len_distinct_maps(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        for klass, n in ((IdealClass.RIGHT, 5), (IdealClass.LEFT, 5), (IdealClass.TWO_SIDED, 6)):
+            images = closure(build(klass, n).delta).images
+            assert isinstance(images, OrbitUnion), (klass, n)
+            listed = list(images)
+            assert len(listed) == len(set(listed)) == len(images) == bound(klass, n), (klass, n)
+            assert all(e in images for e in listed), (klass, n)
+
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_comparisons_in_both_directions(self, monkeypatch, klass):
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        gens = build(klass, 6).delta
+        images = closure(gens).images
+        again = closure(gens[::-1]).images
+        assert isinstance(images, OrbitUnion) and isinstance(again, OrbitUnion)
+        flat = set(images)
+        closed_form = expected_semigroup(klass, 6).images
+        for other in (flat, frozenset(flat), closed_form, again):
+            assert images == other and other == images, type(other)
+            assert not images != other and not other != images, type(other)
+        smaller = set(flat)
+        smaller.pop()
+        outside = next(e for e in map(bytes, product(range(6), repeat=6)) if e not in flat)
+        larger = flat | {outside}
+        for other in (smaller, frozenset(smaller), larger, frozenset(larger)):
+            assert images != other and other != images
+            assert not images == other and not other == images
+        assert images != list(flat) and images != None  # noqa: E711
+
+    def test_set_operators_build_frozensets(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        images = closure(build(IdealClass.RIGHT, 5).delta).images
+        flat = set(images)
+        outside = {bytes(5), bytes([4, 3, 2, 1, 0])}
+        some = set(list(flat)[:7])
+        for result, expected in (
+            (images & (some | outside), some),
+            ((some | outside) & images, some),
+            (images | outside, flat | outside),
+            (outside | images, flat | outside),
+            (images - some, flat - some),
+            ((some | outside) - images, outside),
+        ):
+            assert type(result) is frozenset and result == expected
+        # equal_up_to_relabeling intersects the generators with the images.
+        s = closure(build(IdealClass.RIGHT, 5).delta)
+        assert semigroup.equal_up_to_relabeling(s, s) == tuple(range(5))
+
+    def test_equality_with_a_closed_form_tests_in_bulk(self, monkeypatch):
+        # collections.abc.Set.__eq__ would test each element of one side in
+        # the other one by one: on the right n=8 witness, 2.1M calls of
+        # ClosedForm.__contains__ and 1.6 s.  ClosedForm._holds_all tests
+        # them column by column and calls it only for the maps outside the
+        # first family: none for right, the 6 constants for left at n=7.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 512)
+        calls = [0]
+        real = ClosedForm.__contains__
+
+        def counted(self, e):
+            calls[0] += 1
+            return real(self, e)
+
+        monkeypatch.setattr(ClosedForm, "__contains__", counted)
+        for klass in (IdealClass.RIGHT, IdealClass.LEFT):
+            images = closure(build(klass, 7).delta).images
+            assert isinstance(images, OrbitUnion), klass
+            closed_form = expected_semigroup(klass, 7).images
+            calls[0] = 0
+            assert images == closed_form and closed_form == images
+            assert not images != closed_form and not closed_form != images
+            assert calls[0] <= 4 * 6, (klass, calls[0])
+
+    def test_a_missing_or_foreign_orbit_is_noticed(self, monkeypatch):
+        # A union with one representative dropped (its size taken off), or
+        # swapped for a non-member's of an orbit of the same size, must
+        # differ from the closure on every comparison.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        images = closure(build(IdealClass.RIGHT, 5).delta).images
+        assert isinstance(images, OrbitUnion)
+        moved, fixed = bytes(range(4)), bytes([4])
+        sizes = _orbit_sizes(4)
+        flat = set(images)
+        closed_form = expected_semigroup(IdealClass.RIGHT, 5).images
+        reps = dict(images._reps)
+        rep, j = next(iter(reps.items()))
+        del reps[rep]
+        dropped = OrbitUnion(5, moved, reps, len(images) - sizes[j])
+        # The right witness fixes state 4; a map moving it is outside.
+        foreign, k = _canonical(bytes([0, 1, 2, 3, 0]), fixed, moved)
+        assert foreign not in images._reps
+        swapped = dict(images._reps)
+        del swapped[next(r for r, i in swapped.items() if i == k)]
+        swapped[foreign] = k
+        swapped = OrbitUnion(5, moved, swapped, len(images))
+        for mutant in (dropped, swapped):
+            for other in (images, flat, frozenset(flat), closed_form):
+                assert mutant != other and other != mutant
+                assert not mutant == other and not other == mutant
+        assert rep not in dropped and foreign in swapped and foreign not in images
 
 
 class TestOutgrownTables:
-    """Past ``SPLIT_FRONTIER`` a closure returns the set tables it outgrows to
-    the OS (glibc's ``malloc_trim``), once per round or, adding whole orbits,
-    each time its set's table grows, so a process peaks at one closure's
-    memory however many closures it has already run."""
+    """Past ``SPLIT_FRONTIER`` a closure by the relations returns the set
+    tables it outgrows to the OS (glibc's ``malloc_trim``) once per round, so
+    a process peaks at one closure's memory however many closures it has
+    already run.  The orbit path grows no such set and never trims."""
 
     CLOSE_TWICE = """
 import resource
@@ -516,16 +680,18 @@ for _ in range(2):
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
-    # The right n=8 witness adds whole orbits of Sym(7), never taking the
-    # relations.
+    # The right n=8 witness, made to take the relations by hiding its
+    # symmetric unit group: 2.1M elements in one set, whose tables outgrow
+    # glibc's largest mmap threshold (32 MB).
     CLOSE_RIGHT_TWICE = """
 import resource
 from synideal import semigroup
 from synideal.semigroup import closure
 from synideal.witness import IdealClass, build
-def no_relations(*args):
-    raise AssertionError("the closure took _close_by_relations")
-semigroup._close_by_relations = no_relations
+def no_orbits(*args):
+    raise AssertionError("the closure took _close_by_orbits")
+semigroup._close_by_orbits = no_orbits
+semigroup._symmetric_units = lambda gen_images, cap: None
 gens = build(IdealClass.RIGHT, 8).delta
 for _ in range(2):
     assert closure(gens).size == 2_097_152
@@ -555,13 +721,15 @@ for _ in range(2):
         first_kb, second_kb = self._peaks_kb(self.CLOSE_TWICE)
         assert second_kb - first_kb < 3 * 1024, (first_kb, second_kb)
 
-    def test_a_second_orbit_closure_peaks_where_the_first_did(self):
-        # The orbit path trims each time its set's table grows: 180.3 ->
-        # 180.3 MB.  Without the trim, 181.3 -> 212.0 MB (CPython 3.11.7).
+    def test_a_second_2m_element_closure_peaks_where_the_first_did(self):
+        # 180.3 -> 180.4 MB; without the trim, 185.5 -> 211.8 MB (CPython
+        # 3.11.7).
         first_kb, second_kb = self._peaks_kb(self.CLOSE_RIGHT_TWICE)
         assert second_kb - first_kb < 3 * 1024, (first_kb, second_kb)
 
     def test_closures_are_the_same_without_malloc_trim(self, monkeypatch):
+        # The right n=6 witness's units are Sym(5), 120 <= SPLIT_FRONTIER, so
+        # it takes the relations, the one path that trims.
         resolved = []
 
         def no_trim():
@@ -569,8 +737,10 @@ for _ in range(2):
             return None
 
         monkeypatch.setattr(semigroup, "_malloc_trim", no_trim)
+        monkeypatch.setattr(semigroup, "_close_by_orbits", _no_call("_close_by_orbits"))
+        relations = _calls(monkeypatch, "_close_by_relations")
         images = closure(build(IdealClass.RIGHT, 6).delta).images
-        assert resolved, "the closure never reached the per-round trim"
+        assert relations and resolved, "the closure never reached the per-round trim"
         assert images == expected_semigroup(IdealClass.RIGHT, 6).images
 
 
