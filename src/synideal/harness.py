@@ -10,7 +10,9 @@ bound-meeting semigroup is the maximal one relabeled, runs the injection suite,
 and tests conformance with the special-quotient bounds.
 
 Sample mode draws seeded random ideals of an exact state count and runs the
-same checks on each.
+same checks on each.  A sample whose transition semigroup has more than
+``DEFAULT_CAP`` elements is reported as a ``cap`` violation; its sigma is
+unknown, so it counts in no class, and the campaign goes on.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .dfa import (
 )
 from .ideals import ClassificationReport, classify_minimal
 from .injection import MIN_CONTEXT_N, minimal_context, verify_injection
-from .semigroup import MAX_STATES, TransformationSemigroup, _close_images
+from .semigroup import DEFAULT_CAP, MAX_STATES, CapExceeded, TransformationSemigroup, _close_images
 from .witness import MIN_N, IdealClass, bound, expected_semigroup, has_maximal_order
 
 EXHAUSTIVE_BUDGET = 10**8
@@ -643,7 +645,14 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> 
             continue
         report.samples_obtained += 1
         report.minimal += 1
-        result = transition_semigroup(d)
+        try:
+            result = transition_semigroup(d)
+        except CapExceeded:
+            # sigma is unknown, so the sample counts in no class.
+            report.violations.append(
+                {"check": "cap", "index": i, "cap": DEFAULT_CAP, "dfa": to_text(d)}
+            )
+            continue
         rep = classify_minimal(d.transitions, d.finals_mask, result.size, memo=checks.memo)
         if not rep.in_class(klass):
             report.violations.append(

@@ -12,33 +12,33 @@ So once a round's frontier outgrows ``SPLIT_FRONTIER`` elements, each round
 lists its new elements by the generator that made them, and h's pass skips
 the list of every such g.  The passes whose lists are skipped most run
 first, so that they are credited with the elements several passes make.  On
-the witnesses at n=8 (the transposition b has b*b = 1, the idempotents c*c =
-c and c*d = c, the left witness's constant e has x*e = e) that forms 20%
-(right), 36% (left) and 31% (two-sided) fewer products.  Below the switch the
-per-generator lists would cost more than they save.
+the witnesses at n=8, their unit groups hidden (the transposition b has b*b
+= 1, the idempotents c*c = c and c*d = c, the left witness's constant e has
+x*e = e), that forms 20% (right), 36% (left) and 31% (two-sided) fewer
+products.  Below the switch the per-generator lists would cost more than they
+save.
 
 Past the switch, a closure whose permutation letters generate the whole
-symmetric group G = Sym(M) on the states M they move, with |M|! above
-``SPLIT_FRONTIER``, works on orbits of G instead (Linton, Pfeiffer,
-Robertson & Ruskuc 1998; East, Egri-Nagy, Mitchell & Peresse 2019).  G lies
-in the closure, so the closure is a union of orbits t*G.  It keeps one
-canonical representative per orbit, multiplies only those, and returns them
-as an ``OrbitUnion``: its length is the sum of the orbit sizes, membership
-canonicalises the map asked about, and iteration lists each orbit through
-translate tables shared by every orbit, one per permutation of M, built on
-the first iteration.  No orbit element is stored.  The right and left
-witnesses at n=8 have Sym on 7 states as units and take this path: 4,140
-and 4,141 orbits from 16,560 and 20,705 products past the switch, against
-~6.7M products each by the relations.  Their closures take 0.055-0.075 s,
-and listing the 2.1M elements of one, to compare it with its closed form,
-~0.28 s through 7! = 5,040 tables (about 1.5 MB).  The two-sided n=8
-witness's units act on 6 states (6! = 720) and every witness's at n <= 7
-on at most 6, so those skip products by the relations.  From n=9 on every
-witness takes the orbit path and its size is known without listing an
-element: 0.25-0.30 s per closure at n=9 (21,147, 21,148 and 17,136 orbits
-for right, left and two-sided) and 1.4-1.9 s at n=10 (115,975, 115,976 and
-95,085), of which ~0.35 s closes the unit group Sym(9) in
-``_symmetric_units``.
+symmetric group G = Sym(M) on the states M they move, at least
+``ORBIT_MIN_STATES`` of them, works on orbits of G instead (Linton, Pfeiffer, Robertson & Ruskuc 1998; East, Egri-Nagy,
+Mitchell & Peresse 2019).  G lies in the closure, so the closure is a union
+of orbits t*G.  It keeps one canonical representative per orbit, seeded from
+the letters, multiplies only those, and returns them as an ``OrbitUnion``:
+its length is the sum of the orbit sizes, membership canonicalises the map
+asked about, and iteration lists each orbit through translate tables shared
+by every orbit, one per permutation of M, built on the first iteration.  No
+orbit element is stored.  Every witness whose closure passes the switch
+takes this path: its units are Sym on n-1 states (right, left) or n-2
+(two-sided), and only the two-sided n=6 one and those below n=6 stay under
+the switch.  At n=8 a closure takes 0.03-0.045 s (4,140, 4,141 and 3,328
+orbits for right, left and two-sided), at n=9 0.16-0.24 s (21,147, 21,148
+and 17,136) and at n=10 0.9-1.9 s (115,975, 115,976 and 95,085), of which
+~0.35 s closes the unit group Sym(9) in ``_symmetric_units``.  Its size is
+known without listing an element, and a closed form invariant under G is
+compared with it from the representatives alone (``witness.ClosedForm``):
+1-2 ms at n=8 and 6-11 ms at n=9.  Listing the elements of the right or
+left closure through the |M|! tables (7! = 5,040 at n=8, about 1.5 MB)
+takes 0.19-0.26 s at n=8 and ~5 s at n=9.
 
 Past the switch a closure by the relations also hands the set tables it
 outgrows back to the OS once a round (glibc's ``malloc_trim``; nothing
@@ -53,17 +53,17 @@ without it (``ru_maxrss``, CPython 3.11.7, x86_64 Linux).  The price is that
 later rounds fault the returned pages in again.  The orbit path grows no
 such set and does not trim.
 
-On the witness semigroups at n=7 and n=8 the engine reaches about 7.4e6
+On the witness semigroups at n=7 and n=8 the engine reaches about 2.7e7
 elements/s (``semigroup.closure.elements_per_s`` of the benchmark's
-``closure`` workload, two traced runs at seed 7919, which read 7.1e6 and
-7.8e6; CPython 3.11.7, shared 2-vCPU x86_64 host).  The closures by the
-relations, at n=7 and the two-sided one at n=8, take most of that time.
+``closure`` workload, two traced runs at seed 7919, which read 2.70e7 and
+2.69e7; CPython 3.11.7, shared 2-vCPU x86_64 host).  All six take the orbit
+path; the three at n=8 take most of that time.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Set
+from collections.abc import KeysView, Set
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, filterfalse, permutations, repeat
@@ -89,15 +89,26 @@ GENERATOR_SEARCH_BUDGET = 100
 
 #: Frontier length beyond which a closure either keeps one element per orbit
 #: of its unit group, when the permutation letters generate Sym(M) on the
-#: states M they move and |M|! exceeds this length too (``_close_by_orbits``),
-#: or else keeps each round's new elements in one list per generator that made
-#: them, so that it can skip the products a generator relation proves
-#: repeated (``_close_by_relations``).  Setting up those lists costs more
-#: than it saves on small closures: split from the first round, the 32,640
+#: states M they move (``_close_by_orbits``), or else keeps each round's new
+#: elements in one list per generator that made them, so that it can skip the
+#: products a generator relation proves repeated (``_close_by_relations``).
+#: Choosing between them closes the unit group, and the lists cost more than
+#: they save on small closures: split from the first round, the 32,640
 #: two-letter closures at n=4 take ~50 us each instead of ~18 us.  No n=4
 #: sweep closure (at most 256 elements) and none of the benchmark's sampled
 #: campaigns (at most 167) reaches this length.
 SPLIT_FRONTIER = 1024
+
+#: Fewest states M that a unit group Sym(M) must move for a closure past
+#: ``SPLIT_FRONTIER`` to keep one element per orbit (``_symmetric_units``).
+#: An orbit holds at most |M|! maps and each product is canonicalised in
+#: Python, while the relations path forms its products in C, so small groups
+#: lose: at n=8, beside two random maps, closures of 0.5-1.3M elements took
+#: 2.7-3.9 s by orbits against 0.96-1.05 s by the relations with |M| = 2,
+#: 1.0-2.9 s against 0.65-2.0 s with |M| = 3, and 0.40-0.57 s against
+#: 0.46-1.04 s with |M| = 4 (CPython 3.11.7, shared 2-vCPU x86_64 host).
+#: Every witness past the switch moves at least 5 states.
+ORBIT_MIN_STATES = 4
 
 #: Relabeling search is factorial in the movable states; refuse beyond this.
 #: Campaigns certify uniqueness without it (``witness.has_maximal_order``).
@@ -168,8 +179,8 @@ def closure(
     the generators that no relation among them rules out; when the
     permutation letters generate the whole symmetric group on the states
     they move, only one element per orbit of that group is multiplied, on
-    the left, and kept: the images are an ``OrbitUnion``, which lists the
-    orbits on demand.  If more than ``cap``
+    the left, and kept, from the letters on: the images are an
+    ``OrbitUnion``, which lists the orbits on demand.  If more than ``cap``
     elements appear (default ``DEFAULT_CAP``), ``CapExceeded`` is raised; no
     partially-closed set ever escapes.  A cap below 1 is a ValueError:
     every closure has at least one element.
@@ -216,10 +227,11 @@ def _close_images(
     whenever g*h is a generator or the identity: those products were formed
     a round earlier.  The passes whose lists are skipped most run first.  The
     result and ``cap`` are as before.  When the permutation letters generate
-    the whole symmetric group on the states they move, and it has more than
-    ``SPLIT_FRONTIER`` elements (``_symmetric_units``), the rest of the
-    closure keeps one representative per orbit of that group instead
-    (``_close_by_orbits``).
+    the whole symmetric group on the states they move, at least
+    ``ORBIT_MIN_STATES`` of them (``_symmetric_units``), the closure is
+    started again on one representative per orbit of that group instead
+    (``_close_by_orbits``).  The test closes the group, so it is made only
+    past the switch: the small closures never pay for it.
 
     A set result is the only table: it grew one element at a time, so it is
     sized for the closure (a copied set is sized for twice its length).
@@ -237,7 +249,7 @@ def _close_images(
         if len(frontier) > SPLIT_FRONTIER:
             moved = _symmetric_units(gen_images, cap)
             if moved is not None:
-                return _close_by_orbits(gen_images, seen, moved, cap)
+                return _close_by_orbits(gen_images, moved, cap)
             return _close_by_relations(gen_images, seen, frontier, cap)
         new = []
         append = new.append
@@ -319,8 +331,8 @@ def _close_by_relations(
 
 def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
     """The states M moved by the permutation letters, in increasing order,
-    when those letters generate the whole symmetric group Sym(M) and
-    SPLIT_FRONTIER < |M|! <= cap; None otherwise.
+    when those letters generate the whole symmetric group Sym(M), |M| >=
+    ``ORBIT_MIN_STATES`` and |M|! <= cap; None otherwise.
 
     The group is closed by a loop of its own, never by ``_close_images``,
     whose switch past ``SPLIT_FRONTIER`` would call back here.  It has at
@@ -331,7 +343,7 @@ def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
     units = [g + bytes(256 - n) for g in gen_images if len(set(g)) == n]
     moved = bytes(q for q in range(n) if any(g[q] != q for g in units))
     order = factorial(len(moved))
-    if not moved or not SPLIT_FRONTIER < order <= cap:
+    if not moved or len(moved) < ORBIT_MIN_STATES or order > cap:
         return None
     one = bytes(range(n))
     group = {one}
@@ -348,12 +360,7 @@ def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
     return moved if len(group) == order else None
 
 
-def _close_by_orbits(
-    gen_images: Sequence[bytes],
-    seen: set[bytes],
-    moved: bytes,
-    cap: int,
-) -> OrbitUnion | None:
+def _close_by_orbits(gen_images: Sequence[bytes], moved: bytes, cap: int) -> OrbitUnion | None:
     """The rest of ``_close_images`` when the permutation letters generate
     the whole symmetric group G on the states ``moved`` (``_symmetric_units``).
 
@@ -364,8 +371,10 @@ def _close_by_orbits(
     ``OrbitUnion``, which lists the elements on demand.  Since g*(r*h) =
     (g*r)*h, multiplying only the representatives on the left by the
     letters closes S; a product whose representative is already kept lies
-    in an orbit that is there whole.  The elements of ``seen``, a few
-    thousand at the switch, seed the first orbits.
+    in an orbit that is there whole.  The letters seed the first orbits: a
+    word a1...ak with k > 1 lies in the orbit of a1*r, r the representative
+    of the orbit of a2...ak, so by induction every element's orbit is
+    reached, and the elements made before the switch are not needed.
 
     A product costs one ``translate`` and one canonical form, and no orbit
     element is stored.  The result and ``cap`` are as in ``_close_images``.
@@ -376,7 +385,7 @@ def _close_by_orbits(
     sizes = _orbit_sizes(len(moved))
     reps: dict[bytes, int] = {}
     size = 0
-    products: Iterable[bytes] = seen
+    products: Iterable[bytes] = gen_images
     while True:
         new = []
         for t in products:
@@ -422,8 +431,9 @@ class OrbitUnion(Set):
     its argument and looks the representative up.  Equality with another
     union of the same group compares the representatives, with a set or
     any other union it tests every listed element, and any other ``Set``
-    decides it (a ``ClosedForm`` tests the listed elements in bulk).  The
-    ``Set`` operators build plain frozensets.  Read-only and not hashable.
+    decides it (a ``ClosedForm`` invariant under G tests only the
+    representatives, any other the listed elements in bulk).  The ``Set``
+    operators build plain frozensets.  Read-only and not hashable.
     """
 
     def __init__(self, n: int, moved: bytes, reps: dict[bytes, int], size: int) -> None:
@@ -433,6 +443,17 @@ class OrbitUnion(Set):
         self._states = bytes(range(n))
         self._reps = reps
         self._len = size
+
+    @property
+    def moved(self) -> bytes:
+        """The states M that G = Sym(M) moves, in increasing order."""
+        return self._moved
+
+    @property
+    def representatives(self) -> KeysView[bytes]:
+        """One map per orbit, each the canonical form of every element of
+        its orbit (``_canonical``)."""
+        return self._reps.keys()
 
     @classmethod
     def _from_iterable(cls, it: Iterable[bytes]) -> frozenset[bytes]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product, repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from synideal.dfa import (
     Dfa,
@@ -146,6 +146,14 @@ def orbit_by_injections(t: bytes, moved: bytes) -> list[bytes]:
         t.translate(bytes.maketrans(values, bytes(image)))
         for image in permutations(moved, len(values))
     ]
+
+
+def invariant_by_renumbering(maps: Iterable[bytes], moved: bytes) -> bool:
+    """Whether every packed map of ``maps``, its values renumbered by every
+    permutation of the states ``moved`` (t to t*p), stays among ``maps``."""
+    members = set(maps)
+    tables = [bytes.maketrans(moved, bytes(p)) for p in permutations(moved)]
+    return all(t.translate(table) in members for t in members for table in tables)
 
 
 def minimal_generator_count_by_subsets(s: TransformationSemigroup, k_max: int) -> int | None:

@@ -11,6 +11,7 @@ import pytest
 from synideal import dfa, ideals, injection
 from synideal.cli import main
 from synideal.dfa import parse_dfa, to_text
+from synideal.semigroup import DEFAULT_CAP
 from synideal.witness import IdealClass, build
 
 from oracles import sigma_ladder_dfas
@@ -326,16 +327,28 @@ class TestEnumerate:
             "error: more than 10000000000000000 candidate DFAs exceed the budget 100000000\n"
         )
 
-    @pytest.mark.parametrize("klass", ["left", "two-sided"])
+    @pytest.mark.parametrize("klass", ["right", "left", "two-sided"])
     @pytest.mark.parametrize("n", ["14", "20"])
     def test_sample_mode_past_the_packed_closures(self, capsys, klass, n):
-        # Some draws' Sigma*.L subset constructions pass 256 subsets, more
-        # than the packed form holds: the sampler rejects them.  At n=20 the
-        # closed form has more maps than len() reports (20^19 + 19).
+        # Some left and two-sided draws' Sigma*.L subset constructions pass
+        # 256 subsets, more than the packed form holds: the sampler rejects
+        # them.  At n=20 the closed form has more maps than len() reports
+        # (20^19 + 19).  Some right draws' semigroups pass DEFAULT_CAP (1 of
+        # 3 at n=14, 3 of 3 at n=20): each is a cap violation that counts in
+        # no class, and the campaign goes on to the next sample.
         args = ["--n", n, "--alphabet-size", "2", "--class", klass, "--mode", "sample"]
         code, out, err = run_cli(capsys, "enumerate", *args, "--count", "3", "--seed", "1", "--json")
-        assert code in (0, 1) and err == "", err
-        assert json.loads(out)["samples_obtained"] == 3
+        assert err == "", err
+        data = json.loads(out)
+        assert data["samples_obtained"] == 3
+        capped = [v for v in data["violations"] if v["check"] == "cap"]
+        assert [v["index"] for v in capped] == {
+            ("right", "14"): [0], ("right", "20"): [0, 1, 2]
+        }.get((klass, n), [])
+        for v in capped:
+            assert v["cap"] == DEFAULT_CAP and v["dfa"].startswith(f"states {n}\n"), v
+        assert data["per_class"][klass]["count"] + len(capped) == 3
+        assert code == (1 if data["violations"] else 0)
 
     def test_sample_mode_above_the_closure_limit_exit_2(self, capsys):
         args = ["--n", "256", "--alphabet-size", "2", "--class", "left", "--mode", "sample"]

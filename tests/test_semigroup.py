@@ -300,6 +300,9 @@ class TestRelationSkipping:
             return map(f, elements, table)
 
         monkeypatch.setattr(semigroup, "map", counting_map, raising=False)
+        # Their unit groups are hidden, so that past the switch they take the
+        # relations, not the orbits of those groups.
+        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
         for klass, counts in formed.items():
             packed = [g.packed() for g in build(klass, 7).delta]
             for switch, count in zip((10**9, SPLIT_FRONTIER), counts):
@@ -314,6 +317,14 @@ def _no_call(name):
         raise AssertionError(f"the closure took {name}")
 
     return fail
+
+
+def _orbits_for_small_groups(monkeypatch) -> None:
+    """Let unit groups on any number of states take the orbit path.
+    ``ORBIT_MIN_STATES`` keeps the small ones off it for speed alone, and
+    the orbit path must be exact on the small closures that the quadratic
+    reference and the closed forms at n <= 7 check."""
+    monkeypatch.setattr(semigroup, "ORBIT_MIN_STATES", 1)
 
 
 def _calls(monkeypatch, name: str) -> list:
@@ -357,10 +368,9 @@ def _orbit(t: bytes, moved: bytes) -> list[bytes]:
 
 class TestUnitOrbits:
     """When the permutation letters generate the whole symmetric group on
-    the states they move, and it has more than ``SPLIT_FRONTIER`` elements,
-    a closure past the switch adds whole orbits of that group
-    (``_close_by_orbits``).  Every other closure takes
-    ``_close_by_relations``."""
+    the states they move, a closure past the switch adds whole orbits of
+    that group (``_close_by_orbits``).  Every other closure past the switch
+    takes ``_close_by_relations``."""
 
     # Unit groups that are not the whole symmetric group on the states they
     # move: a lone 4-cycle (4 of 24), <(0 1 2)(3 4)> (6 of 120), and an
@@ -374,8 +384,8 @@ class TestUnitOrbits:
     ]
 
     def test_other_unit_groups_fall_back_to_the_relations(self, monkeypatch):
-        # With the switch at 0, |M|! > SPLIT_FRONTIER for every M: the group
-        # alone decides.
+        # With the switch at 0 every closure passes it: the group alone
+        # decides.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         monkeypatch.setattr(semigroup, "_close_by_orbits", _no_call("_close_by_orbits"))
         calls = _calls(monkeypatch, "_close_by_relations")
@@ -386,19 +396,36 @@ class TestUnitOrbits:
             assert calls, gens
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_units_moving_every_state_fall_back_up_to_the_switch(self, monkeypatch, n):
-        # The whole monoid of maps: its units are Sym(n), which must outgrow
-        # SPLIT_FRONTIER.  At the default switch that holds from n=7 on.
+    def test_units_moving_every_state_take_orbits_past_the_switch(self, monkeypatch, n):
+        # The whole monoid of maps: its units are Sym(n), with no more
+        # elements than the switch's length (n! <= 720 < SPLIT_FRONTIER).
+        # Past the switch, wherever it lies, the closure adds their orbits;
+        # one that never passes it takes neither path.
         relations = _calls(monkeypatch, "_close_by_relations")
         orbits = _calls(monkeypatch, "_close_by_orbits")
-        for switch, path in ((factorial(n), relations), (factorial(n) - 1, orbits)):
+        for switch, taken in ((0, 1), (factorial(n), 1), (n**n, 0)):
             monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
             del relations[:], orbits[:]
             assert closure(full_monoid_generators(n)).images == _all_maps(n), (n, switch)
-            assert len(path) == 1 and len(relations) + len(orbits) == 1, (n, switch)
+            assert (len(orbits), len(relations)) == (taken, 0), (n, switch)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_small_unit_groups_take_the_relations(self, monkeypatch, k):
+        # The maps of k of 6 states, the other two fixed: units Sym(k).  An
+        # orbit holds at most k! maps and each product is canonicalised in
+        # Python, so below ORBIT_MIN_STATES moved states a closure past the
+        # switch takes the relations, which form their products in C.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        relations = _calls(monkeypatch, "_close_by_relations")
+        orbits = _calls(monkeypatch, "_close_by_orbits")
+        gens = [T(*g.image, *range(k, 6)) for g in full_monoid_generators(k)]
+        assert len(closure(gens).images) == k**k
+        small = k < semigroup.ORBIT_MIN_STATES
+        assert (len(orbits), len(relations)) == (int(not small), int(small)), k
 
     def test_orbit_closures_equal_the_closed_forms(self, monkeypatch):
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        _orbits_for_small_groups(monkeypatch)
         monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
         for n in range(2, 7):
             assert closure(full_monoid_generators(n)).images == _all_maps(n), n
@@ -423,6 +450,7 @@ class TestUnitOrbits:
         # The moved states anywhere among the fixed ones, with random maps
         # beside a cycle and a transposition of them.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        _orbits_for_small_groups(monkeypatch)
         calls = _calls(monkeypatch, "_close_by_orbits")
         rng = random.Random(23)
         for n in range(2, 6):
@@ -445,6 +473,7 @@ class TestUnitOrbits:
     )
     def test_cap_is_exact_in_the_orbit_path(self, monkeypatch, switch, klass, n):
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
+        _orbits_for_small_groups(monkeypatch)
         monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
         packed = [g.packed() for g in build(klass, n).delta]
         size = bound(klass, n)
@@ -497,12 +526,36 @@ class TestUnitOrbits:
                     tg = t.translate(bytes.maketrans(moved, bytes(p)))
                     assert _orbit(tg, moved) == listed, (k, t, p)
 
+    def test_representatives_are_the_canonical_forms_of_the_elements(self, monkeypatch):
+        # The orbits are seeded from the letters: a word a1...ak lies in the
+        # orbit of a1*r, r the representative of the orbit of a2...ak.  With
+        # the switch at 0 each witness from the third size on takes the orbit
+        # path from its letters; its representatives must be those of every
+        # element of the closure by the relations, its unit group hidden.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        _orbits_for_small_groups(monkeypatch)
+        for klass, lo in MIN_N.items():
+            for n in range(lo + 2, 8):
+                gens = build(klass, n).delta
+                images = closure(gens).images
+                assert isinstance(images, OrbitUnion), (klass, n)
+                with monkeypatch.context() as hidden:
+                    hidden.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
+                    flat = closure(gens).images
+                moved = images.moved
+                fixed = bytes(q for q in range(n) if q not in moved)
+                canonical = {_canonical(e, fixed, moved)[0] for e in flat}
+                assert set(images.representatives) == canonical, (klass, n)
+                assert len(images) == len(flat) == bound(klass, n), (klass, n)
+
     def test_orbit_closure_peaks_far_below_its_flat_maps(self, monkeypatch):
-        # With the switch below 6! = 720 the right n=7 witness adds whole
-        # orbits.  It keeps one representative per orbit, 877 of them, and
-        # lists none of the 7^6 maps: its traced peak (the set at the switch,
-        # the representatives and the products of one round) is 3.4% of the
-        # maps held flat in one set, as the relations path holds them.
+        # Past the switch the right n=7 witness adds whole orbits.  It keeps
+        # one representative per orbit, 877 of them, and lists none of the
+        # 7^6 maps: its traced peak (the set at the switch, the
+        # representatives and the products of one round) is 3.4% of the maps
+        # held flat in one set, as the relations path holds them, with the
+        # switch at 512; 4.5% at the default, where the set at the switch is
+        # larger.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 512)
         monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
         gens = build(IdealClass.RIGHT, 7).delta
@@ -526,6 +579,7 @@ class TestOrbitUnion:
 
     def test_membership_agrees_with_naive_closure_on_every_map(self, monkeypatch):
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        _orbits_for_small_groups(monkeypatch)
         rng = random.Random(29)
         unions = 0
         for n in range(2, 6):
@@ -611,13 +665,15 @@ class TestOrbitUnion:
         s = closure(build(IdealClass.RIGHT, 5).delta)
         assert semigroup.equal_up_to_relabeling(s, s) == tuple(range(5))
 
-    def test_equality_with_a_closed_form_tests_in_bulk(self, monkeypatch):
+    def test_equality_with_a_closed_form_tests_representatives_or_in_bulk(self, monkeypatch):
         # collections.abc.Set.__eq__ would test each element of one side in
         # the other one by one: on the right n=8 witness, 2.1M calls of
-        # ClosedForm.__contains__ and 1.6 s.  ClosedForm._holds_all tests
-        # them column by column and calls it only for the maps outside the
-        # first family: none for right, the 6 constants for left at n=7.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 512)
+        # ClosedForm.__contains__ and 1.6 s.  A closed form invariant under
+        # the union's group tests only the representatives: 877 (right) and
+        # 878 (left) at n=7.  A set, or a form that is not invariant, is
+        # tested column by column (ClosedForm.holds_all), which calls
+        # __contains__ only for the maps outside the first family: none for
+        # right, the 6 constants for left at n=7.
         calls = [0]
         real = ClosedForm.__contains__
 
@@ -626,14 +682,79 @@ class TestOrbitUnion:
             return real(self, e)
 
         monkeypatch.setattr(ClosedForm, "__contains__", counted)
+        bulk = []
+        holds_all = ClosedForm.holds_all
+
+        def logged(self, maps):
+            bulk.append(maps)
+            return holds_all(self, maps)
+
+        monkeypatch.setattr(ClosedForm, "holds_all", logged)
+
+        def compare(a, b, equal, most, in_bulk):
+            for same in (a == b, b == a, not a != b, not b != a):
+                assert same is equal, (type(a), type(b))
+            # Four comparisons, each at most ``most`` calls.
+            assert calls[0] <= 4 * most and len(bulk) == 4 * in_bulk, (calls[0], len(bulk))
+            calls[0] = 0
+            del bulk[:]
+
         for klass in (IdealClass.RIGHT, IdealClass.LEFT):
             images = closure(build(klass, 7).delta).images
             assert isinstance(images, OrbitUnion), klass
             closed_form = expected_semigroup(klass, 7).images
+            assert closed_form.invariant_under(images.moved)
+            flat = set(images)
             calls[0] = 0
-            assert images == closed_form and closed_form == images
-            assert not images != closed_form and not closed_form != images
-            assert calls[0] <= 4 * 6, (klass, calls[0])
+            compare(images, closed_form, True, len(images.representatives), False)
+            compare(flat, closed_form, True, 6, True)
+        # The maps fixing state 0 number 7^6, as the right witness's
+        # semigroup does, but its units Sym(0..5) move state 0.
+        images = closure(build(IdealClass.RIGHT, 7).delta).images
+        fixing_0 = ClosedForm(7, [([0], range(7), range(7))])
+        assert len(fixing_0) == len(images) and not fixing_0.invariant_under(images.moved)
+        compare(images, fixing_0, False, 6, True)
+
+    def test_moved_states_and_representatives_are_read_only(self):
+        images = closure(build(IdealClass.LEFT, 7).delta).images
+        assert isinstance(images, OrbitUnion)
+        assert images.moved == bytes(range(1, 7)) and len(images.representatives) == 878
+        for name in ("moved", "representatives"):
+            with pytest.raises(AttributeError):
+                setattr(images, name, b"")
+        assert not hasattr(images.representatives, "add")
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_equality_from_representatives_agrees_with_every_element(self, n):
+        # The closed form decides equality with a union from its
+        # representatives; element by element (holds_all) must agree, on
+        # the closures and on unions with one orbit dropped or one
+        # representative swapped for a non-member's of the same orbit size.
+        # Only the two-sided n=6 witness stays below the switch.
+        for klass in IdealClass:
+            images = closure(build(klass, n).delta).images
+            closed_form = expected_semigroup(klass, n).images
+            assert images == closed_form, (klass, n)
+            if not isinstance(images, OrbitUnion):
+                assert (klass, n) == (IdealClass.TWO_SIDED, 6)
+                continue
+            moved = images.moved
+            fixed = bytes(q for q in range(n) if q not in moved)
+            reps = dict(images._reps)
+            rep, j = reps.popitem()
+            dropped = OrbitUnion(n, moved, reps, len(images) - _orbit_sizes(len(moved))[j])
+            # The first map with one state's value changed whose orbit has
+            # rep's size and lies outside the form.
+            changed = (rep[:q] + bytes([v]) + rep[q + 1 :] for q in range(n) for v in range(n))
+            foreign = next(
+                r
+                for r, k in (_canonical(e, fixed, moved) for e in changed)
+                if k == j and r not in closed_form
+            )
+            swapped = OrbitUnion(n, moved, {**reps, foreign: j}, len(images))
+            for union, equal in ((images, True), (dropped, False), (swapped, False)):
+                by_elements = len(union) == closed_form.size and closed_form.holds_all(union)
+                assert (closed_form == union) is (union == closed_form) is by_elements is equal
 
     def test_a_missing_or_foreign_orbit_is_noticed(self, monkeypatch):
         # A union with one representative dropped (its size taken off), or
@@ -670,10 +791,17 @@ class TestOutgrownTables:
     a process peaks at one closure's memory however many closures it has
     already run.  The orbit path grows no such set and never trims."""
 
+    # The two-sided n=8 witness, its symmetric unit group hidden so that it
+    # takes the relations.
     CLOSE_TWICE = """
 import resource
+from synideal import semigroup
 from synideal.semigroup import closure
 from synideal.witness import IdealClass, build
+def no_orbits(*args):
+    raise AssertionError("the closure took _close_by_orbits")
+semigroup._close_by_orbits = no_orbits
+semigroup._symmetric_units = lambda gen_images, cap: None
 gens = build(IdealClass.TWO_SIDED, 8).delta
 for _ in range(2):
     assert closure(gens).size == 262_529
@@ -728,8 +856,8 @@ for _ in range(2):
         assert second_kb - first_kb < 3 * 1024, (first_kb, second_kb)
 
     def test_closures_are_the_same_without_malloc_trim(self, monkeypatch):
-        # The right n=6 witness's units are Sym(5), 120 <= SPLIT_FRONTIER, so
-        # it takes the relations, the one path that trims.
+        # The right n=6 witness passes the switch; its unit group Sym(5) is
+        # hidden, so that it takes the relations, the one path that trims.
         resolved = []
 
         def no_trim():
@@ -737,6 +865,7 @@ for _ in range(2):
             return None
 
         monkeypatch.setattr(semigroup, "_malloc_trim", no_trim)
+        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
         monkeypatch.setattr(semigroup, "_close_by_orbits", _no_call("_close_by_orbits"))
         relations = _calls(monkeypatch, "_close_by_relations")
         images = closure(build(IdealClass.RIGHT, 6).delta).images

@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -16,7 +17,7 @@ from synideal.witness import (
     has_maximal_order,
 )
 
-from oracles import is_minimal, reference_expected_semigroup
+from oracles import invariant_by_renumbering, is_minimal, reference_expected_semigroup
 
 
 def T(*image):
@@ -215,6 +216,65 @@ class TestClosedForm:
             assert closed != near, what
             assert near != closed, what
             assert frozenset(near) != closed and closed != frozenset(near), what
+
+
+def _state_sets(n: int):
+    """Every non-empty set of the states 0..n-1, as increasing bytes."""
+    for k in range(1, n + 1):
+        yield from map(bytes, combinations(range(n), k))
+
+
+def _random_closed_form(rng: random.Random, n: int) -> witness.ClosedForm:
+    """A closed form of one to three families with random allowed images,
+    some of them empty, and pairwise disjoint first images."""
+    states = list(range(n))
+    rng.shuffle(states)
+    cuts = sorted(rng.sample(range(1, n + 1), min(n, rng.randint(1, 3))))
+    families = []
+    for lo, hi in zip([0, *cuts], cuts):
+        first = states[lo:hi]
+        middle = rng.sample(range(n), rng.randint(0, n))
+        last = rng.sample(range(n), rng.randint(0, n))
+        families.append((first, middle, last))
+    return witness.ClosedForm(n, families)
+
+
+class TestInvariance:
+    """``ClosedForm.invariant_under(M)``: every map of the form, its values
+    renumbered by any permutation of M, stays in it.  Decided from the
+    families; checked here against renumbering every map."""
+
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_the_closed_forms_agree_with_renumbering_every_map(self, klass):
+        outcomes = set()
+        for n in range(MIN_N[klass], 6):
+            closed = expected_semigroup(klass, n).images
+            for moved in _state_sets(n):
+                expected = invariant_by_renumbering(closed, moved)
+                assert closed.invariant_under(moved) is expected, (n, moved)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_random_forms_agree_with_renumbering_every_map(self):
+        rng = random.Random(31)
+        outcomes = set()
+        for n in range(1, 5):
+            for _ in range(40):
+                closed = _random_closed_form(rng, n)
+                for moved in _state_sets(n):
+                    expected = invariant_by_renumbering(closed, moved)
+                    assert closed.invariant_under(moved) is expected, (n, moved)
+                    outcomes.add((n, expected))
+        assert outcomes == {(n, b) for n in range(1, 5) for b in (True, False)} - {(1, False)}
+
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_the_witness_units_leave_the_closed_forms_invariant(self, klass):
+        # The states the permutation letters move: 0..n-2 (right), 1..n-1
+        # (left), 1..n-2 (two-sided).
+        for n in range(MIN_N[klass] + 2, 12):
+            units = [m for m in build(klass, n).delta if len(set(m.image)) == n]
+            moved = bytes(q for q in range(n) if any(u.image[q] != q for u in units))
+            assert expected_semigroup(klass, n).images.invariant_under(moved), (n, moved)
 
 
 class TestWitnessShape:
