@@ -5,23 +5,12 @@ as packed byte strings and right-multiplication by a generator is a single
 ``bytes.translate`` call, mapped over the whole frontier, with the repeat
 products filtered out in C.
 
-Known relations among the generators (Froidure & Pin 1997) spare products
-too.  An element first made as t*g, multiplied by h, is t*(g*h); when g*h is
-a generator or the identity, that product was formed from t a round earlier.
-So once a round's frontier outgrows ``SPLIT_FRONTIER`` elements, each round
-lists its new elements by the generator that made them, and h's pass skips
-the list of every such g.  The passes whose lists are skipped most run
-first, so that they are credited with the elements several passes make.  On
-the witnesses at n=8, their unit groups hidden (the transposition b has b*b
-= 1, the idempotents c*c = c and c*d = c, the left witness's constant e has
-x*e = e), that forms 20% (right), 36% (left) and 31% (two-sided) fewer
-products.  Below the switch the per-generator lists would cost more than they
-save.
-
-Past the switch, a closure whose permutation letters generate the whole
-symmetric group G = Sym(M) on the states M they move, at least
-``ORBIT_MIN_STATES`` of them, works on orbits of G instead (Linton, Pfeiffer, Robertson & Ruskuc 1998; East, Egri-Nagy,
-Mitchell & Peresse 2019).  G lies in the closure, so the closure is a union
+The first time a round's frontier outgrows ``SPLIT_FRONTIER`` elements, a
+closure whose permutation letters generate the whole symmetric group G =
+Sym(M) on the states M they move, at least ``ORBIT_MIN_STATES`` of them,
+works on orbits of G instead (Linton, Pfeiffer, Robertson & Ruskuc 1998;
+East, Egri-Nagy, Mitchell & Peresse 2019); any other closure goes on with
+the same passes.  G lies in the closure, so the closure is a union
 of orbits t*G.  It keeps one canonical representative per orbit, seeded from
 the letters, multiplies only those, and returns them as an ``OrbitUnion``:
 its length is the sum of the orbit sizes, membership canonicalises the map
@@ -40,19 +29,6 @@ compared with it from the representatives alone (``witness.ClosedForm``):
 left closure through the |M|! tables (7! = 5,040 at n=8, about 1.5 MB)
 takes 0.19-0.26 s at n=8 and ~5 s at n=9.
 
-Past the switch a closure by the relations also hands the set tables it
-outgrows back to the OS once a round (glibc's ``malloc_trim``; nothing
-happens off Linux or where the C library lacks it), so it peaks at its
-elements plus one table however many closures the process has already run.
-Without the trim, freeing one closure's mmapped tables raises glibc's
-dynamic mmap threshold (up to 32 MB), and the next closure's tables up to
-that size come from the heap, where they stay resident once outgrown.
-Closing the right n=8 witness twice by the relations (its unit group hidden)
-peaks at 180.3 and 180.4 MB with the trim, against 185.5 and 211.8 MB
-without it (``ru_maxrss``, CPython 3.11.7, x86_64 Linux).  The price is that
-later rounds fault the returned pages in again.  The orbit path grows no
-such set and does not trim.
-
 On the witness semigroups at n=7 and n=8 the engine reaches about 2.7e7
 elements/s (``semigroup.closure.elements_per_s`` of the benchmark's
 ``closure`` workload, two traced runs at seed 7919, which read 2.70e7 and
@@ -62,10 +38,9 @@ path; the three at n=8 take most of that time.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import KeysView, Set
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, combinations, filterfalse, permutations, repeat
 from math import factorial
 from operator import itemgetter
@@ -87,27 +62,26 @@ DEFAULT_CAP = 2_100_000
 #: bounds |S| and with it the size of every class searched.
 GENERATOR_SEARCH_BUDGET = 100
 
-#: Frontier length beyond which a closure either keeps one element per orbit
-#: of its unit group, when the permutation letters generate Sym(M) on the
-#: states M they move (``_close_by_orbits``), or else keeps each round's new
-#: elements in one list per generator that made them, so that it can skip the
-#: products a generator relation proves repeated (``_close_by_relations``).
-#: Choosing between them closes the unit group, and the lists cost more than
-#: they save on small closures: split from the first round, the 32,640
-#: two-letter closures at n=4 take ~50 us each instead of ~18 us.  No n=4
-#: sweep closure (at most 256 elements) and none of the benchmark's sampled
-#: campaigns (at most 167) reaches this length.
+#: Frontier length past which a closure asks, once, whether its permutation
+#: letters generate Sym(M) on the states M they move, and if so keeps one
+#: element per orbit of that group (``_close_by_orbits``).  Asking closes the
+#: unit group: asked on every closure's first round, the 32,640 two-letter
+#: closures at n=4 take ~20 us each instead of ~15 us.  No n=4 sweep closure
+#: (at most 256 elements) and none of the benchmark's sampled campaigns (at
+#: most 167) reaches this length, so none of them asks.
 SPLIT_FRONTIER = 1024
 
 #: Fewest states M that a unit group Sym(M) must move for a closure past
 #: ``SPLIT_FRONTIER`` to keep one element per orbit (``_symmetric_units``).
 #: An orbit holds at most |M|! maps and each product is canonicalised in
-#: Python, while the relations path forms its products in C, so small groups
-#: lose: at n=8, beside two random maps, closures of 0.5-1.3M elements took
-#: 2.7-3.9 s by orbits against 0.96-1.05 s by the relations with |M| = 2,
-#: 1.0-2.9 s against 0.65-2.0 s with |M| = 3, and 0.40-0.57 s against
-#: 0.46-1.04 s with |M| = 4 (CPython 3.11.7, shared 2-vCPU x86_64 host).
-#: Every witness past the switch moves at least 5 states.
+#: Python, while the plain passes form their products in C, so small groups
+#: lose.  At n=8, with a cycle and a transposition of M beside two random
+#: maps (three seeds per |M|, closures of 0.1-2.1M elements), the orbit path
+#: took 3.3-4.4x the plain passes' time with |M| = 2 (7.6 against 2.0 s at
+#: the largest), 1.8-3.0x with |M| = 3, 0.89-1.4x with |M| = 4 (0.49 against
+#: 0.49 s, 0.12 against 0.085 s, 1.34 against 1.51 s) and 0.13-0.37x with
+#: |M| = 5 (CPython 3.11.7, shared 2-vCPU x86_64 host).  Every witness past
+#: the switch moves at least 5 states.
 ORBIT_MIN_STATES = 4
 
 #: Relabeling search is factorial in the movable states; refuse beyond this.
@@ -175,11 +149,10 @@ def closure(
     """All distinct composites of one or more generators.
 
     Frontier-style breadth-first search (``_close_images``): each new element
-    is right-multiplied by every generator, or past ``SPLIT_FRONTIER`` by
-    the generators that no relation among them rules out; when the
-    permutation letters generate the whole symmetric group on the states
-    they move, only one element per orbit of that group is multiplied, on
-    the left, and kept, from the letters on: the images are an
+    is right-multiplied by every generator.  When the permutation letters
+    generate the whole symmetric group on the states they move, a closure
+    past ``SPLIT_FRONTIER`` multiplies only one element per orbit of that
+    group, on the left, and keeps it, from the letters on: the images are an
     ``OrbitUnion``, which lists the orbits on demand.  If more than ``cap``
     elements appear (default ``DEFAULT_CAP``), ``CapExceeded`` is raised; no
     partially-closed set ever escapes.  A cap below 1 is a ValueError:
@@ -221,17 +194,13 @@ def _close_images(
     of products; the result is None exactly when the closure has more than
     ``cap`` elements.
 
-    Once a round's frontier outgrows ``SPLIT_FRONTIER`` elements, the rest of
-    the closure (``_close_by_relations``) keeps each round's new elements in
-    one list per generator g that made them, and h's pass skips g's list
-    whenever g*h is a generator or the identity: those products were formed
-    a round earlier.  The passes whose lists are skipped most run first.  The
-    result and ``cap`` are as before.  When the permutation letters generate
-    the whole symmetric group on the states they move, at least
-    ``ORBIT_MIN_STATES`` of them (``_symmetric_units``), the closure is
-    started again on one representative per orbit of that group instead
-    (``_close_by_orbits``).  The test closes the group, so it is made only
-    past the switch: the small closures never pay for it.
+    The first time a round's frontier outgrows ``SPLIT_FRONTIER`` elements,
+    the closure asks once whether the permutation letters generate the whole
+    symmetric group on the states they move, at least ``ORBIT_MIN_STATES``
+    of them (``_symmetric_units``).  If they do, it is started again on one
+    representative per orbit of that group (``_close_by_orbits``); if not,
+    the same passes run on to the end.  The test closes the group, so it is
+    made only past the switch: the small closures never pay for it.
 
     A set result is the only table: it grew one element at a time, so it is
     sized for the closure (a copied set is sized for twice its length).
@@ -245,12 +214,13 @@ def _close_images(
     add = seen.add
     contained = seen.__contains__
     frontier = list(seen)
+    units_asked = False
     while frontier:
-        if len(frontier) > SPLIT_FRONTIER:
+        if len(frontier) > SPLIT_FRONTIER and not units_asked:
+            units_asked = True
             moved = _symmetric_units(gen_images, cap)
             if moved is not None:
                 return _close_by_orbits(gen_images, moved, cap)
-            return _close_by_relations(gen_images, seen, frontier, cap)
         new = []
         append = new.append
         for table in tables:
@@ -260,72 +230,6 @@ def _close_images(
             if len(seen) > cap:
                 return None
         frontier = new
-    return seen
-
-
-def _close_by_relations(
-    gen_images: Sequence[bytes],
-    seen: set[bytes],
-    frontier: list[bytes],
-    cap: int,
-) -> set[bytes] | None:
-    """The rest of ``_close_images`` from ``frontier``, whose elements are in
-    ``seen`` and were not yet multiplied, with each round's new elements
-    kept in one list per generator that made them.
-
-    An element x first made as t*g, multiplied by h, is t*(g*h).  When g*h is
-    a generator f, t*f is already in ``seen``: t, in the round before x's,
-    was multiplied by every generator (or t*f was skipped by this same rule,
-    and is in ``seen`` by induction); when g*h is the identity, x*h is t.  So
-    h's pass skips the list of every g with g*h a generator or the identity.
-    A generator in no such relation shares one list with the frontier handed
-    over here, whose elements count as made by no generator: every pass
-    reads it.  Passes run in decreasing order of the number of passes that
-    skip their list (input order among equals), so that an element made by
-    several generators in one round is credited to the one whose list is
-    skipped most.  After each round, the set tables and lists outgrown in
-    it are handed back to the OS (``_malloc_trim``; see the module
-    docstring).
-
-    A loop of its own because folding it into ``_close_images``, with every
-    pass reading and filling one list until the switch, makes the two-letter
-    closures at n=4 about 20% slower: the list bookkeeping costs more per
-    pass than their few products.
-    """
-    n = len(frontier[0])
-    known = {*gen_images, bytes(range(n))}
-    padded = [g + bytes(256 - n) for g in gen_images]
-    k = len(gen_images)
-    # skips[h][g]: g*h is a generator or the identity.
-    skips = [[g.translate(table) in known for g in gen_images] for table in padded]
-    credit = [sum(row[g] for row in skips) for g in range(k)]
-    # List k holds the elements of no listed generator, the frontier first.
-    home = [g if credit[g] else k for g in range(k)]
-    passes = [
-        (
-            repeat(padded[h]),
-            home[h],
-            [g for g in range(k) if credit[g] and not skips[h][g]] + [k],
-        )
-        for h in sorted(range(k), key=credit.__getitem__, reverse=True)
-    ]
-    add = seen.add
-    contained = seen.__contains__
-    trim = _malloc_trim()
-    lists = [[] for _ in range(k)] + [frontier]
-    while any(lists):
-        new = [[] for _ in range(k + 1)]
-        for table, out, reads in passes:
-            append = new[out].append
-            for i in reads:
-                for c in filterfalse(contained, map(bytes.translate, lists[i], table)):
-                    add(c)
-                    append(c)
-            if len(seen) > cap:
-                return None
-        lists = new
-        if trim is not None:
-            trim(0)
     return seen
 
 
@@ -504,24 +408,6 @@ def _injection_tables(moved: bytes) -> list[list[bytes]]:
         for j in range(start, k + 1):
             tables[j].append(table)
     return tables
-
-
-@cache
-def _malloc_trim() -> Callable[[int], int] | None:
-    """glibc's ``malloc_trim``, resolved on first use, or None off Linux or
-    where the C library has no such symbol.  ``CDLL(None)`` opens the
-    running process's own symbols, so nothing is searched for or started."""
-    if not sys.platform.startswith("linux"):
-        return None
-    import ctypes
-
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError):
-        return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
 
 
 def generator_necessity(s: TransformationSemigroup) -> list[bool]:

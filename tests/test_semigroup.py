@@ -1,11 +1,8 @@
-import os
 import random
-import subprocess
 import sys
 import tracemalloc
 from itertools import permutations, product
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -145,23 +142,22 @@ class TestClosure:
         assert sys.getsizeof(images) <= sys.getsizeof(frozenset(iter(closure(gens).images)))
 
     @pytest.mark.parametrize("n", [6, 7])
-    def test_closure_holds_one_table_at_its_peak(self, n):
+    def test_closure_holds_one_table_at_its_peak(self, monkeypatch, n):
         # The membership set is the result: besides the set and its elements
         # only the frontier lists are alive.  A discovery-order list frozen
         # into a second table peaks at 1.24x (n=6) and 1.35x (n=7) of the
         # result; the one table at 1.05x and 1.09x.  Allocation sizes, so
-        # the figures repeat exactly.  ``malloc_trim`` is resolved first, so
-        # that importing ctypes on a closure's first switch past
-        # SPLIT_FRONTIER is not traced in a process that has not closed one.
+        # the figures repeat exactly.  The unit group is hidden, so that the
+        # plain passes build the flat set past the switch.
+        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
         gens = build(IdealClass.RIGHT, n).delta
-        semigroup._malloc_trim()
         tracemalloc.start()
         try:
             images = closure(gens).images
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(images) == n ** (n - 1)
+        assert type(images) is set and len(images) == n ** (n - 1)
         held = sys.getsizeof(images) + sum(map(sys.getsizeof, images))
         assert peak <= 1.15 * held, peak / held
 
@@ -236,10 +232,11 @@ def _relation_cases(packed: list[bytes]) -> set[str]:
     return cases
 
 
-class TestRelationSkipping:
-    """Above ``SPLIT_FRONTIER`` the closure skips every product that a
-    generator relation proves repeated.  The result and the cap must not
-    notice: checked against ``naive_closure`` with the switch moved
+class TestAcrossTheSwitch:
+    """Past ``SPLIT_FRONTIER`` a closure asks once whether its unit group is
+    a whole symmetric group, and then takes the orbit path or goes on with
+    the same passes.  The result and the cap must not notice: checked
+    against ``naive_closure`` on relation-rich letters with the switch moved
     down to every small size, and against the closed forms at the default."""
 
     SWITCHES = (0, 1, 3, 10, SPLIT_FRONTIER)
@@ -283,40 +280,6 @@ class TestRelationSkipping:
         assert len(full) == 7776 > SPLIT_FRONTIER
         assert _close_images(packed, cap=7775) is None
         assert _close_images(packed, cap=7776) == full
-
-    def test_products_formed_on_the_n7_witnesses(self, monkeypatch):
-        # Without the relations each element is multiplied by every letter:
-        # 4, 5 and 6 products per element for right, left and two-sided.
-        # With them, and the passes whose lists are skipped most run first:
-        formed = {
-            IdealClass.RIGHT: (117_649 * 4, 373_365),
-            IdealClass.LEFT: (117_655 * 5, 377_413),
-            IdealClass.TWO_SIDED: (16_968 * 6, 77_480),
-        }
-        products = [0]
-
-        def counting_map(f, elements, table):
-            products[0] += len(elements)
-            return map(f, elements, table)
-
-        monkeypatch.setattr(semigroup, "map", counting_map, raising=False)
-        # Their unit groups are hidden, so that past the switch they take the
-        # relations, not the orbits of those groups.
-        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
-        for klass, counts in formed.items():
-            packed = [g.packed() for g in build(klass, 7).delta]
-            for switch, count in zip((10**9, SPLIT_FRONTIER), counts):
-                monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
-                products[0] = 0
-                assert len(_close_images(packed)) == bound(klass, 7)
-                assert products[0] == count, (klass, switch)
-
-
-def _no_call(name):
-    def fail(*args, **kwargs):
-        raise AssertionError(f"the closure took {name}")
-
-    return fail
 
 
 def _orbits_for_small_groups(monkeypatch) -> None:
@@ -370,7 +333,7 @@ class TestUnitOrbits:
     """When the permutation letters generate the whole symmetric group on
     the states they move, a closure past the switch adds whole orbits of
     that group (``_close_by_orbits``).  Every other closure past the switch
-    takes ``_close_by_relations``."""
+    goes on with the plain passes."""
 
     # Unit groups that are not the whole symmetric group on the states they
     # move: a lone 4-cycle (4 of 24), <(0 1 2)(3 4)> (6 of 120), and an
@@ -383,67 +346,66 @@ class TestUnitOrbits:
         [identity(4), T(1, 2, 0, 1), T(0, 0, 2, 3)],
     ]
 
-    def test_other_unit_groups_fall_back_to_the_relations(self, monkeypatch):
+    def test_other_unit_groups_keep_the_plain_passes(self, monkeypatch):
         # With the switch at 0 every closure passes it: the group alone
-        # decides.
+        # decides.  It is asked once, though every later round's frontier is
+        # past the switch too.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
-        monkeypatch.setattr(semigroup, "_close_by_orbits", _no_call("_close_by_orbits"))
-        calls = _calls(monkeypatch, "_close_by_relations")
+        asked = _calls(monkeypatch, "_symmetric_units")
+        orbits = _calls(monkeypatch, "_close_by_orbits")
         for gens in self.OTHER_UNITS:
             expected = {bytes(e) for e in naive_closure(gens)}
-            del calls[:]
+            del asked[:]
             assert _close_images([g.packed() for g in gens]) == expected, gens
-            assert calls, gens
+            assert (len(asked), len(orbits)) == (1, 0), gens
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_units_moving_every_state_take_orbits_past_the_switch(self, monkeypatch, n):
         # The whole monoid of maps: its units are Sym(n), with no more
         # elements than the switch's length (n! <= 720 < SPLIT_FRONTIER).
         # Past the switch, wherever it lies, the closure adds their orbits;
-        # one that never passes it takes neither path.
-        relations = _calls(monkeypatch, "_close_by_relations")
+        # one that never passes it keeps the plain passes.
         orbits = _calls(monkeypatch, "_close_by_orbits")
         for switch, taken in ((0, 1), (factorial(n), 1), (n**n, 0)):
             monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
-            del relations[:], orbits[:]
+            del orbits[:]
             assert closure(full_monoid_generators(n)).images == _all_maps(n), (n, switch)
-            assert (len(orbits), len(relations)) == (taken, 0), (n, switch)
+            assert len(orbits) == taken, (n, switch)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_small_unit_groups_take_the_relations(self, monkeypatch, k):
+    def test_small_unit_groups_keep_the_plain_passes(self, monkeypatch, k):
         # The maps of k of 6 states, the other two fixed: units Sym(k).  An
         # orbit holds at most k! maps and each product is canonicalised in
         # Python, so below ORBIT_MIN_STATES moved states a closure past the
-        # switch takes the relations, which form their products in C.
+        # switch keeps the plain passes, which form their products in C.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
-        relations = _calls(monkeypatch, "_close_by_relations")
         orbits = _calls(monkeypatch, "_close_by_orbits")
         gens = [T(*g.image, *range(k, 6)) for g in full_monoid_generators(k)]
         assert len(closure(gens).images) == k**k
-        small = k < semigroup.ORBIT_MIN_STATES
-        assert (len(orbits), len(relations)) == (int(not small), int(small)), k
+        assert len(orbits) == int(k >= semigroup.ORBIT_MIN_STATES), k
 
     def test_orbit_closures_equal_the_closed_forms(self, monkeypatch):
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         _orbits_for_small_groups(monkeypatch)
-        monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
         for n in range(2, 7):
-            assert closure(full_monoid_generators(n)).images == _all_maps(n), n
+            images = closure(full_monoid_generators(n)).images
+            assert isinstance(images, OrbitUnion) and images == _all_maps(n), n
         for klass, lo in MIN_N.items():
             # The two smallest witnesses of each class have an identity letter.
             for n in range(lo + 2, 8):
                 images = closure(build(klass, n).delta).images
+                assert isinstance(images, OrbitUnion), (klass, n)
                 assert images == expected_semigroup(klass, n).images, (klass, n)
 
-    def test_the_relations_still_close_the_witnesses(self, monkeypatch):
-        # With the switch at 0 most witnesses now add orbits; the relations
-        # path must still close them, as it does every other closure.
+    def test_the_plain_passes_still_close_the_witnesses(self, monkeypatch):
+        # With the switch at 0 most witnesses now add orbits; the plain
+        # passes must still close them, as they do every other closure.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
-        monkeypatch.setattr(semigroup, "_close_by_orbits", _no_call("_close_by_orbits"))
         for klass, lo in MIN_N.items():
             for n in range(lo, 7):
                 images = closure(build(klass, n).delta).images
+                assert type(images) is set, (klass, n)
                 assert images == expected_semigroup(klass, n).images, (klass, n)
 
     def test_random_symmetric_units_agree_with_naive_closure(self, monkeypatch):
@@ -474,11 +436,11 @@ class TestUnitOrbits:
     def test_cap_is_exact_in_the_orbit_path(self, monkeypatch, switch, klass, n):
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
         _orbits_for_small_groups(monkeypatch)
-        monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
         packed = [g.packed() for g in build(klass, n).delta]
         size = bound(klass, n)
         assert _close_images(packed, cap=size - 1) is None
-        assert _close_images(packed, cap=size) == expected_semigroup(klass, n).images
+        images = _close_images(packed, cap=size)
+        assert isinstance(images, OrbitUnion) and images == expected_semigroup(klass, n).images
 
     @staticmethod
     def _maps_with_moved_values(rng, moved, fixed, j, count):
@@ -531,7 +493,7 @@ class TestUnitOrbits:
         # orbit of a1*r, r the representative of the orbit of a2...ak.  With
         # the switch at 0 each witness from the third size on takes the orbit
         # path from its letters; its representatives must be those of every
-        # element of the closure by the relations, its unit group hidden.
+        # element of the closure by the plain passes, its unit group hidden.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         _orbits_for_small_groups(monkeypatch)
         for klass, lo in MIN_N.items():
@@ -553,20 +515,18 @@ class TestUnitOrbits:
         # one representative per orbit, 877 of them, and lists none of the
         # 7^6 maps: its traced peak (the set at the switch, the
         # representatives and the products of one round) is 3.4% of the maps
-        # held flat in one set, as the relations path holds them, with the
+        # held flat in one set, as the plain passes hold them, with the
         # switch at 512; 4.5% at the default, where the set at the switch is
         # larger.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 512)
-        monkeypatch.setattr(semigroup, "_close_by_relations", _no_call("_close_by_relations"))
         gens = build(IdealClass.RIGHT, 7).delta
-        semigroup._malloc_trim()
         tracemalloc.start()
         try:
             images = closure(gens).images
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(images) == 7**6
+        assert isinstance(images, OrbitUnion) and len(images) == 7**6
         flat = set(images)
         held = sys.getsizeof(flat) + sum(map(sys.getsizeof, flat))
         assert peak <= 0.05 * held, peak / held
@@ -783,94 +743,6 @@ class TestOrbitUnion:
                 assert mutant != other and other != mutant
                 assert not mutant == other and not other == mutant
         assert rep not in dropped and foreign in swapped and foreign not in images
-
-
-class TestOutgrownTables:
-    """Past ``SPLIT_FRONTIER`` a closure by the relations returns the set
-    tables it outgrows to the OS (glibc's ``malloc_trim``) once per round, so
-    a process peaks at one closure's memory however many closures it has
-    already run.  The orbit path grows no such set and never trims."""
-
-    # The two-sided n=8 witness, its symmetric unit group hidden so that it
-    # takes the relations.
-    CLOSE_TWICE = """
-import resource
-from synideal import semigroup
-from synideal.semigroup import closure
-from synideal.witness import IdealClass, build
-def no_orbits(*args):
-    raise AssertionError("the closure took _close_by_orbits")
-semigroup._close_by_orbits = no_orbits
-semigroup._symmetric_units = lambda gen_images, cap: None
-gens = build(IdealClass.TWO_SIDED, 8).delta
-for _ in range(2):
-    assert closure(gens).size == 262_529
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
-
-    # The right n=8 witness, made to take the relations by hiding its
-    # symmetric unit group: 2.1M elements in one set, whose tables outgrow
-    # glibc's largest mmap threshold (32 MB).
-    CLOSE_RIGHT_TWICE = """
-import resource
-from synideal import semigroup
-from synideal.semigroup import closure
-from synideal.witness import IdealClass, build
-def no_orbits(*args):
-    raise AssertionError("the closure took _close_by_orbits")
-semigroup._close_by_orbits = no_orbits
-semigroup._symmetric_units = lambda gen_images, cap: None
-gens = build(IdealClass.RIGHT, 8).delta
-for _ in range(2):
-    assert closure(gens).size == 2_097_152
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
-
-    @staticmethod
-    def _peaks_kb(script: str) -> tuple[int, int]:
-        """ru_maxrss after each of the two closures ``script`` runs, in a
-        fresh process: this one's heap already holds other tests' tables.
-        ru_maxrss is in KiB on Linux, the only platform with a trim."""
-        if semigroup._malloc_trim() is None:
-            pytest.skip("no malloc_trim in this C library")
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        first_kb, second_kb = map(int, proc.stdout.split())
-        return first_kb, second_kb
-
-    def test_a_second_n8_closure_peaks_where_the_first_did(self):
-        # Without the trim the second closure's tables, up to the raised mmap
-        # threshold, come from the heap and stay resident: 37.1 -> 43.3 MB,
-        # against 36.4 -> 37.6 MB with it (CPython 3.11.7).
-        first_kb, second_kb = self._peaks_kb(self.CLOSE_TWICE)
-        assert second_kb - first_kb < 3 * 1024, (first_kb, second_kb)
-
-    def test_a_second_2m_element_closure_peaks_where_the_first_did(self):
-        # 180.3 -> 180.4 MB; without the trim, 185.5 -> 211.8 MB (CPython
-        # 3.11.7).
-        first_kb, second_kb = self._peaks_kb(self.CLOSE_RIGHT_TWICE)
-        assert second_kb - first_kb < 3 * 1024, (first_kb, second_kb)
-
-    def test_closures_are_the_same_without_malloc_trim(self, monkeypatch):
-        # The right n=6 witness passes the switch; its unit group Sym(5) is
-        # hidden, so that it takes the relations, the one path that trims.
-        resolved = []
-
-        def no_trim():
-            resolved.append(True)
-            return None
-
-        monkeypatch.setattr(semigroup, "_malloc_trim", no_trim)
-        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
-        monkeypatch.setattr(semigroup, "_close_by_orbits", _no_call("_close_by_orbits"))
-        relations = _calls(monkeypatch, "_close_by_relations")
-        images = closure(build(IdealClass.RIGHT, 6).delta).images
-        assert relations and resolved, "the closure never reached the per-round trim"
-        assert images == expected_semigroup(IdealClass.RIGHT, 6).images
 
 
 class TestContains:
