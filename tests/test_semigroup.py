@@ -281,6 +281,49 @@ class TestAcrossTheSwitch:
         assert _close_images(packed, cap=7775) is None
         assert _close_images(packed, cap=7776) == full
 
+    @pytest.mark.parametrize(
+        "klass, letters",
+        [(IdealClass.RIGHT, 4), (IdealClass.LEFT, 5), (IdealClass.TWO_SIDED, 6)],
+    )
+    def test_products_formed_on_the_n7_witnesses(self, monkeypatch, klass, letters):
+        # One loop: past the switch the passes go on as before it, so each
+        # element is multiplied by every letter exactly once, at the default
+        # switch as with none.  Their unit groups are hidden, so that past
+        # the switch they keep the passes, not the orbits of those groups.
+        products = [0]
+
+        def counting_map(f, elements, table):
+            products[0] += len(elements)
+            return map(f, elements, table)
+
+        monkeypatch.setattr(semigroup, "map", counting_map, raising=False)
+        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
+        packed = [g.packed() for g in build(klass, 7).delta]
+        assert len(packed) == letters
+        for switch in (10**9, SPLIT_FRONTIER):
+            monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
+            products[0] = 0
+            assert len(_close_images(packed)) == bound(klass, 7)
+            assert products[0] == bound(klass, 7) * letters, switch
+
+    def test_closures_below_the_switch_never_ask_for_units(self, monkeypatch):
+        # The unit-group test closes a group, so it is kept off the small
+        # closures: the full monoid of 4 states (units Sym(4), enough for
+        # the orbit path) and every witness whose frontiers stay within
+        # SPLIT_FRONTIER close by the passes alone.
+        asked = _calls(monkeypatch, "_symmetric_units")
+        orbits = _calls(monkeypatch, "_close_by_orbits")
+        images = closure(full_monoid_generators(4)).images
+        assert type(images) is set and images == _all_maps(4)
+        for klass, lo in MIN_N.items():
+            for n in range(lo, 8):
+                if bound(klass, n) > SPLIT_FRONTIER:
+                    continue
+                images = closure(build(klass, n).delta).images
+                assert type(images) is set, (klass, n)
+                assert images == expected_semigroup(klass, n).images, (klass, n)
+        assert (asked, orbits) == ([], [])
+
 
 def _orbits_for_small_groups(monkeypatch) -> None:
     """Let unit groups on any number of states take the orbit path.
