@@ -12,28 +12,33 @@ works on orbits of G instead (Linton, Pfeiffer, Robertson & Ruskuc 1998;
 East, Egri-Nagy, Mitchell & Peresse 2019); any other closure goes on with
 the same passes.  G lies in the closure, so the closure is a union
 of orbits t*G.  It keeps one canonical representative per orbit, seeded from
-the letters, multiplies only those, and returns them as an ``OrbitUnion``:
-its length is the sum of the orbit sizes, membership canonicalises the map
-asked about, and iteration lists each orbit through translate tables shared
-by every orbit, one per permutation of M, built on the first iteration.  No
-orbit element is stored.  Every witness whose closure passes the switch
-takes this path: its units are Sym on n-1 states (right, left) or n-2
-(two-sided), and only the two-sided n=6 one and those below n=6 stay under
-the switch.  At n=8 a closure takes 0.03-0.045 s (4,140, 4,141 and 3,328
-orbits for right, left and two-sided), at n=9 0.16-0.24 s (21,147, 21,148
-and 17,136) and at n=10 0.9-1.9 s (115,975, 115,976 and 95,085), of which
-~0.35 s closes the unit group Sym(9) in ``_symmetric_units``.  Its size is
-known without listing an element, and a closed form invariant under G is
-compared with it from the representatives alone (``witness.ClosedForm``):
-1-2 ms at n=8 and 6-11 ms at n=9.  Listing the elements of the right or
-left closure through the |M|! tables (7! = 5,040 at n=8, about 1.5 MB)
-takes 0.19-0.26 s at n=8 and ~5 s at n=9.
+the letters, multiplies only those, takes the canonical form of each
+distinct product once, and returns the representatives as an
+``OrbitUnion``: its length is the sum of the orbit sizes, membership
+canonicalises the map asked about, and iteration lists each orbit through
+translate tables shared by every orbit, one per permutation of M, built on
+the first iteration.  No orbit element is stored.  Every witness whose
+closure passes the switch takes this path: its units are Sym on n-1 states
+(right, left) or n-2 (two-sided), with a transposition among its letters,
+so Jordan's theorem decides that they are the whole group in ~0.1 ms
+(``_symmetric_units``); only the two-sided n=6 one and those below n=6 stay
+under the switch.  In a fresh process a closure takes 0.012-0.027 s at n=8
+(4,140, 4,141 and 3,328 orbits for right, left and two-sided), 0.07-0.13 s
+at n=9 (21,147, 21,148 and 17,136) and 0.68-0.80 s at n=10 (115,975,
+115,976 and 95,085; peak RSS 43 MB for right and left, 41 MB for
+two-sided).  Its size is known without listing an element, and a closed
+form invariant under G is compared with it from the representatives alone
+(``witness.ClosedForm``): 1-2 ms at n=8 and 6-11 ms at n=9.  Conjugating it
+by a permutation of the states conjugates only the representatives
+(``_conjugated_images``).  Listing the elements of the right or left closure
+through the |M|! tables (7! = 5,040 at n=8, about 1.5 MB) takes 0.19-0.26 s
+at n=8 and ~5 s at n=9.
 
-On the witness semigroups at n=7 and n=8 the engine reaches about 2.7e7
+On the witness semigroups at n=7 and n=8 the engine reaches about 7.7e7
 elements/s (``semigroup.closure.elements_per_s`` of the benchmark's
-``closure`` workload, two traced runs at seed 7919, which read 2.70e7 and
-2.69e7; CPython 3.11.7, shared 2-vCPU x86_64 host).  All six take the orbit
-path; the three at n=8 take most of that time.
+``closure`` workload, a traced run at seed 7919; CPython 3.11.7, shared
+2-vCPU x86_64 host).  All six take the orbit path; the three at n=8 take
+most of that time.
 """
 
 from __future__ import annotations
@@ -64,11 +69,11 @@ GENERATOR_SEARCH_BUDGET = 100
 
 #: Frontier length past which a closure asks, once, whether its permutation
 #: letters generate Sym(M) on the states M they move, and if so keeps one
-#: element per orbit of that group (``_close_by_orbits``).  Asking closes the
-#: unit group: asked on every closure's first round, the 32,640 two-letter
-#: closures at n=4 take ~20 us each instead of ~15 us.  No n=4 sweep closure
-#: (at most 256 elements) and none of the benchmark's sampled campaigns (at
-#: most 167) reaches this length, so none of them asks.
+#: element per orbit of that group (``_close_by_orbits``).  Asking can list
+#: the unit group: asked on every closure's first round, the 32,640
+#: two-letter closures at n=4 take ~20 us each instead of ~15 us.  No n=4
+#: sweep closure (at most 256 elements) and none of the benchmark's sampled
+#: campaigns (at most 167) reaches this length, so none of them asks.
 SPLIT_FRONTIER = 1024
 
 #: Fewest states M that a unit group Sym(M) must move for a closure past
@@ -198,9 +203,10 @@ def _close_images(
     the closure asks once whether the permutation letters generate the whole
     symmetric group on the states they move, at least ``ORBIT_MIN_STATES``
     of them (``_symmetric_units``).  If they do, it is started again on one
-    representative per orbit of that group (``_close_by_orbits``); if not,
-    the same passes run on to the end.  The test closes the group, so it is
-    made only past the switch: the small closures never pay for it.
+    representative per orbit of that group (``_close_by_orbits``), and the
+    set grown so far is emptied first; if not, the same passes run on to
+    the end.  Without a transposition letter the test lists the group, so
+    it is made only past the switch: the small closures never pay for it.
 
     A set result is the only table: it grew one element at a time, so it is
     sized for the closure (a copied set is sized for twice its length).
@@ -220,6 +226,10 @@ def _close_images(
             units_asked = True
             moved = _symmetric_units(gen_images, cap)
             if moved is not None:
+                # The orbit path starts again from the letters: free this
+                # table and its maps before it grows its own.
+                seen.clear()
+                frontier.clear()
                 return _close_by_orbits(gen_images, moved, cap)
         new = []
         append = new.append
@@ -238,10 +248,15 @@ def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
     when those letters generate the whole symmetric group Sym(M), |M| >=
     ``ORBIT_MIN_STATES`` and |M|! <= cap; None otherwise.
 
-    The group is closed by a loop of its own, never by ``_close_images``,
-    whose switch past ``SPLIT_FRONTIER`` would call back here.  It has at
-    most |M|! elements, so ``cap`` bounds the loop too.  M must not be empty:
-    with no state moved every orbit is a single element.
+    When one letter is a transposition, the group is Sym(M) exactly when it
+    is primitive on M (``_primitive``), by Jordan's theorem: a primitive
+    group holding a transposition is the whole symmetric group (Wielandt,
+    *Finite Permutation Groups*, 1964, §13).  That takes 0.1 ms at
+    |M| = 9, where listing Sym(9) takes 0.23 s; every witness has such a
+    letter.  Otherwise the group is listed, by a loop of its own, never by
+    ``_close_images``, whose switch past ``SPLIT_FRONTIER`` would call back
+    here.  It has at most |M|! elements, so ``cap`` bounds the loop too.  M
+    must not be empty: with no state moved every orbit is a single element.
     """
     n = len(gen_images[0])
     units = [g + bytes(256 - n) for g in gen_images if len(set(g)) == n]
@@ -249,6 +264,8 @@ def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
     order = factorial(len(moved))
     if not moved or len(moved) < ORBIT_MIN_STATES or order > cap:
         return None
+    if any(sum(g[q] != q for q in moved) == 2 for g in units):
+        return moved if _primitive(units, moved) else None
     one = bytes(range(n))
     group = {one}
     frontier = [one]
@@ -262,6 +279,43 @@ def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
                     new.append(c)
         frontier = new
     return moved if len(group) == order else None
+
+
+def _primitive(units: Sequence[bytes], moved: bytes) -> bool:
+    """Whether the group generated by the permutations ``units`` is
+    transitive and primitive on ``moved``, the states they move.
+
+    For each x in M = ``moved``, the least block of the group that holds
+    m0 = moved[0] and x is found by union-find under the letters: merge
+    m0 and x, and for each pair of classes merged, merge the classes of its
+    images under every letter (Atkinson 1975).  The group is primitive on
+    M exactly when every such block is M, O(k |M|^2) for k letters.  This
+    also decides transitivity: the orbit of m0 holds some x other than m0
+    (a letter moves m0), and the least block holding m0 and x lies within
+    that orbit.
+    """
+    def find(q: int) -> int:
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        return q
+
+    first = moved[0]
+    for x in moved[1:]:
+        parent = list(range(256))
+        parent[x] = first
+        merged = 1
+        pairs = [(first, x)]
+        while pairs:
+            a, b = pairs.pop()
+            for g in units:
+                u, v = find(g[a]), find(g[b])
+                if u != v:
+                    parent[v] = u
+                    merged += 1
+                    pairs.append((u, v))
+        if merged < len(moved) - 1:
+            return False
+    return True
 
 
 def _close_by_orbits(gen_images: Sequence[bytes], moved: bytes, cap: int) -> OrbitUnion | None:
@@ -280,8 +334,15 @@ def _close_by_orbits(gen_images: Sequence[bytes], moved: bytes, cap: int) -> Orb
     of the orbit of a2...ak, so by induction every element's orbit is
     reached, and the elements made before the switch are not needed.
 
-    A product costs one ``translate`` and one canonical form, and no orbit
-    element is stored.  The result and ``cap`` are as in ``_close_images``.
+    A product costs one ``translate``, and only the first of equal
+    products its canonical form: the distinct products are kept in a set,
+    and ``filterfalse`` drops the repeats in C, as ``_close_images`` does.
+    Most products repeat: with its 4 letters the right n=8 witness forms
+    16,564 maps from its 4,140 representatives, 6,898 of them distinct.  The
+    set is kept to the end, so it costs memory: at n=10 it holds 200,137
+    maps of the right witness, about 16 MiB, beside 9.8 MiB of
+    representatives.  No orbit element is stored.  The result and ``cap``
+    are as in ``_close_images``.
     """
     n = len(gen_images[0])
     fixed = bytes(q for q in range(n) if q not in moved)
@@ -289,10 +350,13 @@ def _close_by_orbits(gen_images: Sequence[bytes], moved: bytes, cap: int) -> Orb
     sizes = _orbit_sizes(len(moved))
     reps: dict[bytes, int] = {}
     size = 0
+    formed: set[bytes] = set()
+    add = formed.add
     products: Iterable[bytes] = gen_images
     while True:
         new = []
-        for t in products:
+        for t in filterfalse(formed.__contains__, products):
+            add(t)
             r, j = _canonical(t, fixed, moved)
             if r in reps:
                 continue
@@ -303,7 +367,8 @@ def _close_by_orbits(gen_images: Sequence[bytes], moved: bytes, cap: int) -> Orb
             new.append(r)
         if not new:
             return OrbitUnion(n, moved, reps, size)
-        products = (g.translate(r + pad) for r in new for g in gen_images)
+        tables = map(bytes.__add__, new, repeat(pad))
+        products = (g.translate(table) for table in tables for g in gen_images)
 
 
 def _orbit_sizes(k: int) -> list[int]:
@@ -325,7 +390,8 @@ def _canonical(t: bytes, fixed: bytes, moved: bytes) -> tuple[bytes, int]:
 class OrbitUnion(Set):
     """A union of orbits t*G of G = Sym(M), M = ``moved``, on maps of n
     states, kept as one representative per orbit (``_canonical``) and
-    listed on demand: what ``_close_by_orbits`` returns.
+    listed on demand: what ``_close_by_orbits`` returns, and what
+    ``_conjugated_images`` makes of one, from its representatives.
 
     ``reps`` maps each representative to the number j of its values in M;
     its orbit has |M|!/(|M|-j)! elements.  The length is the sum of the
@@ -707,7 +773,25 @@ def _conjugation(perm: Sequence[int]) -> tuple[Callable[[bytes], Sequence[int]],
     return pick, bytes(perm) + bytes(256 - n)
 
 
-def _conjugated_images(images: AbstractSet[bytes], perm: Sequence[int]) -> frozenset[bytes]:
-    """Every packed map of ``images`` conjugated by perm."""
+def _conjugated_images(images: AbstractSet[bytes], perm: Sequence[int]) -> AbstractSet[bytes]:
+    """Every packed map of ``images`` conjugated by perm, as a frozenset, or
+    as an ``OrbitUnion`` for one.
+
+    Conjugating t*g, g in G = Sym(M), gives (pi t pi^-1)*(pi g pi^-1), so pi
+    sends each orbit of G onto an orbit of Sym(pi(M)) of the same size: the
+    conjugate of a union is the union on the states pi(M), in increasing
+    order, whose representatives are the canonical forms of the conjugated
+    representatives.  Nothing else is listed: 877 canonical forms for the
+    117,649 maps of the right n=7 witness.
+    """
     pick, table = _conjugation(perm)
-    return frozenset(map(bytes.translate, map(bytes, map(pick, images)), repeat(table)))
+    if not isinstance(images, OrbitUnion):
+        return frozenset(map(bytes.translate, map(bytes, map(pick, images)), repeat(table)))
+    n = images.n
+    moved = bytes(sorted(images.moved.translate(table)))
+    fixed = bytes(q for q in range(n) if q not in moved)
+    reps = {
+        _canonical(bytes(pick(r)).translate(table), fixed, moved)[0]: j
+        for r, j in images._reps.items()
+    }
+    return OrbitUnion(n, moved, reps, len(images))

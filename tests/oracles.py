@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product, repeat
+from math import factorial
 from typing import Iterable, Sequence
 
 from synideal.dfa import (
@@ -134,6 +135,30 @@ def naive_closure(gens: list[Transformation]) -> set[tuple[int, ...]]:
         if not new:
             return elems
         elems |= new
+
+
+def symmetric_units_by_listing(gens: Sequence[Transformation]) -> bytes | None:
+    """The states M moved by the permutations among gens, in increasing
+    order, when those permutations generate all |M|! permutations of M;
+    None otherwise, and when no state is moved.  The group is listed, one
+    composition at a time, breadth first from the identity."""
+    n = gens[0].n
+    units = [g.image for g in gens if len(set(g.image)) == n]
+    moved = bytes(q for q in range(n) if any(u[q] != q for u in units))
+    if not moved:
+        return None
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        new = []
+        for a in frontier:
+            for u in units:
+                c = tuple(u[q] for q in a)
+                if c not in group:
+                    group.add(c)
+                    new.append(c)
+        frontier = new
+    return moved if len(group) == factorial(len(moved)) else None
 
 
 def orbit_by_injections(t: bytes, moved: bytes) -> list[bytes]:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -19,6 +20,8 @@ from synideal.semigroup import (
     _conjugated_images,
     _injection_tables,
     _orbit_sizes,
+    _primitive,
+    _symmetric_units,
     closure,
     conjugated,
     equal_up_to_relabeling,
@@ -43,6 +46,7 @@ from oracles import (
     random_transformation,
     reference_conjugated_images,
     reference_generator_necessity,
+    symmetric_units_by_listing,
 )
 
 
@@ -556,11 +560,11 @@ class TestUnitOrbits:
     def test_orbit_closure_peaks_far_below_its_flat_maps(self, monkeypatch):
         # Past the switch the right n=7 witness adds whole orbits.  It keeps
         # one representative per orbit, 877 of them, and lists none of the
-        # 7^6 maps: its traced peak (the set at the switch, the
-        # representatives and the products of one round) is 3.4% of the maps
+        # 7^6 maps: its traced peak (the set of the distinct products, the
+        # representatives and the products of one round; the set made
+        # before the switch is emptied at the switch) is 3.1% of the maps
         # held flat in one set, as the plain passes hold them, with the
-        # switch at 512; 4.5% at the default, where the set at the switch is
-        # larger.
+        # switch at 512, and 3.6% at the default.
         monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 512)
         gens = build(IdealClass.RIGHT, 7).delta
         tracemalloc.start()
@@ -573,6 +577,172 @@ class TestUnitOrbits:
         flat = set(images)
         held = sys.getsizeof(flat) + sum(map(sys.getsizeof, flat))
         assert peak <= 0.05 * held, peak / held
+
+    @pytest.mark.parametrize("klass", list(IdealClass))
+    def test_each_distinct_product_is_canonicalised_once(self, monkeypatch, klass):
+        # Each representative is multiplied by every letter once, and most
+        # products repeat: with its letters the right n=7 witness forms
+        # 3,512 maps, 1,425 of them distinct (left 4,395 and 1,426,
+        # two-sided 4,248 and 1,161).  A repeat is dropped before its
+        # canonical form is taken.
+        canonical = _calls(monkeypatch, "_canonical")
+        packed = [g.packed() for g in build(klass, 7).delta]
+        images = _close_images(packed)
+        assert isinstance(images, OrbitUnion), klass
+        pad = bytes(256 - 7)
+        reps = list(images.representatives)
+        distinct = set(packed) | {g.translate(r + pad) for r in reps for g in packed}
+        assert len(canonical) == len(distinct) < len(packed) * (len(reps) + 1), klass
+
+    # sha256 of the representatives of each witness closure, joined in the
+    # order the orbit path keeps them, and their number, for n = 5..10.
+    REPRESENTATIVES = {
+        ("right", 5): (52, "28bcceb0153192992c39c2bbf33612d4d50097b27ca32b7ad972a098a7616aa5"),
+        ("left", 5): (53, "8aa6682d7594991c287e8e79f2c7fdc3ce7e4d0b9037cd338c51214139e6e4f3"),
+        ("two-sided", 5): (46, "76e72d933004ebf3cb281ca2c17fe05a0de1da3046105f562687977ce5cd5132"),
+        ("right", 6): (203, "256989ef483fff1ad6e97115b4407a28c4786a6b7cddade6e07016e01dfe7920"),
+        ("left", 6): (204, "e9733985e1d08c658764a3dc3eea97f79546a8bfa3b3f6d2f2b485b3580f42c9"),
+        ("two-sided", 6): (168, "5bcc7e7b87fe6a94dcfad4e1d297327227874269c1e6e9dec0fcc46c6129d58d"),
+        ("right", 7): (877, "44d9acee89a66eaf5bfe5bf169fe0e29d86be9b5b9caa0c017072f7017323bb2"),
+        ("left", 7): (878, "92a12946fc0b3d522507388b3d128dbec07e003a9a34924889d3905c05139a44"),
+        ("two-sided", 7): (707, "9e6fb235e12502d193e86b9813b2fd29c5734e102d29708975ab3051272b48cb"),
+        ("right", 8): (4140, "122ef2912ac9a59f65b8f34d8b8f69e0e4dd589f25ac22103c7a577fa402ab83"),
+        ("left", 8): (4141, "a2cb5617539944d22671b9e6220781dee808150cb46d234754679bc58db705f0"),
+        ("two-sided", 8): (3328, "fb06c5f05aa1ac32f06292172370b879fe732fb7d88dd89bcf5e7441b7df943b"),
+        ("right", 9): (21147, "8c02b465306ae9f6f9612497cc721bf1e7fb365e38e79464104e3c3c4d20602a"),
+        ("left", 9): (21148, "bd76d01e280195091de3272b170e261b6c8a5e414676aef8392da4a241163217"),
+        ("two-sided", 9): (17136, "2300d25588f5aee09e34e5968146885c16fa2df200320e07090ef3fb1a2584b7"),
+        ("right", 10): (115975, "11cdb43530d4161c0f329a3cd53e17b880afc385ffa41c5e8f2b8d1188265390"),
+        ("left", 10): (115976, "57436429dc4e8187f416f2ff248d00da9bd11d0f3fd5e95a0cf48df55babd657"),
+        ("two-sided", 10): (95085, "19c310b4cba91496f35d696b2a1405b219abb983e55c92c5628b5c38a08284cb"),
+    }
+
+    def test_representatives_are_kept_in_one_order(self, monkeypatch):
+        # Dropping a repeated product drops only a map whose representative
+        # is already kept, so the representatives, and the order in which
+        # they are kept and listed, are those of the loop that canonicalises
+        # every product.  The switch at 0 sends every witness from n=5 on to
+        # the orbit path, which starts from the letters wherever the switch is.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        _orbits_for_small_groups(monkeypatch)
+        for (name, n), (count, digest) in self.REPRESENTATIVES.items():
+            klass = IdealClass(name)
+            packed = [g.packed() for g in build(klass, n).delta]
+            images = _close_images(packed, cap=bound(klass, n))
+            assert isinstance(images, OrbitUnion) and len(images) == bound(klass, n), (klass, n)
+            reps = list(images.representatives)
+            assert len(reps) == count, (klass, n)
+            assert hashlib.sha256(b"".join(reps)).hexdigest() == digest, (klass, n)
+
+
+def _perm(n: int, *cycles: tuple[int, ...]) -> Transformation:
+    """The permutation of n states with the given cycles."""
+    image = list(range(n))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            image[a] = b
+    return Transformation(tuple(image))
+
+
+class TestSymmetricUnits:
+    """Whether the permutation letters generate the whole symmetric group on
+    the states they move: when a letter is a transposition, by Jordan's
+    theorem (whether the group is primitive), otherwise by listing the
+    group.  The listing of ``symmetric_units_by_listing`` is the oracle of
+    both."""
+
+    @staticmethod
+    def _decide(gens):
+        return _symmetric_units([g.packed() for g in gens], DEFAULT_CAP)
+
+    def test_agrees_with_the_listing_up_to_degree_7(self, monkeypatch):
+        # Every draw of _symmetric_unit_cases has a transposition letter;
+        # a random map that is a permutation can make the group smaller
+        # than Sym of the states it moves.  Beside them, a transposition
+        # with random cycles (often intransitive) and with random
+        # permutations that keep a partition of the states into blocks
+        # (imprimitive once transitive).
+        _orbits_for_small_groups(monkeypatch)
+        rng = random.Random(31)
+        answers = {True: 0, False: 0}
+        for n in range(2, 8):
+            draws = list(_symmetric_unit_cases(rng, n, 30))
+            for _ in range(30):
+                a, b = rng.sample(range(n), 2)
+                letters = [_perm(n, (a, b))]
+                for _ in range(rng.randint(0, 2)):
+                    letters.append(_perm(n, tuple(rng.sample(range(n), rng.randint(2, n)))))
+                draws.append(letters)
+            for size in (d for d in (2, 3) if 2 * d <= n):
+                for _ in range(15):
+                    states = rng.sample(range(n), size * rng.randint(2, n // size))
+                    blocks = [states[i : i + size] for i in range(0, len(states), size)]
+                    letters = [_perm(n, tuple(blocks[0][:2]))]
+                    for _ in range(rng.randint(1, 2)):
+                        image = list(range(n))
+                        targets = rng.sample(blocks, len(blocks))
+                        for block, target in zip(blocks, targets):
+                            for q, r in zip(block, rng.sample(target, size)):
+                                image[q] = r
+                        letters.append(Transformation(tuple(image)))
+                    draws.append(letters)
+            for gens in draws:
+                rng.shuffle(gens)
+                want = symmetric_units_by_listing(gens)
+                assert self._decide(gens) == want, gens
+                answers[want is not None] += 1
+        assert min(answers.values()) >= 30, answers
+
+    def test_imprimitive_and_alternating_groups_are_rejected(self, monkeypatch):
+        # Sym(2) wr Sym(3) on the blocks {0,1}, {2,3}, {4,5}: transitive,
+        # with the transposition (0 1), but 48 of 720 permutations.
+        _orbits_for_small_groups(monkeypatch)
+        wreath = [_perm(6, (0, 1)), _perm(6, (0, 2, 4), (1, 3, 5)), _perm(6, (0, 2), (1, 3))]
+        assert symmetric_units_by_listing(wreath) is None
+        assert not _primitive([g.packed() + bytes(250) for g in wreath], bytes(range(6)))
+        assert self._decide(wreath) is None
+        # A_m is primitive, so only a transposition letter lets primitivity
+        # decide: with none the group is listed.
+        for m in (5, 6, 7):
+            alternating = [_perm(m, (0, 1, 2)), _perm(m, tuple(range(m % 2 == 0, m)))]
+            padded = [g.packed() + bytes(256 - m) for g in alternating]
+            assert _primitive(padded, bytes(range(m))), m
+            assert symmetric_units_by_listing(alternating) is None, m
+            assert self._decide(alternating) is None, m
+            with_swap = [*alternating, _perm(m, (0, 1))]
+            assert self._decide(with_swap) == bytes(range(m)), m
+
+    @pytest.mark.parametrize(
+        "klass, moved",
+        [
+            (IdealClass.RIGHT, range(9)),
+            (IdealClass.LEFT, range(1, 10)),
+            (IdealClass.TWO_SIDED, range(1, 9)),
+        ],
+    )
+    def test_witness_units_are_decided_without_the_group(self, klass, moved):
+        # Sym(9) (right and left at n=10) has 362,880 elements, about 30 MB
+        # listed; the primitivity test allocates a few union-find lists.
+        packed = [g.packed() for g in build(klass, 10).delta]
+        tracemalloc.start()
+        try:
+            decided = _symmetric_units(packed, bound(klass, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decided == bytes(moved)
+        assert peak < 100_000, peak
+
+    def test_the_existing_limits_still_hold(self):
+        # A transposition does not lift the limits: fewer than
+        # ORBIT_MIN_STATES moved states, or |M|! over the cap.
+        k = semigroup.ORBIT_MIN_STATES
+        small = [_perm(k - 1, (0, 1)), _perm(k - 1, tuple(range(k - 1)))]
+        assert _symmetric_units([g.packed() for g in small], DEFAULT_CAP) is None
+        gens = [_perm(6, (0, 1)), _perm(6, tuple(range(6)))]
+        packed = [g.packed() for g in gens]
+        assert _symmetric_units(packed, 719) is None
+        assert _symmetric_units(packed, 720) == bytes(range(6))
 
 
 class TestOrbitUnion:
@@ -1015,6 +1185,42 @@ class TestRelabeling:
             assert found is not None
             assert reference_conjugated_images(s.images, found) == target.images
 
+    def test_a_union_relabels_as_its_frozenset_does(self, monkeypatch):
+        # An OrbitUnion is conjugated from its representatives: the search
+        # must answer on it as on its maps held flat, on a target conjugated
+        # by a transposition that moves the union's states M off themselves,
+        # and answer None once one map of that target (not a generator's
+        # conjugate) is swapped for a non-member.  At n=5 every permutation
+        # is tried, beyond it those fixing all but the transposed states.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        _orbits_for_small_groups(monkeypatch)
+        rng = random.Random(41)
+        for klass in IdealClass:
+            for n in (5, 6, 7):
+                s = closure(build(klass, n).delta)
+                assert isinstance(s.images, OrbitUnion), (klass, n)
+                flat = TransformationSemigroup(n, frozenset(s.images), s.generators)
+                moved = s.images.moved
+                i = rng.choice([q for q in range(n) if q not in moved])
+                j = rng.choice(moved)
+                perm = list(range(n))
+                perm[i], perm[j] = j, i
+                fixed = [] if n == 5 else [q for q in range(n) if q not in (i, j)]
+                conjugate_images = reference_conjugated_images(flat.images, perm)
+                target = TransformationSemigroup(n, conjugate_images, s.generators)
+                found = equal_up_to_relabeling(s, target, fixed)
+                assert found is not None, (klass, n)
+                assert found == equal_up_to_relabeling(flat, target, fixed), (klass, n)
+                moved_gens = {conjugate(g, perm).packed() for g in s.generators}
+                dropped = min(conjugate_images - moved_gens)
+                maps = map(bytes, product(range(n), repeat=n))
+                added = next(e for e in maps if e not in conjugate_images)
+                swapped = TransformationSemigroup(
+                    n, (conjugate_images - {dropped}) | {added}, s.generators
+                )
+                assert equal_up_to_relabeling(s, swapped, fixed) is None, (klass, n)
+                assert equal_up_to_relabeling(flat, swapped, fixed) is None, (klass, n)
+
 
 class TestConjugatedImages:
     def test_matches_state_by_state_conjugation(self):
@@ -1024,6 +1230,35 @@ class TestConjugatedImages:
             s = closure([random_transformation(rng, n) for _ in range(rng.randint(1, 2))])
             perm = list(range(n)) if i % 12 < 6 else rng.sample(range(n), n)
             assert _conjugated_images(s.images, perm) == reference_conjugated_images(s.images, perm)
+
+    def test_a_union_conjugates_to_the_union_of_the_conjugates(self, monkeypatch):
+        # With the switch at 0 every witness from n=5 on closes to an
+        # OrbitUnion.  Each is conjugated by random permutations and by the
+        # transposition of each fixed state with a moved one, which moves
+        # the union's states M off themselves.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        _orbits_for_small_groups(monkeypatch)
+        rng = random.Random(37)
+        for klass in IdealClass:
+            for n in (5, 6, 7):
+                union = closure(build(klass, n).delta).images
+                assert isinstance(union, OrbitUnion), (klass, n)
+                flat = frozenset(union)
+                moved = union.moved
+                perms = [rng.sample(range(n), n) for _ in range(3)]
+                for q in range(n):
+                    if q not in moved:
+                        perm = list(range(n))
+                        m = rng.choice(moved)
+                        perm[q], perm[m] = m, q
+                        perms.append(perm)
+                for perm in perms:
+                    image = _conjugated_images(union, perm)
+                    assert isinstance(image, OrbitUnion), (klass, n, perm)
+                    assert image.moved == bytes(sorted(perm[q] for q in moved)), (klass, n, perm)
+                    want = reference_conjugated_images(flat, perm)
+                    assert len(image) == len(want) and frozenset(image) == want, (klass, n, perm)
+                    assert image == want, (klass, n, perm)
 
     def test_conjugated_semigroup_is_the_closure_of_conjugated_generators(self):
         rng = random.Random(6)
