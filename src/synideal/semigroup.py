@@ -70,9 +70,11 @@ GENERATOR_SEARCH_BUDGET = 100
 #: Frontier length past which a closure asks, once, whether its permutation
 #: letters generate Sym(M) on the states M they move, and if so keeps one
 #: element per orbit of that group (``_close_by_orbits``).  Asking can list
-#: the unit group: asked on every closure's first round, the 32,640
-#: two-letter closures at n=4 take ~20 us each instead of ~15 us.  No n=4
-#: sweep closure (at most 256 elements) and none of the benchmark's sampled
+#: the unit group: asked on every closure's first round, the two-letter
+#: closures at n=4 take ~20 us each instead of ~15 us (the n=4 two-letter
+#: sweep makes 1,744 of them: one per orbit of its letter tuples under
+#: conjugation, and one per tuple with an injection context).  No n=4 sweep
+#: closure (at most 256 elements) and none of the benchmark's sampled
 #: campaigns (at most 167) reaches this length, so none of them asks.
 SPLIT_FRONTIER = 1024
 

@@ -1,7 +1,7 @@
 import gc
 import hashlib
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -201,6 +201,100 @@ class TestExhaustive:
         assert report.ok
         for fmt, text in [("json", report.to_json()), ("text", report.to_text())]:
             assert hashlib.sha256(text.encode()).hexdigest() == self.N3_A4_DIGESTS[fmt]
+
+
+def _reaching_tuples(n: int, a: int):
+    """The letter tuples an exhaustive sweep of n states and a letters keeps,
+    in sweep order: each set of 1 to a distinct maps from which state 0
+    reaches every state."""
+    images = [bytes(img) for img in product(range(n), repeat=n)]
+    for size in range(1, a + 1):
+        for letters in combinations(images, size):
+            if len(dfa.reachable_states(dfa.Transitions(letters))) == n:
+                yield letters
+
+
+def _orbit(letters: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """The least sorted tuple of the letters conjugated by one permutation of
+    the states, over every permutation: one tuple per orbit."""
+    n = len(letters[0])
+    return min(
+        tuple(sorted(bytes(conjugate(Transformation(tuple(m)), p).image) for m in letters))
+        for p in permutations(range(n))
+    )
+
+
+class TestOrbitSigmas:
+    """A sweep takes sigma once per orbit of its letter tuples under
+    simultaneous conjugation by Sym(n), and closes a tuple's own letters only
+    for an injection context."""
+
+    @pytest.mark.parametrize("n, a", [(1, 3), (2, 3), (3, 3), (4, 2)])
+    def test_memo_sigma_is_each_tuple_closure_size(self, n, a):
+        images = [bytes(img) for img in product(range(n), repeat=n)]
+        sigma_of = harness._OrbitSigmas(images)
+        tuples = 0
+        for letters in _reaching_tuples(n, a):
+            closed = semigroup._close_images(letters)
+            assert sigma_of(letters, lambda closed=closed: closed) == len(closed), letters
+            tuples += 1
+        assert (tuples, len(sigma_of.sigmas)) == {
+            1: (1, 1), 2: (11, 9), 3: (2660, 566), 4: (15_756, 1211)
+        }[n]
+
+    def test_one_closure_per_orbit_and_per_context_tuple(self, monkeypatch):
+        closed, contexts = [], set()
+        close, context = harness._close_images, harness.minimal_context
+
+        def spy_close(letters, *args, **kwargs):
+            closed.append(tuple(letters))
+            return close(letters, *args, **kwargs)
+
+        def spy_context(d, klass, S, T=None):
+            contexts.add(tuple(g.packed() for g in d.delta))
+            return context(d, klass, S, T)
+
+        monkeypatch.setattr(harness, "_close_images", spy_close)
+        monkeypatch.setattr(harness, "minimal_context", spy_context)
+        report = run(CampaignSpec(n=4, alphabet_size=2))
+        assert report.ok and report.injection_contexts == 1356
+        assert len(closed) == len(set(closed))
+        first: dict = {}
+        for letters in _reaching_tuples(4, 2):
+            first.setdefault(_orbit(letters), letters)
+        # Compared as differences: pytest's diff of two sets this large takes minutes.
+        expected = set(first.values()) | contexts
+        assert not set(closed) - expected and not expected - set(closed)
+        assert (len(first), len(contexts), len(closed)) == (1211, 630, 1744)
+
+    def test_skipped_reports_change_no_count(self, monkeypatch):
+        # A report that counts in no class and runs no step is judged once;
+        # a checks object that never says so sees every minimal candidate,
+        # and the campaign's report is the same.  Skipping, the checks see
+        # the 2,358 candidates in some class (2,814 class counts: a two-sided
+        # ideal is a left and a right one too) and the first candidate of
+        # each of the 186 reports in none.
+        Checks, calls = harness._Checks, []
+
+        class Counted(Checks):
+            def __call__(self, *args):
+                calls.append(None)
+                return super().__call__(*args)
+
+        class Unskipped(Counted):
+            def __call__(self, *args):
+                super().__call__(*args)
+
+        spec = CampaignSpec(n=4, alphabet_size=2)
+        monkeypatch.setattr(harness, "_Checks", Counted)
+        skipping = run(spec)
+        counted = len(calls)
+        monkeypatch.setattr(harness, "_Checks", Unskipped)
+        calls.clear()
+        unskipped = run(spec)
+        assert len(calls) == unskipped.minimal == 168_132
+        assert counted == 2544
+        assert skipping.to_json() == unskipped.to_json()
 
 
 class TestTwoSidedSmallUpperBound:
