@@ -130,7 +130,7 @@ def parse_dfa(text: str) -> Dfa:
         return lineno, tokens[1:]
 
     lineno, args = expect(0, "states")
-    if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+    if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
         raise DfaParseError(f"line {lineno}: 'states' needs one positive integer")
     n = int(args[0])
 
@@ -175,7 +175,7 @@ def _parse_state(tokens: Sequence[str], count: int | None, n: int, lineno: int) 
         raise DfaParseError(f"line {lineno}: expected {count} state(s), got {len(tokens)}")
     out = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise DfaParseError(f"line {lineno}: bad state index '{tok}'")
         q = int(tok)
         if q >= n:

@@ -6,14 +6,15 @@ as packed byte strings and right-multiplication by a generator is a single
 products filtered out in C.
 
 The first time a round's frontier outgrows ``SPLIT_FRONTIER`` elements, a
-closure whose permutation letters generate the whole symmetric group G =
-Sym(M) on the states M they move, at least ``ORBIT_MIN_STATES`` of them,
-works on orbits of G instead (Linton, Pfeiffer, Robertson & Ruskuc 1998;
-East, Egri-Nagy, Mitchell & Peresse 2019); any other closure goes on with
-the same passes.  G lies in the closure, so the closure is a union
-of orbits t*G.  It keeps one canonical representative per orbit, seeded from
-the letters, multiplies only those, takes the canonical form of each
-distinct product once, and returns the representatives as an
+closure with a transposition among its letters, whose permutation letters
+generate the whole symmetric group G = Sym(M) on the states M they move, at
+least ``ORBIT_MIN_STATES`` of them, works on orbits of G instead (Linton,
+Pfeiffer, Robertson & Ruskuc 1998; East, Egri-Nagy, Mitchell & Peresse
+2019); any other closure goes on with the same passes.  G lies in the
+closure, so the closure is a union of orbits t*G.  It keeps one canonical
+representative per orbit, seeded from the letters, multiplies only those,
+takes the canonical form of each distinct product once, and returns the
+representatives as an
 ``OrbitUnion``: its length is the sum of the orbit sizes, membership
 canonicalises the map asked about, and iteration lists each orbit through
 translate tables shared by every orbit, one per permutation of M, built on
@@ -69,13 +70,12 @@ GENERATOR_SEARCH_BUDGET = 100
 
 #: Frontier length past which a closure asks, once, whether its permutation
 #: letters generate Sym(M) on the states M they move, and if so keeps one
-#: element per orbit of that group (``_close_by_orbits``).  Asking can list
-#: the unit group: asked on every closure's first round, the two-letter
-#: closures at n=4 take ~20 us each instead of ~15 us (the n=4 two-letter
-#: sweep makes 1,744 of them: one per orbit of its letter tuples under
-#: conjugation, and one per tuple with an injection context).  No n=4 sweep
-#: closure (at most 256 elements) and none of the benchmark's sampled
-#: campaigns (at most 167) reaches this length, so none of them asks.
+#: element per orbit of that group (``_close_by_orbits``).  Asked on every
+#: closure's first round, the 1,744 closures of the n=4 two-letter sweep
+#: take ~11.8 us each instead of ~8.9 us (CPython 3.11.7, shared 2-vCPU
+#: x86_64 host).  No n=4 sweep closure (at most 256 elements) and none of the
+#: benchmark's sampled campaigns (at most 167) reaches this length, so none
+#: of them asks.
 SPLIT_FRONTIER = 1024
 
 #: Fewest states M that a unit group Sym(M) must move for a closure past
@@ -202,13 +202,12 @@ def _close_images(
     ``cap`` elements.
 
     The first time a round's frontier outgrows ``SPLIT_FRONTIER`` elements,
-    the closure asks once whether the permutation letters generate the whole
-    symmetric group on the states they move, at least ``ORBIT_MIN_STATES``
-    of them (``_symmetric_units``).  If they do, it is started again on one
-    representative per orbit of that group (``_close_by_orbits``), and the
-    set grown so far is emptied first; if not, the same passes run on to
-    the end.  Without a transposition letter the test lists the group, so
-    it is made only past the switch: the small closures never pay for it.
+    the closure asks once whether a letter is a transposition and the
+    permutation letters generate the whole symmetric group on the states
+    they move, at least ``ORBIT_MIN_STATES`` of them (``_symmetric_units``).
+    If so, it is started again on one representative per orbit of that
+    group (``_close_by_orbits``), and the set grown so far is emptied first;
+    if not, the same passes run on to the end.
 
     A set result is the only table: it grew one element at a time, so it is
     sized for the closure (a copied set is sized for twice its length).
@@ -247,40 +246,22 @@ def _close_images(
 
 def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
     """The states M moved by the permutation letters, in increasing order,
-    when those letters generate the whole symmetric group Sym(M), |M| >=
-    ``ORBIT_MIN_STATES`` and |M|! <= cap; None otherwise.
+    when one of them is a transposition, they generate the whole symmetric
+    group Sym(M), |M| >= ``ORBIT_MIN_STATES`` and |M|! <= cap; None
+    otherwise, and then the closure keeps the plain passes.
 
-    When one letter is a transposition, the group is Sym(M) exactly when it
-    is primitive on M (``_primitive``), by Jordan's theorem: a primitive
-    group holding a transposition is the whole symmetric group (Wielandt,
-    *Finite Permutation Groups*, 1964, §13).  That takes 0.1 ms at
-    |M| = 9, where listing Sym(9) takes 0.23 s; every witness has such a
-    letter.  Otherwise the group is listed, by a loop of its own, never by
-    ``_close_images``, whose switch past ``SPLIT_FRONTIER`` would call back
-    here.  It has at most |M|! elements, so ``cap`` bounds the loop too.  M
-    must not be empty: with no state moved every orbit is a single element.
+    With a transposition letter, as every witness has, the group is Sym(M)
+    exactly when it is primitive on M (``_primitive``), by Jordan's theorem
+    (Wielandt, *Finite Permutation Groups*, 1964, §13): 0.1 ms at |M| = 9.
+    M must not be empty: with no state moved every orbit is one element.
     """
     n = len(gen_images[0])
     units = [g + bytes(256 - n) for g in gen_images if len(set(g)) == n]
     moved = bytes(q for q in range(n) if any(g[q] != q for g in units))
-    order = factorial(len(moved))
-    if not moved or len(moved) < ORBIT_MIN_STATES or order > cap:
+    if not moved or len(moved) < ORBIT_MIN_STATES or factorial(len(moved)) > cap:
         return None
-    if any(sum(g[q] != q for q in moved) == 2 for g in units):
-        return moved if _primitive(units, moved) else None
-    one = bytes(range(n))
-    group = {one}
-    frontier = [one]
-    while frontier:
-        new = []
-        for t in frontier:
-            for g in units:
-                c = t.translate(g)
-                if c not in group:
-                    group.add(c)
-                    new.append(c)
-        frontier = new
-    return moved if len(group) == order else None
+    swap = any(sum(g[q] != q for q in moved) == 2 for g in units)
+    return moved if swap and _primitive(units, moved) else None
 
 
 def _primitive(units: Sequence[bytes], moved: bytes) -> bool:
@@ -404,7 +385,7 @@ class OrbitUnion(Set):
     union of the same group compares the representatives, with a set or
     any other union it tests every listed element, and any other ``Set``
     decides it (a ``ClosedForm`` invariant under G tests only the
-    representatives, any other the listed elements in bulk).  The ``Set``
+    representatives, any other each listed element).  The ``Set``
     operators build plain frozensets.  Read-only and not hashable.
     """
 
@@ -595,70 +576,41 @@ def _j_classes(s: TransformationSemigroup) -> list[tuple[frozenset[bytes], froze
     """The J-classes of s top-down, each with its up-set (itself and every
     class above it).
 
-    The classes are the strongly connected components of the two-sided Cayley
-    graph (edges e -> e*g and e -> g*e over the generators), found by an
-    iterative Tarjan search.  Tarjan emits a component only after every
-    component below it, so the reversed emission order is top-down.
+    ``ideals[i]`` is the principal ideal S¹eS¹ of the i-th element e, as a
+    mask of element indices: the edges e -> e*g and e -> g*e over the
+    generators, closed by Warshall's algorithm as in
+    ``dfa.Transitions.reach``.  Two elements are J-related exactly when
+    their masks are equal, and a class strictly above another has a strictly
+    larger mask, so the classes sorted by popcount, descending, are
+    top-down.  A class's up-set is the elements whose mask holds one of its
+    members.
     """
+    elements = sorted(s.images)
+    index = {e: i for i, e in enumerate(elements)}
     gens = [g.packed() for g in s.generators]
     right = [g + bytes(256 - len(g)) for g in gens]
-    succ = {}
-    for e in sorted(s.images):
+    ideals = []
+    for i, e in enumerate(elements):
         left = e + bytes(256 - len(e))
-        succ[e] = {e.translate(t) for t in right} | {g.translate(left) for g in gens}
-    index: dict[bytes, int] = {}
-    low: dict[bytes, int] = {}
-    stack: list[bytes] = []
-    on_stack: set[bytes] = set()
-    components: list[list[bytes]] = []
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        component.append(w)
-                        if w == v:
-                            break
-                    components.append(component)
-    components.reverse()
-    class_of = {e: i for i, component in enumerate(components) for e in component}
-    # Up-sets as bitmasks of class indices; a class's parents all come
-    # before it, so its mask is complete when it is pushed to its children.
-    up = [1 << i for i in range(len(components))]
-    for i, component in enumerate(components):
-        for e in component:
-            for w in succ[e]:
-                up[class_of[w]] |= up[i]
-    return [
-        (
-            frozenset(component),
-            frozenset(e for e, j in class_of.items() if up[i] >> j & 1),
-        )
-        for i, component in enumerate(components)
-    ]
+        mask = 1 << i
+        for c in chain(map(e.translate, right), (g.translate(left) for g in gens)):
+            mask |= 1 << index[c]
+        ideals.append(mask)
+    for k, via in enumerate(ideals):
+        bit = 1 << k
+        for i, mask in enumerate(ideals):
+            if mask & bit:
+                ideals[i] = mask | via
+    classes: dict[int, list[bytes]] = {}
+    for e, mask in zip(elements, ideals):
+        classes.setdefault(mask, []).append(e)
+    out = []
+    for mask in sorted(classes, key=int.bit_count, reverse=True):
+        members = classes[mask]
+        bit = 1 << index[members[0]]
+        up_set = frozenset(e for e, above in zip(elements, ideals) if above & bit)
+        out.append((frozenset(members), up_set))
+    return out
 
 
 def _fewest_generating(

@@ -164,7 +164,7 @@ def _check_state(q: int, n: int) -> None:
 
 
 def _parse_index(token: str, n: int, context: str) -> int:
-    if not token.isdigit():
+    if not token.isdecimal():
         raise NotationError(f"{context!r}: bad state index {token!r}")
     q = int(token)
     if q >= n:

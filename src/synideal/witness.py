@@ -6,9 +6,9 @@ few pairwise-disjoint ``itertools.product`` families of image sequences, a
 description independent of the closure engine, so ``expected_semigroup``
 can cross-validate ``transition_semigroup(build(...))``.  Equality with a
 set of packed maps is equal length plus every element of that set lying in
-the closed form, tested in bulk (``ClosedForm.holds_all``).  A closure that
-kept one representative per orbit of its unit group G (an ``OrbitUnion``)
-is a union of whole orbits, and so is a closed form invariant under G
+the closed form, tested one by one.  A closure that kept one representative
+per orbit of its unit group G (an ``OrbitUnion``) is a union of whole
+orbits, and so is a closed form invariant under G
 (``ClosedForm.invariant_under``, decided from the families): then equal
 length plus every representative in the form decides equality, and no
 element is listed.  That holds for every witness closure past
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator, Set
-from itertools import chain, islice, product
+from itertools import chain, product
 from math import prod
 
 from .dfa import Dfa, preorder
@@ -145,14 +145,6 @@ def bound(klass: IdealClass, n: int) -> int:
     return n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1
 
 
-#: Maps per bulk membership pass: bounds the joined buffer and the
-#: ``Py_buffer`` array ``bytes.join`` allocates for its parts.
-_CHUNK = 1 << 15
-
-#: Joins packed maps in bulk; no map on at most 255 states contains it.
-_SEP = b"\xff"
-
-
 class ClosedForm(Set):
     """A set of packed maps on n states given by a closed form, enumerated on
     demand and never stored.
@@ -171,7 +163,7 @@ class ClosedForm(Set):
     def __init__(
         self, n: int, families: Iterable[tuple[Iterable[int], Iterable[int], Iterable[int]]]
     ) -> None:
-        # n <= 255 keeps _SEP out of every map.
+        # As in a closure, every map packs one state per byte.
         if not 1 <= n <= 255:
             raise ValueError(f"a closed form needs 1 <= n <= 255, got {n}")
         self.n = n
@@ -195,11 +187,6 @@ class ClosedForm(Set):
         #: The number of maps; ``len`` gives it too up to ``sys.maxsize``,
         #: which the right and left forms pass at n = 17.
         self.size = sum(prod(map(len, self._factors(f))) for f in self._families)
-        # _flags[q][v] == 1 iff the first family does not let state q map to v.
-        self._flags = [
-            bytes(v not in allowed for v in range(256))
-            for allowed in self._factors(self._families[0])
-        ]
 
     def _factors(self, family: tuple[bytes, bytes, bytes, bytes]) -> tuple[bytes, ...]:
         """The allowed images of each state under the family."""
@@ -237,7 +224,7 @@ class ClosedForm(Set):
         ``OrbitUnion`` of a group G that leaves the form invariant
         (``invariant_under(other.moved)``), each orbit lies in the form
         whole or not at all, so only the representatives are tested; every
-        other set is tested element by element (``holds_all``)."""
+        other set is tested element by element."""
         if not isinstance(other, Set):
             return NotImplemented
         if len(other) != self.size:
@@ -248,7 +235,7 @@ class ClosedForm(Set):
             and self.invariant_under(other.moved)
         ):
             return all(map(self.__contains__, other.representatives))
-        return self.holds_all(other)
+        return all(map(self.__contains__, other))
 
     def invariant_under(self, moved: bytes) -> bool:
         """Whether renumbering the values in ``moved`` by any permutation p
@@ -279,43 +266,6 @@ class ClosedForm(Set):
                         return False
         return True
 
-    def holds_all(self, maps: Iterable[object]) -> bool:
-        """Whether every element of ``maps`` lies in the closed form, tested
-        in chunks of ``_CHUNK`` joined maps.
-
-        A chunk of k maps joined by ``_SEP`` that is k(n+1) - 1 bytes long,
-        holds exactly k - 1 separators and has one at every (n+1)-th byte
-        consists of maps of n bytes.  The column of each state is then one
-        strided slice, and one ``translate`` per column marks the maps that
-        leave the first family there; only those are tested one by one.
-        """
-        n = self.n
-        stride = n + 1
-        it = iter(maps)
-        while chunk := list(islice(it, _CHUNK)):
-            k = len(chunk)
-            try:
-                buf = _SEP.join(chunk)
-            except TypeError:  # not bytes-like, so not a packed map
-                return False
-            if (
-                len(buf) != k * stride - 1
-                or buf.count(_SEP) != k - 1
-                or buf[n::stride] != _SEP * (k - 1)
-            ):
-                return False
-            outside = set()
-            for q, flag in enumerate(self._flags):
-                marks = buf[q::stride].translate(flag)
-                i = marks.find(1)
-                while i != -1:
-                    outside.add(i)
-                    i = marks.find(1, i + 1)
-            for i in outside:
-                if buf[i * stride : i * stride + n] not in self:
-                    return False
-        return True
-
 
 def expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:
     """The maximal transition semigroup as a ``ClosedForm``, enumerated on
@@ -330,8 +280,7 @@ def expected_semigroup(klass: IdealClass, n: int) -> TransformationSemigroup:
     Each family is an ``itertools.product`` of the allowed images of state
     0, of each of the states 1..n-2, and of state n-1.  The images compare
     equal to a set of packed maps when the lengths agree and every map of
-    that set lies in one of the families; the first family is tested column
-    by column over chunks of maps, the few maps outside it one by one.  Each
+    that set lies in one of the families.  Each
     form is invariant under the symmetric group on the states the witness's
     permutation letters move (0..n-2 for right, 1..n-1 for left, 1..n-2 for
     two-sided), so a closure by orbits of that group is compared from its

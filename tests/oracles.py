@@ -194,6 +194,35 @@ def minimal_generator_count_by_subsets(s: TransformationSemigroup, k_max: int) -
     return None
 
 
+def j_classes_by_ideals(
+    s: TransformationSemigroup,
+) -> list[tuple[frozenset[bytes], frozenset[bytes]]]:
+    """The J-classes of s, each with its up-set (the elements f with the
+    class inside S¹fS¹), in no particular order.  Each principal ideal
+    S¹eS¹ is listed as every product a·e·b with a and b in s or absent,
+    read from a table of all products of two elements, each composed one
+    state at a time; e and f are J-related when their ideals are equal."""
+    n = s.n
+    elements = [tuple(e) for e in s.images]
+    index = {e: i for i, e in enumerate(elements)}
+    # times[i][j]: the index of the i-th element followed by the j-th.
+    times = [[index[tuple(b[a[q]] for q in range(n))] for b in elements] for a in elements]
+    ideals = []
+    for i in range(len(elements)):
+        left = {i} | {row[i] for row in times}
+        ideals.append(frozenset(left | {j for x in left for j in times[x]}))
+    classes: dict[frozenset[int], list[int]] = {}
+    for i, ideal in enumerate(ideals):
+        classes.setdefault(ideal, []).append(i)
+    return [
+        (
+            frozenset(bytes(elements[i]) for i in members),
+            frozenset(bytes(f) for f, ideal in zip(elements, ideals) if members[0] in ideal),
+        )
+        for members in classes.values()
+    ]
+
+
 def reference_generator_necessity(s: TransformationSemigroup) -> list[bool]:
     """For each generator: does dropping it strictly shrink the closure?
     Decided by closing the other generators fully and comparing sizes."""

@@ -82,6 +82,30 @@ class TestTextFormat:
         with pytest.raises(DfaParseError, match="line 6"):
             parse_dfa(SAMPLE.replace("trans a 1 0 2", "trans a 1 x 2"))
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("states 3", "states \u00b2", 2),
+            ("initial 0", "initial \u00b2", 4),
+            ("final 2", "final \u00b2", 5),
+            ("trans a 1 0 2", "trans a 1 \u00b2 2", 6),
+        ],
+    )
+    def test_superscript_digit_is_a_parse_error(self, old, new, line):
+        # '\u00b2'.isdigit() holds but int('\u00b2') raises: the parser must
+        # refuse it itself, with the line, not let int() raise.
+        with pytest.raises(DfaParseError, match=f"line {line}:"):
+            parse_dfa(SAMPLE.replace(old, new))
+
+    def test_decimal_digits_of_other_scripts_are_indices(self):
+        # int() reads every Unicode decimal digit, so these parse.
+        arabic = str.maketrans("0123", "\u0660\u0661\u0662\u0663")
+        lines = SAMPLE.splitlines()
+        text = "\n".join(
+            l if l.startswith(("#", "alphabet")) else l.translate(arabic) for l in lines
+        )
+        assert parse_dfa(text) == parse_dfa(SAMPLE)
+
     def test_json_round_trip(self):
         d = parse_dfa(SAMPLE)
         assert from_json_dict(to_json_dict(d)) == d

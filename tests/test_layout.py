@@ -23,8 +23,8 @@ ALLOWED_PRIVATE_IMPORTS = {
 
 #: (module, function).  Public functions that only the tests and the
 #: benchmark call: the relabel search that the benchmark's ``closure``
-#: workload runs (ROADMAP item 2), and generator necessity and rank, which no
-#: command reports yet (items 3 and 8).
+#: workload runs (ROADMAP item 7), and generator necessity and rank, which no
+#: command reports yet (items 3 and 9).
 ALLOWED_UNUSED_FUNCTIONS = {
     ("semigroup", "equal_up_to_relabeling"),
     ("semigroup", "generator_necessity"),

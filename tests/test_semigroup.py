@@ -19,6 +19,7 @@ from synideal.semigroup import (
     _close_images,
     _conjugated_images,
     _injection_tables,
+    _j_classes,
     _orbit_sizes,
     _primitive,
     _symmetric_units,
@@ -40,6 +41,7 @@ from synideal.dfa import transition_semigroup
 
 from oracles import (
     full_monoid_generators,
+    j_classes_by_ideals,
     minimal_generator_count_by_subsets,
     naive_closure,
     orbit_by_injections,
@@ -311,8 +313,8 @@ class TestAcrossTheSwitch:
             assert products[0] == bound(klass, 7) * letters, switch
 
     def test_closures_below_the_switch_never_ask_for_units(self, monkeypatch):
-        # The unit-group test closes a group, so it is kept off the small
-        # closures: the full monoid of 4 states (units Sym(4), enough for
+        # The unit-group test is kept off the small closures, where its
+        # cost shows: the full monoid of 4 states (units Sym(4), enough for
         # the orbit path) and every witness whose frontiers stay within
         # SPLIT_FRONTIER close by the passes alone.
         asked = _calls(monkeypatch, "_symmetric_units")
@@ -644,12 +646,21 @@ def _perm(n: int, *cycles: tuple[int, ...]) -> Transformation:
     return Transformation(tuple(image))
 
 
+def _has_transposition(gens) -> bool:
+    """Whether some letter is a permutation that moves exactly two states."""
+    return any(
+        len(set(g.image)) == g.n and sum(a != q for q, a in enumerate(g.image)) == 2
+        for g in gens
+    )
+
+
 class TestSymmetricUnits:
-    """Whether the permutation letters generate the whole symmetric group on
-    the states they move: when a letter is a transposition, by Jordan's
-    theorem (whether the group is primitive), otherwise by listing the
-    group.  The listing of ``symmetric_units_by_listing`` is the oracle of
-    both."""
+    """Whether a letter is a transposition and the permutation letters
+    generate the whole symmetric group on the states they move, decided by
+    Jordan's theorem (whether the group is primitive).  Without a
+    transposition letter the answer is None, and the closure keeps the
+    plain passes.  The listing of ``symmetric_units_by_listing`` is the
+    oracle."""
 
     @staticmethod
     def _decide(gens):
@@ -659,12 +670,14 @@ class TestSymmetricUnits:
         # Every draw of _symmetric_unit_cases has a transposition letter;
         # a random map that is a permutation can make the group smaller
         # than Sym of the states it moves.  Beside them, a transposition
-        # with random cycles (often intransitive) and with random
-        # permutations that keep a partition of the states into blocks
-        # (imprimitive once transitive).
+        # with random cycles (often intransitive), with random permutations
+        # that keep a partition of the states into blocks (imprimitive once
+        # transitive), and random cycles of 3 or more states with no
+        # transposition, which often generate Sym all the same.
         _orbits_for_small_groups(monkeypatch)
         rng = random.Random(31)
         answers = {True: 0, False: 0}
+        unswapped_symmetric = 0
         for n in range(2, 8):
             draws = list(_symmetric_unit_cases(rng, n, 30))
             for _ in range(30):
@@ -686,12 +699,38 @@ class TestSymmetricUnits:
                                 image[q] = r
                         letters.append(Transformation(tuple(image)))
                     draws.append(letters)
+            for _ in range(15 if n >= 3 else 0):
+                draws.append(
+                    [
+                        _perm(n, tuple(rng.sample(range(n), rng.randint(3, n))))
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                )
             for gens in draws:
                 rng.shuffle(gens)
-                want = symmetric_units_by_listing(gens)
+                listed = symmetric_units_by_listing(gens)
+                want = listed if _has_transposition(gens) else None
                 assert self._decide(gens) == want, gens
                 answers[want is not None] += 1
-        assert min(answers.values()) >= 30, answers
+                unswapped_symmetric += listed is not None and want is None
+        assert min(answers.values()) >= 30 and unswapped_symmetric >= 10, (
+            answers, unswapped_symmetric
+        )
+
+    def test_symmetric_units_without_a_transposition_keep_the_plain_passes(
+        self, monkeypatch
+    ):
+        # A 5-cycle and a 4-cycle generate Sym(5), which the listing finds,
+        # but no letter is a transposition: the closure past the switch
+        # keeps the plain passes and returns a set.
+        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        orbits = _calls(monkeypatch, "_close_by_orbits")
+        gens = [_perm(5, (0, 1, 2, 3, 4)), _perm(5, (0, 1, 2, 3))]
+        assert symmetric_units_by_listing(gens) == bytes(range(5))
+        assert self._decide(gens) is None
+        images = closure(gens).images
+        assert type(images) is set and images == {bytes(e) for e in naive_closure(gens)}
+        assert len(images) == 120 and orbits == []
 
     def test_imprimitive_and_alternating_groups_are_rejected(self, monkeypatch):
         # Sym(2) wr Sym(3) on the blocks {0,1}, {2,3}, {4,5}: transitive,
@@ -702,7 +741,7 @@ class TestSymmetricUnits:
         assert not _primitive([g.packed() + bytes(250) for g in wreath], bytes(range(6)))
         assert self._decide(wreath) is None
         # A_m is primitive, so only a transposition letter lets primitivity
-        # decide: with none the group is listed.
+        # decide: with none the answer is None.
         for m in (5, 6, 7):
             alternating = [_perm(m, (0, 1, 2)), _perm(m, tuple(range(m % 2 == 0, m)))]
             padded = [g.packed() + bytes(256 - m) for g in alternating]
@@ -838,15 +877,16 @@ class TestOrbitUnion:
         s = closure(build(IdealClass.RIGHT, 5).delta)
         assert semigroup.equal_up_to_relabeling(s, s) == tuple(range(5))
 
-    def test_equality_with_a_closed_form_tests_representatives_or_in_bulk(self, monkeypatch):
+    def test_equality_with_a_closed_form_tests_representatives_or_each_element(
+        self, monkeypatch
+    ):
         # collections.abc.Set.__eq__ would test each element of one side in
-        # the other one by one: on the right n=8 witness, 2.1M calls of
-        # ClosedForm.__contains__ and 1.6 s.  A closed form invariant under
-        # the union's group tests only the representatives: 877 (right) and
-        # 878 (left) at n=7.  A set, or a form that is not invariant, is
-        # tested column by column (ClosedForm.holds_all), which calls
-        # __contains__ only for the maps outside the first family: none for
-        # right, the 6 constants for left at n=7.
+        # the other: on the right n=8 witness, 2.1M calls of
+        # ClosedForm.__contains__.  A closed form invariant under the
+        # union's group tests only the representatives: 877 (right) and 878
+        # (left) at n=7.  A set, or a form that is not invariant, is tested
+        # one element at a time, at most one call per element, and stops at
+        # the first element outside the form.
         calls = [0]
         real = ClosedForm.__contains__
 
@@ -855,22 +895,13 @@ class TestOrbitUnion:
             return real(self, e)
 
         monkeypatch.setattr(ClosedForm, "__contains__", counted)
-        bulk = []
-        holds_all = ClosedForm.holds_all
 
-        def logged(self, maps):
-            bulk.append(maps)
-            return holds_all(self, maps)
-
-        monkeypatch.setattr(ClosedForm, "holds_all", logged)
-
-        def compare(a, b, equal, most, in_bulk):
+        def compare(a, b, equal, most):
             for same in (a == b, b == a, not a != b, not b != a):
                 assert same is equal, (type(a), type(b))
             # Four comparisons, each at most ``most`` calls.
-            assert calls[0] <= 4 * most and len(bulk) == 4 * in_bulk, (calls[0], len(bulk))
+            assert calls[0] <= 4 * most, calls[0]
             calls[0] = 0
-            del bulk[:]
 
         for klass in (IdealClass.RIGHT, IdealClass.LEFT):
             images = closure(build(klass, 7).delta).images
@@ -879,14 +910,19 @@ class TestOrbitUnion:
             assert closed_form.invariant_under(images.moved)
             flat = set(images)
             calls[0] = 0
-            compare(images, closed_form, True, len(images.representatives), False)
-            compare(flat, closed_form, True, 6, True)
+            compare(images, closed_form, True, len(images.representatives))
+            compare(flat, closed_form, True, len(flat))
+            flat.pop()
+            # Outside both forms: it moves state 0 and state 6 and is no
+            # constant.
+            flat.add(bytes([1, 0, 2, 3, 4, 5, 5]))
+            compare(flat, closed_form, False, len(flat))
         # The maps fixing state 0 number 7^6, as the right witness's
         # semigroup does, but its units Sym(0..5) move state 0.
         images = closure(build(IdealClass.RIGHT, 7).delta).images
         fixing_0 = ClosedForm(7, [([0], range(7), range(7))])
         assert len(fixing_0) == len(images) and not fixing_0.invariant_under(images.moved)
-        compare(images, fixing_0, False, 6, True)
+        compare(images, fixing_0, False, len(images))
 
     def test_moved_states_and_representatives_are_read_only(self):
         images = closure(build(IdealClass.LEFT, 7).delta).images
@@ -900,7 +936,7 @@ class TestOrbitUnion:
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_equality_from_representatives_agrees_with_every_element(self, n):
         # The closed form decides equality with a union from its
-        # representatives; element by element (holds_all) must agree, on
+        # representatives; element by element it must agree, on
         # the closures and on unions with one orbit dropped or one
         # representative swapped for a non-member's of the same orbit size.
         # Only the two-sided n=6 witness stays below the switch.
@@ -926,7 +962,9 @@ class TestOrbitUnion:
             )
             swapped = OrbitUnion(n, moved, {**reps, foreign: j}, len(images))
             for union, equal in ((images, True), (dropped, False), (swapped, False)):
-                by_elements = len(union) == closed_form.size and closed_form.holds_all(union)
+                by_elements = len(union) == closed_form.size and all(
+                    e in closed_form for e in union
+                )
                 assert (closed_form == union) is (union == closed_form) is by_elements is equal
 
     def test_a_missing_or_foreign_orbit_is_noticed(self, monkeypatch):
@@ -1050,6 +1088,47 @@ class TestGeneratorNecessity:
         monkeypatch.setattr(semigroup, "DEFAULT_CAP", 2)
         with pytest.raises(CapExceeded, match="^necessity search exceeds cap 2$"):
             generator_necessity(s)
+
+
+class TestJClasses:
+    """``_j_classes`` reads the classes and up-sets from principal-ideal
+    masks; ``j_classes_by_ideals`` lists each ideal S¹eS¹ product by
+    product.  The classes and up-sets must be equal, and the order a linear
+    extension of the J-order read top-down: no class comes after a class
+    below it."""
+
+    @staticmethod
+    def _semigroups():
+        for klass, lo in MIN_N.items():
+            for n in range(lo, 5):
+                yield transition_semigroup(build(klass, n))
+        # Random semigroups of 10 to 100 elements, 100 being the generator
+        # search's budget.
+        rng = random.Random(41)
+        drawn = 0
+        while drawn < 200:
+            n = rng.randrange(3, 6)
+            gens = [random_transformation(rng, n) for _ in range(rng.randrange(2, 4))]
+            try:
+                s = closure(gens, cap=100)
+            except CapExceeded:
+                continue
+            if s.size >= 10:
+                drawn += 1
+                yield s
+
+    def test_agrees_with_listed_ideals_in_a_top_down_order(self):
+        sizes = []
+        for s in self._semigroups():
+            got = _j_classes(s)
+            want = j_classes_by_ideals(s)
+            assert len(got) == len(want) and dict(got) == dict(want), s.generators
+            for i, (members, up_set) in enumerate(got):
+                # A later class is never above an earlier one.
+                for later, _ in got[i + 1 :]:
+                    assert later.isdisjoint(up_set), s.generators
+            sizes.append(s.size)
+        assert len(sizes) == 211 and max(sizes) == 100, sizes
 
 
 class TestMinimalGeneratorCount:

@@ -84,6 +84,18 @@ class TestParse:
         with pytest.raises((NotationError, ValueError)):
             parse_notation(bad, 3)
 
+    @pytest.mark.parametrize(
+        "text", ["(0 -> \u00b2)", "(\u00b2 -> 0)", "(Q -> \u00b2)", "(0, \u00b2)", "[0, \u00b2, 1]"]
+    )
+    def test_superscript_digit_is_a_notation_error(self, text):
+        # '\u00b2'.isdigit() holds but int('\u00b2') raises ValueError.
+        with pytest.raises(NotationError, match="bad state index"):
+            parse_notation(text, 3)
+
+    def test_decimal_digits_of_other_scripts_are_indices(self):
+        assert parse_notation("(0 -> \u0662)", 3) == T(2, 1, 2)
+        assert parse_notation("[\u0661, \u0662, 0]", 3) == T(1, 2, 0)
+
     def test_round_trip_all_grammars(self):
         for text in ["1", "[2,0,1]", "(0,2)", "(Q->0)", "(1->2)"]:
             t = parse_notation(text, 3)
