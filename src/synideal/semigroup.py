@@ -5,37 +5,36 @@ as packed byte strings and right-multiplication by a generator is a single
 ``bytes.translate`` call, mapped over the whole frontier, with the repeat
 products filtered out in C.
 
-The first time a round's frontier outgrows ``SPLIT_FRONTIER`` elements, a
-closure with a transposition among its letters, whose permutation letters
-generate the whole symmetric group G = Sym(M) on the states M they move, at
-least ``ORBIT_MIN_STATES`` of them, works on orbits of G instead (Linton,
-Pfeiffer, Robertson & Ruskuc 1998; East, Egri-Nagy, Mitchell & Peresse
-2019); any other closure goes on with the same passes.  G lies in the
-closure, so the closure is a union of orbits t*G.  It keeps one canonical
-representative per orbit, seeded from the letters, multiplies only those,
-takes the canonical form of each distinct product once, and returns the
-representatives as an
-``OrbitUnion``: its length is the sum of the orbit sizes, membership
-canonicalises the map asked about, and iteration lists each orbit through
-translate tables shared by every orbit, one per permutation of M, built on
-the first iteration.  No orbit element is stored.  Every witness whose
-closure passes the switch takes this path: its units are Sym on n-1 states
-(right, left) or n-2 (two-sided), with a transposition among its letters,
-so Jordan's theorem decides that they are the whole group in ~0.1 ms
-(``_symmetric_units``); only the two-sided n=6 one and those below n=6 stay
-under the switch.  In a fresh process a closure takes 0.012-0.027 s at n=8
-(4,140, 4,141 and 3,328 orbits for right, left and two-sided), 0.07-0.13 s
-at n=9 (21,147, 21,148 and 17,136) and 0.68-0.80 s at n=10 (115,975,
-115,976 and 95,085; peak RSS 43 MB for right and left, 41 MB for
-two-sided).  Its size is known without listing an element, and a closed
-form invariant under G is compared with it from the representatives alone
-(``witness.ClosedForm``): 1-2 ms at n=8 and 6-11 ms at n=9.  Conjugating it
-by a permutation of the states conjugates only the representatives
-(``_conjugated_images``).  Listing the elements of the right or left closure
-through the |M|! tables (7! = 5,040 at n=8, about 1.5 MB) takes 0.19-0.26 s
-at n=8 and ~5 s at n=9.
+Before it forms a product, a closure decides from its letters alone which
+way it goes (``_symmetric_units``).  One with a transposition among its
+letters, whose permutation letters generate the whole symmetric group
+G = Sym(M) on the states M they move, at least ``ORBIT_MIN_STATES`` of them,
+works on orbits of G (Linton, Pfeiffer, Robertson & Ruskuc 1998; East,
+Egri-Nagy, Mitchell & Peresse 2019); any other closure runs the plain
+passes.  G lies in the closure, so the closure is a union of orbits t*G.  It
+keeps one canonical representative per orbit, seeded from the letters,
+multiplies only those, takes the canonical form of each distinct product
+once, and returns the representatives as an ``OrbitUnion``: its length is
+the sum of the orbit sizes, membership canonicalises the map asked about,
+and iteration lists each orbit through translate tables shared by every
+orbit, one per permutation of M, built on the first iteration.  No orbit
+element is stored.  The right and left witnesses from n=5 on and the
+two-sided ones from n=6 on take this path: their units are Sym on n-1 states
+(right, left) or n-2 (two-sided), with a transposition among their letters,
+so Jordan's theorem decides that they are the whole group (0.05 ms at
+n=10); the smaller witnesses move fewer than ``ORBIT_MIN_STATES`` states.
+In a fresh process a closure takes 0.007-0.009 s at n=8 (4,140, 4,141 and
+3,328 orbits for right, left and two-sided), 0.041-0.047 s at n=9 (21,147,
+21,148 and 17,136) and 0.26-0.29 s at n=10 (115,975, 115,976 and 95,085;
+peak RSS 43 MB for right and left, 41 MB for two-sided).  Its size is known
+without listing an element, and a closed form invariant under G is compared
+with it from the representatives alone (``witness.ClosedForm``): 0.6-0.8 ms
+at n=8 and 3-4 ms at n=9.  Conjugating it by a permutation of the states
+conjugates only the representatives (``_conjugated_images``).  Listing the
+elements of the right or left closure through the |M|! tables (7! = 5,040
+at n=8, about 1.5 MB) takes 0.09 s at n=8 and 1.9 s at n=9.
 
-On the witness semigroups at n=7 and n=8 the engine reaches about 7.7e7
+On the witness semigroups at n=7 and n=8 the engine reaches about 1.2e8
 elements/s (``semigroup.closure.elements_per_s`` of the benchmark's
 ``closure`` workload, a traced run at seed 7919; CPython 3.11.7, shared
 2-vCPU x86_64 host).  All six take the orbit path; the three at n=8 take
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, filterfalse, permutations, repeat
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .transform import Transformation, conjugate
@@ -68,27 +67,17 @@ DEFAULT_CAP = 2_100_000
 #: bounds |S| and with it the size of every class searched.
 GENERATOR_SEARCH_BUDGET = 100
 
-#: Frontier length past which a closure asks, once, whether its permutation
-#: letters generate Sym(M) on the states M they move, and if so keeps one
-#: element per orbit of that group (``_close_by_orbits``).  Asked on every
-#: closure's first round, the 1,744 closures of the n=4 two-letter sweep
-#: take ~11.8 us each instead of ~8.9 us (CPython 3.11.7, shared 2-vCPU
-#: x86_64 host).  No n=4 sweep closure (at most 256 elements) and none of the
-#: benchmark's sampled campaigns (at most 167) reaches this length, so none
-#: of them asks.
-SPLIT_FRONTIER = 1024
-
-#: Fewest states M that a unit group Sym(M) must move for a closure past
-#: ``SPLIT_FRONTIER`` to keep one element per orbit (``_symmetric_units``).
-#: An orbit holds at most |M|! maps and each product is canonicalised in
-#: Python, while the plain passes form their products in C, so small groups
-#: lose.  At n=8, with a cycle and a transposition of M beside two random
-#: maps (three seeds per |M|, closures of 0.1-2.1M elements), the orbit path
-#: took 3.3-4.4x the plain passes' time with |M| = 2 (7.6 against 2.0 s at
-#: the largest), 1.8-3.0x with |M| = 3, 0.89-1.4x with |M| = 4 (0.49 against
-#: 0.49 s, 0.12 against 0.085 s, 1.34 against 1.51 s) and 0.13-0.37x with
-#: |M| = 5 (CPython 3.11.7, shared 2-vCPU x86_64 host).  Every witness past
-#: the switch moves at least 5 states.
+#: Fewest states M that a unit group Sym(M) must move for a closure to keep
+#: one element per orbit (``_symmetric_units``).  An orbit holds at most
+#: |M|! maps and each product is canonicalised in Python, while the plain
+#: passes form their products in C, so small groups lose.  At n=8, with a
+#: cycle of M and a transposition beside two random maps (three draws per
+#: |M|, closures of 0.1-1.4M elements), the orbit path took 1.9-2.5x the
+#: plain passes' time with |M| = 2, 0.99-1.4x with |M| = 3, 0.32-0.40x with
+#: |M| = 4 and 0.11-0.27x with |M| = 5; on small closures too, 0.11 against
+#: 0.08 ms for the two-sided n=5 witness (|M| = 3) and 0.07 against 0.08 ms
+#: for the 256 maps of 4 states (|M| = 4) (CPython 3.11.7, shared 2-vCPU
+#: x86_64 host).  Every witness that takes the orbit path moves at least 4.
 ORBIT_MIN_STATES = 4
 
 #: Relabeling search is factorial in the movable states; refuse beyond this.
@@ -156,10 +145,11 @@ def closure(
     """All distinct composites of one or more generators.
 
     Frontier-style breadth-first search (``_close_images``): each new element
-    is right-multiplied by every generator.  When the permutation letters
-    generate the whole symmetric group on the states they move, a closure
-    past ``SPLIT_FRONTIER`` multiplies only one element per orbit of that
-    group, on the left, and keeps it, from the letters on: the images are an
+    is right-multiplied by every generator.  When a letter is a
+    transposition and the permutation letters generate the whole symmetric
+    group on the states they move, which is decided from the letters before
+    any product, the closure instead multiplies only one element per orbit
+    of that group, on the left, and keeps it: the images are an
     ``OrbitUnion``, which lists the orbits on demand.  If more than ``cap``
     elements appear (default ``DEFAULT_CAP``), ``CapExceeded`` is raised; no
     partially-closed set ever escapes.  A cap below 1 is a ValueError:
@@ -191,6 +181,13 @@ def _close_images(
     ``OrbitUnion`` from ``_close_by_orbits``, is the result; None when the
     cap is exceeded.
 
+    The path is decided once, from the letters, before any product is
+    formed: when a letter is a transposition and the permutation letters
+    generate the whole symmetric group on the states they move, at least
+    ``ORBIT_MIN_STATES`` of them (``_symmetric_units``), the closure keeps
+    one representative per orbit of that group (``_close_by_orbits``);
+    otherwise it runs the plain passes below to the end.
+
     Each round right-multiplies that round's frontier (the elements new in
     the previous round) by one generator at a time, so the products are
     formed in C, and the repeats among them (most of them) are dropped by
@@ -201,17 +198,12 @@ def _close_images(
     of products; the result is None exactly when the closure has more than
     ``cap`` elements.
 
-    The first time a round's frontier outgrows ``SPLIT_FRONTIER`` elements,
-    the closure asks once whether a letter is a transposition and the
-    permutation letters generate the whole symmetric group on the states
-    they move, at least ``ORBIT_MIN_STATES`` of them (``_symmetric_units``).
-    If so, it is started again on one representative per orbit of that
-    group (``_close_by_orbits``), and the set grown so far is emptied first;
-    if not, the same passes run on to the end.
-
     A set result is the only table: it grew one element at a time, so it is
     sized for the closure (a copied set is sized for twice its length).
     """
+    moved = _symmetric_units(gen_images, cap)
+    if moved is not None:
+        return _close_by_orbits(gen_images, moved, cap)
     seen = set(gen_images)
     if len(seen) > cap:
         return None
@@ -221,17 +213,7 @@ def _close_images(
     add = seen.add
     contained = seen.__contains__
     frontier = list(seen)
-    units_asked = False
     while frontier:
-        if len(frontier) > SPLIT_FRONTIER and not units_asked:
-            units_asked = True
-            moved = _symmetric_units(gen_images, cap)
-            if moved is not None:
-                # The orbit path starts again from the letters: free this
-                # table and its maps before it grows its own.
-                seen.clear()
-                frontier.clear()
-                return _close_by_orbits(gen_images, moved, cap)
         new = []
         append = new.append
         for table in tables:
@@ -250,18 +232,26 @@ def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
     group Sym(M), |M| >= ``ORBIT_MIN_STATES`` and |M|! <= cap; None
     otherwise, and then the closure keeps the plain passes.
 
-    With a transposition letter, as every witness has, the group is Sym(M)
-    exactly when it is primitive on M (``_primitive``), by Jordan's theorem
-    (Wielandt, *Finite Permutation Groups*, 1964, §13): 0.1 ms at |M| = 9.
-    M must not be empty: with no state moved every orbit is one element.
+    Every closure asks this before its first product, so the transposition
+    is looked for first, by C-level passes over each letter, and a closure
+    without one returns None before M is built: ~0.8 us per call on random
+    letter pairs at n=4..6 (CPython 3.11.7, shared 2-vCPU x86_64 host).  All
+    but 65 of the 1,744 closures of the n=4 two-letter sweep, and all but 23
+    of the 550 of the benchmark's ``sample`` workload at seed 7919, have
+    none.  With a transposition letter, as every witness but the two
+    smallest of each class has, the group is Sym(M) exactly when it is
+    primitive on M (``_primitive``), by Jordan's theorem (Wielandt, *Finite
+    Permutation Groups*, 1964, §13): 0.05 ms for the witnesses at |M| = 9.
     """
     n = len(gen_images[0])
-    units = [g + bytes(256 - n) for g in gen_images if len(set(g)) == n]
-    moved = bytes(q for q in range(n) if any(g[q] != q for g in units))
-    if not moved or len(moved) < ORBIT_MIN_STATES or factorial(len(moved)) > cap:
+    states = range(n)
+    units = [g for g in gen_images if len(set(g)) == n]
+    if not units or not any(sum(map(ne, g, states)) == 2 for g in units):
         return None
-    swap = any(sum(g[q] != q for q in moved) == 2 for g in units)
-    return moved if swap and _primitive(units, moved) else None
+    moved = bytes(q for q in states if any(g[q] != q for g in units))
+    if len(moved) < ORBIT_MIN_STATES or factorial(len(moved)) > cap:
+        return None
+    return moved if _primitive(units, moved) else None
 
 
 def _primitive(units: Sequence[bytes], moved: bytes) -> bool:
@@ -302,8 +292,8 @@ def _primitive(units: Sequence[bytes], moved: bytes) -> bool:
 
 
 def _close_by_orbits(gen_images: Sequence[bytes], moved: bytes, cap: int) -> OrbitUnion | None:
-    """The rest of ``_close_images`` when the permutation letters generate
-    the whole symmetric group G on the states ``moved`` (``_symmetric_units``).
+    """``_close_images`` when the permutation letters generate the whole
+    symmetric group G on the states ``moved`` (``_symmetric_units``).
 
     G lies in the closure S, so S is a union of orbits t*G: right
     multiplication by G renumbers the values of t in ``moved`` and keeps the
@@ -315,7 +305,7 @@ def _close_by_orbits(gen_images: Sequence[bytes], moved: bytes, cap: int) -> Orb
     in an orbit that is there whole.  The letters seed the first orbits: a
     word a1...ak with k > 1 lies in the orbit of a1*r, r the representative
     of the orbit of a2...ak, so by induction every element's orbit is
-    reached, and the elements made before the switch are not needed.
+    reached from the letters alone.
 
     A product costs one ``translate``, and only the first of equal
     products its canonical form: the distinct products are kept in a set,

@@ -10,7 +10,6 @@ import pytest
 from synideal import semigroup
 from synideal.semigroup import (
     DEFAULT_CAP,
-    SPLIT_FRONTIER,
     CapExceeded,
     OrbitUnion,
     SearchInfeasible,
@@ -154,7 +153,7 @@ class TestClosure:
         # into a second table peaks at 1.24x (n=6) and 1.35x (n=7) of the
         # result; the one table at 1.05x and 1.09x.  Allocation sizes, so
         # the figures repeat exactly.  The unit group is hidden, so that the
-        # plain passes build the flat set past the switch.
+        # plain passes build the flat set.
         monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
         gens = build(IdealClass.RIGHT, n).delta
         tracemalloc.start()
@@ -238,16 +237,30 @@ def _relation_cases(packed: list[bytes]) -> set[str]:
     return cases
 
 
-class TestAcrossTheSwitch:
-    """Past ``SPLIT_FRONTIER`` a closure asks once whether its unit group is
-    a whole symmetric group, and then takes the orbit path or goes on with
-    the same passes.  The result and the cap must not notice: checked
-    against ``naive_closure`` on relation-rich letters with the switch moved
-    down to every small size, and against the closed forms at the default."""
+@pytest.fixture(params=["orbits", "passes"])
+def path(request, monkeypatch) -> str:
+    """Run a test on each path of ``_close_images``: with the orbit path
+    open to unit groups on any number of states (``ORBIT_MIN_STATES`` = 1),
+    and with it refused (``_symmetric_units`` answers None), so that the
+    plain passes close everything."""
+    if request.param == "orbits":
+        _orbits_for_small_groups(monkeypatch)
+    else:
+        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
+    return request.param
 
-    SWITCHES = (0, 1, 3, 10, SPLIT_FRONTIER)
 
-    def test_relation_rich_closures_agree_with_naive_closure(self, monkeypatch):
+class TestOnEitherPath:
+    """A closure asks once, from its letters and before any product, whether
+    its unit group is a whole symmetric group, and then takes the orbit path
+    or the plain passes to the end.  The result and the cap must not depend
+    on the path: each oracle (``naive_closure`` on relation-rich letters,
+    the closed forms at n <= 7, an exact cap) runs with the orbit path
+    allowed and with it refused."""
+
+    def test_relation_rich_closures_agree_with_naive_closure(self, monkeypatch, path):
+        orbits = _calls(monkeypatch, "_close_by_orbits")
+        taken = 0
         rng = random.Random(12)
         cases: set[str] = set()
         for n in range(1, 7):
@@ -262,28 +275,39 @@ class TestAcrossTheSwitch:
                     expected = {bytes(e) for e in naive_closure(gens)}
                     cases |= _relation_cases(packed)
                     size = len(expected)
-                    for switch in self.SWITCHES:
-                        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
-                        assert _close_images(packed) == expected, (gens, switch)
-                        assert _close_images(packed, cap=size) == expected, (gens, switch)
-                        assert _close_images(packed, cap=size - 1) is None, (gens, switch)
+                    before = len(orbits)
+                    assert _close_images(packed) == expected, gens
+                    assert _close_images(packed, cap=size) == expected, gens
+                    assert _close_images(packed, cap=size - 1) is None, gens
+                    taken += len(orbits) > before
+        # Enough of the draws take the orbit path when it is allowed.
+        assert taken >= 10 if path == "orbits" else taken == 0, taken
         assert cases == {
             "duplicate", "identity generator", "constant", "identity product",
             "idempotent", "third generator",
         }
 
-    def test_witness_closures_equal_their_closed_forms(self, monkeypatch):
-        for switch in (0, SPLIT_FRONTIER):
-            monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
-            for klass, lo in MIN_N.items():
-                for n in range(lo, 8 if switch else 7):
-                    images = closure(build(klass, n).delta).images
-                    assert images == expected_semigroup(klass, n).images, (klass, n, switch)
+    def test_witness_closures_equal_their_closed_forms(self, path):
+        for n in range(2, 7):
+            images = closure(full_monoid_generators(n)).images
+            assert isinstance(images, OrbitUnion if path == "orbits" else set), (n, path)
+            assert images == _all_maps(n), (n, path)
+        for klass, lo in MIN_N.items():
+            for n in range(lo, 8):
+                images = closure(build(klass, n).delta).images
+                # The two smallest witnesses of each class have an identity
+                # letter, and no transposition.
+                if path == "passes":
+                    assert type(images) is set, (klass, n)
+                elif n >= lo + 2:
+                    assert isinstance(images, OrbitUnion), (klass, n)
+                assert images == expected_semigroup(klass, n).images, (klass, n, path)
 
-    def test_cap_is_exact_across_the_switch(self):
+    def test_cap_is_exact(self, path):
         packed = [g.packed() for g in build(IdealClass.RIGHT, 6).delta]
         full = _close_images(packed)
-        assert len(full) == 7776 > SPLIT_FRONTIER
+        assert isinstance(full, OrbitUnion if path == "orbits" else set), path
+        assert len(full) == 7776 and full == expected_semigroup(IdealClass.RIGHT, 6).images
         assert _close_images(packed, cap=7775) is None
         assert _close_images(packed, cap=7776) == full
 
@@ -292,43 +316,67 @@ class TestAcrossTheSwitch:
         [(IdealClass.RIGHT, 4), (IdealClass.LEFT, 5), (IdealClass.TWO_SIDED, 6)],
     )
     def test_products_formed_on_the_n7_witnesses(self, monkeypatch, klass, letters):
-        # One loop: past the switch the passes go on as before it, so each
-        # element is multiplied by every letter exactly once, at the default
-        # switch as with none.  Their unit groups are hidden, so that past
-        # the switch they keep the passes, not the orbits of those groups.
-        products = [0]
-
-        def counting_map(f, elements, table):
-            products[0] += len(elements)
-            return map(f, elements, table)
-
-        monkeypatch.setattr(semigroup, "map", counting_map, raising=False)
+        # One loop: each element is multiplied by every letter exactly
+        # once.  Their unit groups are hidden, so that they keep the passes,
+        # not the orbits of those groups.
+        products = _count_products(monkeypatch)
         monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
         packed = [g.packed() for g in build(klass, 7).delta]
         assert len(packed) == letters
-        for switch in (10**9, SPLIT_FRONTIER):
-            monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
-            products[0] = 0
-            assert len(_close_images(packed)) == bound(klass, 7)
-            assert products[0] == bound(klass, 7) * letters, switch
+        assert len(_close_images(packed)) == bound(klass, 7)
+        assert products[0] == bound(klass, 7) * letters
 
-    def test_closures_below_the_switch_never_ask_for_units(self, monkeypatch):
-        # The unit-group test is kept off the small closures, where its
-        # cost shows: the full monoid of 4 states (units Sym(4), enough for
-        # the orbit path) and every witness whose frontiers stay within
-        # SPLIT_FRONTIER close by the passes alone.
+    def test_the_path_is_decided_before_the_first_product(self, monkeypatch):
+        # The n=6 witness of each class forms no product before it enters
+        # the orbit path, and the n=5 right and left ones take it too.
+        products = _count_products(monkeypatch)
+        entered = []
+        real = semigroup._close_by_orbits
+
+        def logged(gen_images, moved, cap):
+            entered.append(products[0])
+            return real(gen_images, moved, cap)
+
+        monkeypatch.setattr(semigroup, "_close_by_orbits", logged)
+        for klass, n in [
+            (IdealClass.RIGHT, 5), (IdealClass.LEFT, 5),
+            *((klass, 6) for klass in IdealClass),
+        ]:
+            products[0] = 0
+            del entered[:]
+            images = closure(build(klass, n).delta).images
+            assert entered == [0], (klass, n, entered)
+            assert isinstance(images, OrbitUnion), (klass, n)
+            assert images == expected_semigroup(klass, n).images, (klass, n)
+
+    def test_every_closure_asks_for_its_units_once(self, monkeypatch):
+        # Small closures included, whichever path they take: the identity,
+        # the full monoids of 1 to 4 states (units Sym(4) take the orbit
+        # path), every witness up to n=6, and relation-rich letters.
         asked = _calls(monkeypatch, "_symmetric_units")
-        orbits = _calls(monkeypatch, "_close_by_orbits")
-        images = closure(full_monoid_generators(4)).images
-        assert type(images) is set and images == _all_maps(4)
-        for klass, lo in MIN_N.items():
-            for n in range(lo, 8):
-                if bound(klass, n) > SPLIT_FRONTIER:
-                    continue
-                images = closure(build(klass, n).delta).images
-                assert type(images) is set, (klass, n)
-                assert images == expected_semigroup(klass, n).images, (klass, n)
-        assert (asked, orbits) == ([], [])
+        letter_lists = [[identity(1)], [identity(4)]]
+        letter_lists += [full_monoid_generators(n) for n in range(1, 5)]
+        letter_lists += [build(klass, n).delta for klass, lo in MIN_N.items() for n in range(lo, 7)]
+        rng = random.Random(7)
+        letter_lists += [_relation_rich(rng, 1 + i % 5, 1 + i % 4) for i in range(40)]
+        for gens in letter_lists:
+            del asked[:]
+            closure(gens)
+            assert len(asked) == 1, gens
+
+
+def _count_products(monkeypatch) -> list[int]:
+    """Count the products the plain passes form: ``products[0]`` grows by
+    the frontier's length at each ``map`` of ``bytes.translate`` over it."""
+    products = [0]
+
+    def counting_map(f, elements, *tables):
+        if f is bytes.translate:
+            products[0] += len(elements)
+        return map(f, elements, *tables)
+
+    monkeypatch.setattr(semigroup, "map", counting_map, raising=False)
+    return products
 
 
 def _orbits_for_small_groups(monkeypatch) -> None:
@@ -380,9 +428,8 @@ def _orbit(t: bytes, moved: bytes) -> list[bytes]:
 
 class TestUnitOrbits:
     """When the permutation letters generate the whole symmetric group on
-    the states they move, a closure past the switch adds whole orbits of
-    that group (``_close_by_orbits``).  Every other closure past the switch
-    goes on with the plain passes."""
+    the states they move, a closure adds whole orbits of that group
+    (``_close_by_orbits``).  Every other closure runs the plain passes."""
 
     # Unit groups that are not the whole symmetric group on the states they
     # move: a lone 4-cycle (4 of 24), <(0 1 2)(3 4)> (6 of 120), and an
@@ -396,10 +443,7 @@ class TestUnitOrbits:
     ]
 
     def test_other_unit_groups_keep_the_plain_passes(self, monkeypatch):
-        # With the switch at 0 every closure passes it: the group alone
-        # decides.  It is asked once, though every later round's frontier is
-        # past the switch too.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        # The group alone decides, asked once, before the first product.
         asked = _calls(monkeypatch, "_symmetric_units")
         orbits = _calls(monkeypatch, "_close_by_orbits")
         for gens in self.OTHER_UNITS:
@@ -409,58 +453,28 @@ class TestUnitOrbits:
             assert (len(asked), len(orbits)) == (1, 0), gens
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_units_moving_every_state_take_orbits_past_the_switch(self, monkeypatch, n):
-        # The whole monoid of maps: its units are Sym(n), with no more
-        # elements than the switch's length (n! <= 720 < SPLIT_FRONTIER).
-        # Past the switch, wherever it lies, the closure adds their orbits;
-        # one that never passes it keeps the plain passes.
+    def test_units_moving_every_state_take_orbits(self, monkeypatch, n):
+        # The whole monoid of maps: its units are Sym(n), n! <= 720 maps,
+        # and however small the closure, it adds their orbits.
         orbits = _calls(monkeypatch, "_close_by_orbits")
-        for switch, taken in ((0, 1), (factorial(n), 1), (n**n, 0)):
-            monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
-            del orbits[:]
-            assert closure(full_monoid_generators(n)).images == _all_maps(n), (n, switch)
-            assert len(orbits) == taken, (n, switch)
+        images = closure(full_monoid_generators(n)).images
+        assert isinstance(images, OrbitUnion) and images == _all_maps(n), n
+        assert len(orbits) == 1, n
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_small_unit_groups_keep_the_plain_passes(self, monkeypatch, k):
         # The maps of k of 6 states, the other two fixed: units Sym(k).  An
         # orbit holds at most k! maps and each product is canonicalised in
-        # Python, so below ORBIT_MIN_STATES moved states a closure past the
-        # switch keeps the plain passes, which form their products in C.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        # Python, so below ORBIT_MIN_STATES moved states a closure keeps the
+        # plain passes, which form their products in C.
         orbits = _calls(monkeypatch, "_close_by_orbits")
         gens = [T(*g.image, *range(k, 6)) for g in full_monoid_generators(k)]
         assert len(closure(gens).images) == k**k
         assert len(orbits) == int(k >= semigroup.ORBIT_MIN_STATES), k
 
-    def test_orbit_closures_equal_the_closed_forms(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
-        _orbits_for_small_groups(monkeypatch)
-        for n in range(2, 7):
-            images = closure(full_monoid_generators(n)).images
-            assert isinstance(images, OrbitUnion) and images == _all_maps(n), n
-        for klass, lo in MIN_N.items():
-            # The two smallest witnesses of each class have an identity letter.
-            for n in range(lo + 2, 8):
-                images = closure(build(klass, n).delta).images
-                assert isinstance(images, OrbitUnion), (klass, n)
-                assert images == expected_semigroup(klass, n).images, (klass, n)
-
-    def test_the_plain_passes_still_close_the_witnesses(self, monkeypatch):
-        # With the switch at 0 most witnesses now add orbits; the plain
-        # passes must still close them, as they do every other closure.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
-        monkeypatch.setattr(semigroup, "_symmetric_units", lambda gen_images, cap: None)
-        for klass, lo in MIN_N.items():
-            for n in range(lo, 7):
-                images = closure(build(klass, n).delta).images
-                assert type(images) is set, (klass, n)
-                assert images == expected_semigroup(klass, n).images, (klass, n)
-
     def test_random_symmetric_units_agree_with_naive_closure(self, monkeypatch):
         # The moved states anywhere among the fixed ones, with random maps
         # beside a cycle and a transposition of them.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         _orbits_for_small_groups(monkeypatch)
         calls = _calls(monkeypatch, "_close_by_orbits")
         rng = random.Random(23)
@@ -474,16 +488,10 @@ class TestUnitOrbits:
                 assert calls, gens
 
     @pytest.mark.parametrize(
-        "switch, klass, n",
-        [
-            (0, IdealClass.RIGHT, 4),
-            (0, IdealClass.LEFT, 5),
-            (100, IdealClass.RIGHT, 6),
-            (100, IdealClass.LEFT, 6),
-        ],
+        "klass, n",
+        [(IdealClass.RIGHT, 4), (IdealClass.LEFT, 5), (IdealClass.RIGHT, 6), (IdealClass.LEFT, 6)],
     )
-    def test_cap_is_exact_in_the_orbit_path(self, monkeypatch, switch, klass, n):
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", switch)
+    def test_cap_is_exact_in_the_orbit_path(self, monkeypatch, klass, n):
         _orbits_for_small_groups(monkeypatch)
         packed = [g.packed() for g in build(klass, n).delta]
         size = bound(klass, n)
@@ -539,11 +547,10 @@ class TestUnitOrbits:
 
     def test_representatives_are_the_canonical_forms_of_the_elements(self, monkeypatch):
         # The orbits are seeded from the letters: a word a1...ak lies in the
-        # orbit of a1*r, r the representative of the orbit of a2...ak.  With
-        # the switch at 0 each witness from the third size on takes the orbit
-        # path from its letters; its representatives must be those of every
-        # element of the closure by the plain passes, its unit group hidden.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        # orbit of a1*r, r the representative of the orbit of a2...ak.  Each
+        # witness from the third size on takes the orbit path from its
+        # letters; its representatives must be those of every element of the
+        # closure by the plain passes, its unit group hidden.
         _orbits_for_small_groups(monkeypatch)
         for klass, lo in MIN_N.items():
             for n in range(lo + 2, 8):
@@ -559,15 +566,12 @@ class TestUnitOrbits:
                 assert set(images.representatives) == canonical, (klass, n)
                 assert len(images) == len(flat) == bound(klass, n), (klass, n)
 
-    def test_orbit_closure_peaks_far_below_its_flat_maps(self, monkeypatch):
-        # Past the switch the right n=7 witness adds whole orbits.  It keeps
-        # one representative per orbit, 877 of them, and lists none of the
-        # 7^6 maps: its traced peak (the set of the distinct products, the
-        # representatives and the products of one round; the set made
-        # before the switch is emptied at the switch) is 3.1% of the maps
-        # held flat in one set, as the plain passes hold them, with the
-        # switch at 512, and 3.6% at the default.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 512)
+    def test_orbit_closure_peaks_far_below_its_flat_maps(self):
+        # The right n=7 witness adds whole orbits from its letters on.  It
+        # keeps one representative per orbit, 877 of them, and lists none of
+        # the 7^6 maps: its traced peak (the set of the distinct products,
+        # the representatives and the products of one round) is 3.0% of the
+        # maps held flat in one set, as the plain passes hold them.
         gens = build(IdealClass.RIGHT, 7).delta
         tracemalloc.start()
         try:
@@ -623,9 +627,8 @@ class TestUnitOrbits:
         # Dropping a repeated product drops only a map whose representative
         # is already kept, so the representatives, and the order in which
         # they are kept and listed, are those of the loop that canonicalises
-        # every product.  The switch at 0 sends every witness from n=5 on to
-        # the orbit path, which starts from the letters wherever the switch is.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        # every product.  With the orbit path open to every group size, every
+        # witness from n=5 on takes it from its letters.
         _orbits_for_small_groups(monkeypatch)
         for (name, n), (count, digest) in self.REPRESENTATIVES.items():
             klass = IdealClass(name)
@@ -721,9 +724,8 @@ class TestSymmetricUnits:
         self, monkeypatch
     ):
         # A 5-cycle and a 4-cycle generate Sym(5), which the listing finds,
-        # but no letter is a transposition: the closure past the switch
-        # keeps the plain passes and returns a set.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+        # but no letter is a transposition: the closure keeps the plain
+        # passes and returns a set.
         orbits = _calls(monkeypatch, "_close_by_orbits")
         gens = [_perm(5, (0, 1, 2, 3, 4)), _perm(5, (0, 1, 2, 3))]
         assert symmetric_units_by_listing(gens) == bytes(range(5))
@@ -790,7 +792,6 @@ class TestOrbitUnion:
     compared with, it must answer as the flat set of its elements would."""
 
     def test_membership_agrees_with_naive_closure_on_every_map(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         _orbits_for_small_groups(monkeypatch)
         rng = random.Random(29)
         unions = 0
@@ -828,8 +829,7 @@ class TestOrbitUnion:
         assert bytes([200, 1, 2, 3, 4, 5, 6, 7]) not in images
         assert bytes([0, 1, 2, 3, 4, 5, 6, 8]) not in images
 
-    def test_iteration_lists_len_distinct_maps(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+    def test_iteration_lists_len_distinct_maps(self):
         for klass, n in ((IdealClass.RIGHT, 5), (IdealClass.LEFT, 5), (IdealClass.TWO_SIDED, 6)):
             images = closure(build(klass, n).delta).images
             assert isinstance(images, OrbitUnion), (klass, n)
@@ -838,8 +838,7 @@ class TestOrbitUnion:
             assert all(e in images for e in listed), (klass, n)
 
     @pytest.mark.parametrize("klass", list(IdealClass))
-    def test_comparisons_in_both_directions(self, monkeypatch, klass):
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+    def test_comparisons_in_both_directions(self, klass):
         gens = build(klass, 6).delta
         images = closure(gens).images
         again = closure(gens[::-1]).images
@@ -858,8 +857,7 @@ class TestOrbitUnion:
             assert not images == other and not other == images
         assert images != list(flat) and images != None  # noqa: E711
 
-    def test_set_operators_build_frozensets(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
+    def test_set_operators_build_frozensets(self):
         images = closure(build(IdealClass.RIGHT, 5).delta).images
         flat = set(images)
         outside = {bytes(5), bytes([4, 3, 2, 1, 0])}
@@ -939,14 +937,10 @@ class TestOrbitUnion:
         # representatives; element by element it must agree, on
         # the closures and on unions with one orbit dropped or one
         # representative swapped for a non-member's of the same orbit size.
-        # Only the two-sided n=6 witness stays below the switch.
         for klass in IdealClass:
             images = closure(build(klass, n).delta).images
             closed_form = expected_semigroup(klass, n).images
-            assert images == closed_form, (klass, n)
-            if not isinstance(images, OrbitUnion):
-                assert (klass, n) == (IdealClass.TWO_SIDED, 6)
-                continue
+            assert isinstance(images, OrbitUnion) and images == closed_form, (klass, n)
             moved = images.moved
             fixed = bytes(q for q in range(n) if q not in moved)
             reps = dict(images._reps)
@@ -967,11 +961,10 @@ class TestOrbitUnion:
                 )
                 assert (closed_form == union) is (union == closed_form) is by_elements is equal
 
-    def test_a_missing_or_foreign_orbit_is_noticed(self, monkeypatch):
+    def test_a_missing_or_foreign_orbit_is_noticed(self):
         # A union with one representative dropped (its size taken off), or
         # swapped for a non-member's of an orbit of the same size, must
         # differ from the closure on every comparison.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         images = closure(build(IdealClass.RIGHT, 5).delta).images
         assert isinstance(images, OrbitUnion)
         moved, fixed = bytes(range(4)), bytes([4])
@@ -1271,7 +1264,6 @@ class TestRelabeling:
         # and answer None once one map of that target (not a generator's
         # conjugate) is swapped for a non-member.  At n=5 every permutation
         # is tried, beyond it those fixing all but the transposed states.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         _orbits_for_small_groups(monkeypatch)
         rng = random.Random(41)
         for klass in IdealClass:
@@ -1311,11 +1303,10 @@ class TestConjugatedImages:
             assert _conjugated_images(s.images, perm) == reference_conjugated_images(s.images, perm)
 
     def test_a_union_conjugates_to_the_union_of_the_conjugates(self, monkeypatch):
-        # With the switch at 0 every witness from n=5 on closes to an
-        # OrbitUnion.  Each is conjugated by random permutations and by the
+        # With the orbit path open to every group size, every witness from
+        # n=5 on closes to an OrbitUnion.  Each is conjugated by random permutations and by the
         # transposition of each fixed state with a moved one, which moves
         # the union's states M off themselves.
-        monkeypatch.setattr(semigroup, "SPLIT_FRONTIER", 0)
         _orbits_for_small_groups(monkeypatch)
         rng = random.Random(37)
         for klass in IdealClass:
