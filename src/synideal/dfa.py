@@ -421,13 +421,9 @@ def _pair_map(m: bytes) -> tuple[int, ...]:
     return tuple([x * n + y for x in m for y in m])
 
 
-@lru_cache(maxsize=4096)
 def crossing_pairs(n: int, finals: int) -> int:
     """The pairs (x, y) with x final and y not: a word leading (p, q) into one
-    of them puts the word in the language of p but not in that of q.
-
-    Memoised: a sweep asks for the same few (n, finals) once per letter
-    tuple."""
+    of them puts the word in the language of p but not in that of q."""
     nonfinal = ((1 << n) - 1) & ~finals
     out = 0
     for x in range(n):
@@ -457,28 +453,37 @@ def reachable_states(t: Transitions) -> list[int]:
 def _partition(maps: Sequence[bytes], finals: int) -> bytes:
     """Moore refinement of all states by language: state -> block id.
 
-    Blocks start as final / non-final; each round renumbers states by their
-    block and their letter successors' blocks (one ``bytes.translate`` per
-    letter), in order of first appearance and in one pass, until the count
-    stops growing or every state has a block of its own.
+    Blocks start as final / non-final (``_start_blocks``).  Each round counts
+    the distinct signatures, a state's block with its letter successors'
+    blocks (one ``bytes.translate`` per letter), before numbering them: it
+    returns the identity once every state's is distinct, the blocks as they
+    are once the count stops growing, and else renumbers them in order of
+    first appearance.
     """
     n = len(maps[0])
-    # Final states start in block ord("1"), the others in block ord("0").
-    block = format(finals, f"0{n}b")[::-1].encode()
-    count = 2 if 0 < finals < (1 << n) - 1 else 1
+    block, count, identity, pad = _start_blocks(n, finals)
     while True:
-        table = block.ljust(256, b"\0")
+        table = block + pad
+        images = [m.translate(table) for m in maps]
+        refined = len(set(zip(block, *images)))
+        if refined == n:
+            return identity
+        if refined == count:
+            return block
         ids: dict = {}
         number = ids.setdefault
-        refined = bytes(
-            [number(sig, len(ids)) for sig in zip(block, *[m.translate(table) for m in maps])]
-        )
-        if len(ids) == count:
-            return block
-        count = len(ids)
-        block = refined
-        if count == n:
-            return block
+        block = bytes([number(sig, len(ids)) for sig in zip(block, *images)])
+        count = refined
+
+
+@lru_cache(maxsize=256)
+def _start_blocks(n: int, finals: int) -> tuple[bytes, int, bytes, bytes]:
+    """``_partition``'s start blocks (final states in ord("1"), the others in
+    ord("0")), their count, the identity and the padding to a 256-byte table;
+    memoised, as a sweep asks for each (n, finals) once per letter tuple."""
+    block = format(finals, f"0{n}b")[::-1].encode()
+    count = 2 if 0 < finals < (1 << n) - 1 else 1
+    return block, count, bytes(range(n)), bytes(256 - n)
 
 
 def quotient_maps(

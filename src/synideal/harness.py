@@ -226,6 +226,10 @@ def _run_exhaustive(
     # ids of the reports that count in no class and run no step; the memo
     # keeps each report, so its id stays taken.
     inert: set[int] = set()
+    memo = checks.memo
+    all_finals = range(1, 2**n)
+    # _partition gives a minimal candidate's states the identity blocks.
+    identity = bytes(range(n))
     for size in range(1, spec.alphabet_size + 1):
         letters = tuple(_LETTERS[:size])
         if progress:
@@ -244,11 +248,10 @@ def _run_exhaustive(
                 continue
             closed = _Closure(gen_images)
             sigma = len(closed()) if orbit_sigma is None else orbit_sigma(gen_images, closed)
-            for finals in range(1, 2**n):
-                if len(set(_partition(gen_images, finals))) != n:
-                    continue
-                report.minimal += 1
-                rep = classify_minimal(t, finals, sigma, memo=checks.memo)
+            minimal = [f for f in all_finals if _partition(gen_images, f) == identity]
+            report.minimal += len(minimal)
+            for finals in minimal:
+                rep = classify_minimal(t, finals, sigma, memo)
                 if id(rep) in inert:
                     continue
                 if checks(rep, partial(from_maps, letters, gen_images, finals), closed):

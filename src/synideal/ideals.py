@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 
 from .dfa import (
     Dfa,
@@ -91,8 +92,9 @@ def classify_minimal(
     Every fact that depends on the letters alone comes from ``t``, computed
     once per letter tuple: forward reach masks, the three unions of pair
     masks that decide the left-ideal, all-sided and suffix-closed
-    containments, and the unique-reachability depth.  What depends on the
-    final states is then a few integer ANDs: a containment family holds iff
+    containments, and the unique-reachability depth; what depends on the
+    final states alone, from ``_final_facts``, once per (n, finals).  The
+    rest is a few integer ANDs: a containment family holds iff
     its pair union misses ``crossing_pairs(n, finals)``; q is dead iff
     ``reach[q] & finals`` is empty and all-accepting iff ``reach[q]`` misses
     the non-final states.
@@ -105,13 +107,12 @@ def classify_minimal(
     once.
     """
     n = t.n
-    nonfinal = ((1 << n) - 1) & ~finals
-    cross = crossing_pairs(n, finals)
+    nonfinal, cross, f, single = _final_facts(n, finals)
     non_empty = finals != 0
+    successors = t.successors
 
     # One final state f, fixed by every letter: f is its only successor.
-    f = finals.bit_length() - 1
-    right = non_empty and finals == 1 << f and t.successors[f] == finals
+    right = single and successors[f] == finals
     left = non_empty and not t.initial_step_pairs & cross
     all_sided = non_empty and not t.step_pairs & cross
 
@@ -122,7 +123,7 @@ def classify_minimal(
         if not r & nonfinal:
             universal |= 1 << q
     has_eps = has_sigma_plus = False
-    for q, s in enumerate(t.successors):
+    for q, s in enumerate(successors):
         if finals >> q & 1:
             has_eps = has_eps or not s & ~dead
         else:
@@ -164,6 +165,15 @@ def classify_minimal(
     if memo is not None:
         memo[key] = report
     return report
+
+
+@lru_cache(maxsize=256)
+def _final_facts(n: int, finals: int) -> tuple[int, int, int, bool]:
+    """The non-final mask, ``crossing_pairs``, the highest final state f and
+    whether f is the only final state; memoised like ``dfa._start_blocks``."""
+    f = finals.bit_length() - 1
+    single = finals != 0 and finals == 1 << f
+    return ((1 << n) - 1) & ~finals, crossing_pairs(n, finals), f, single
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from oracles import (
     is_initially_aperiodic,
     is_minimal,
     random_dfa,
+    reference_partition,
     reference_relabels_to_expected,
     same_language,
     sigma_star_prefix_dfa,
@@ -266,6 +267,38 @@ class TestOrbitSigmas:
         expected = set(first.values()) | contexts
         assert not set(closed) - expected and not expected - set(closed)
         assert (len(first), len(contexts), len(closed)) == (1211, 630, 1744)
+
+    def test_one_kernel_call_per_candidate(self, monkeypatch):
+        # The benchmark counts a sweep's candidates from its harness._partition
+        # calls and its minimal candidates from its harness.classify_minimal
+        # calls (bench/layers.py), so a sweep makes exactly one of the first
+        # per labelled candidate of a reachable tuple, and one of the second
+        # per minimal candidate.  The bench-only change of ROADMAP.md (item 7)
+        # redefines this contract; one candidate per orbit (item 2) changes
+        # this test together with it.
+        partitioned, classified = [], []
+        partition, classify_minimal_ = harness._partition, harness.classify_minimal
+
+        def spy_partition(maps, finals):
+            partitioned.append((maps, finals))
+            return partition(maps, finals)
+
+        def spy_classify(t, finals, *args, **kwargs):
+            classified.append((t.maps, finals))
+            return classify_minimal_(t, finals, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_partition", spy_partition)
+        monkeypatch.setattr(harness, "classify_minimal", spy_classify)
+        report = run(CampaignSpec(n=3, alphabet_size=2))
+        candidates = [(letters, f) for letters in _reaching_tuples(3, 2) for f in range(1, 8)]
+        minimal = []
+        for letters, f in candidates:
+            d = from_maps("ab"[: len(letters)], letters, f)
+            if len(set(reference_partition(d, range(3)).values())) == 3:
+                minimal.append((letters, f))
+        assert sorted(partitioned) == sorted(candidates)
+        assert sorted(classified) == sorted(minimal)
+        assert (len(candidates), len(minimal)) == (219 * 7, report.minimal)
 
     def test_skipped_reports_change_no_count(self, monkeypatch):
         # A report that counts in no class and runs no step is judged once;

@@ -162,6 +162,55 @@ def test_partition_ids_number_blocks_in_order_of_first_appearance():
     assert blocks[1] == blocks[2] != blocks[0]
 
 
+def test_partition_of_distinct_states_is_the_identity():
+    # the start blocks already tell every state apart
+    assert _partition((b"\x00",), 0) == _partition((b"\x00",), 1) == b"\x00"
+    assert _partition((bytes([0, 1]),), 0b10) == bytes([0, 1])
+    assert _partition((bytes([1, 0]),), 0b01) == bytes([0, 1])
+    # one refining round, then every state alone
+    assert _partition((bytes([1, 2, 3, 3]),), 0b1000) == bytes(range(4))
+
+
+def test_partition_agrees_with_the_reference_on_one_and_two_letters():
+    # every one-letter 4-state DFA with every final set, then random
+    # two-letter DFAs with 4 to 6 states; compared as partitions, and the
+    # identity whenever the reference tells every state apart
+    one_letter = [(Transformation(img),) for img in product(range(4), repeat=4)]
+    rng = random.Random(7919)
+    two_letters = [random_dfa(rng, rng.randint(4, 6), 2).delta for _ in range(300)]
+    split = 0
+    for delta in one_letter + two_letters:
+        n = delta[0].n
+        for mask in range(2**n):
+            finals = frozenset(q for q in range(n) if mask >> q & 1)
+            d = Dfa(tuple("ab"[: len(delta)]), delta, 0, finals)
+            blocks = _partition(d.transitions.maps, mask)
+            ref = reference_partition(d, range(n))
+            assert all((blocks[p] == blocks[q]) == (ref[p] == ref[q]) for p in ref for q in ref), d
+            if len(set(ref.values())) == n:
+                assert blocks == bytes(range(n)), d
+                split += 1
+    assert split > 1000
+
+
+def test_partition_of_a_uniform_final_set_takes_one_round():
+    # With no state final, or every state, nothing splits the one start
+    # block, and the first round's count says so: one translate per letter.
+    class Counted(bytes):
+        translations = 0
+
+        def translate(self, table):
+            Counted.translations += 1
+            return bytes.translate(self, table)
+
+    for img in product(range(3), repeat=3):
+        for maps in [(Counted(img),), (Counted(img), Counted(bytes([1, 2, 0])))]:
+            for finals in (0, 0b111):
+                Counted.translations = 0
+                assert len(set(_partition(maps, finals))) == 1
+                assert Counted.translations == len(maps), (img, finals)
+
+
 def test_packing_refuses_more_than_256_states():
     n = 257
     d = Dfa(("a",), (Transformation(tuple(range(n))),), 0, frozenset())
