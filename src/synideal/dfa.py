@@ -301,8 +301,9 @@ class Transitions:
     per letter (so at most 256 states); sets of states are ``int`` masks with
     bit q for state q, and sets of state pairs are masks with bit ``x*n + y``
     for the pair (x, y).  Every fact below depends on the letters alone, so an
-    exhaustive sweep computes it once per letter tuple and shares it across
-    all final sets; each is computed on first use.  Containment between the
+    exhaustive sweep computes it once per orbit of letter sets and shares it
+    across every set of the orbit and every final set; each is computed on
+    first use.  Containment between the
     languages of p and q under final states F fails exactly when some pair
     reachable from (p, q) lies in ``crossing_pairs(n, F)``, so a union of pair
     masks decides a whole family of containments with one AND; ``preorder``

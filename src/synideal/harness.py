@@ -4,12 +4,17 @@ Exhaustive mode enumerates every DFA with n states up to two reductions that
 leave minimality, classification, and syntactic complexity untouched: letters
 inducing equal transformations are collapsed (the candidate alphabet is a set
 of distinct transformations) and alphabet order is ignored.  With two or
-more letters, sigma is taken once per orbit of letter tuples under
-simultaneous conjugation of the states, which leaves the transition
-semigroup the same up to isomorphism.  Every minimal candidate is
-classified; per requested check the campaign compares maxima against the
-class bounds, certifies from the containment order that each bound-meeting
-semigroup is the maximal one relabeled, runs the injection suite, and tests
+more letters, the letter sets are taken one orbit at a time under
+Sym({1..n-1}), the relabellings that fix the initial state 0, acting by
+simultaneous conjugation (m becomes p m p^-1).  Reachability, the letter
+facts of ``Transitions`` and sigma are computed once per orbit, on its least
+set; sigma is memoised per orbit under Sym(n), which leaves the transition
+semigroup the same up to isomorphism.  Each labelled candidate is still
+partitioned on its own letters, classified as its image on the least set,
+and checked on its own DFA; the records come out in labelled order.  Per
+requested check the campaign compares maxima against the class bounds,
+certifies from the containment order that each bound-meeting semigroup is
+the maximal one relabeled, runs the injection suite, and tests
 conformance with the special-quotient bounds.
 
 Sample mode draws seeded random ideals of an exact state count and runs the
@@ -25,9 +30,10 @@ import random
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, islice, permutations, product, repeat
-from math import comb
-from typing import AbstractSet, Callable, Sequence
+from itertools import islice, permutations, product, repeat
+from math import comb, factorial
+from operator import itemgetter
+from typing import AbstractSet, Callable, Iterator, Sequence
 
 from .dfa import (
     Dfa,
@@ -218,15 +224,28 @@ def _run_exhaustive(
 ) -> None:
     n = spec.n
     all_images = [bytes(img) for img in product(range(n), repeat=n)]
-    # A one-letter sweep closes each letter directly: building the conjugate
-    # tables would take longer (0.54 s at n=5, against 0.17 s for the whole
-    # n=5 one-letter sweep).  Within the budget two letters mean n <= 4,
-    # where the tables take 13 ms.
-    orbit_sigma = _OrbitSigmas(all_images) if spec.alphabet_size > 1 else None
+    # With two or more letters the group is Sym({1..n-1}), the first (n-1)!
+    # columns of the Sym(n) tables (n <= 4 within the budget, where they take
+    # 13 ms).  A one-letter sweep takes the trivial group: the tables would
+    # take longer (0.54 s at n=5) than the whole n=5 one-letter sweep (0.17 s).
+    if spec.alphabet_size > 1:
+        orbit_sigma = _OrbitSigmas(all_images)
+        conjugates, group = orbit_sigma.conjugates, factorial(n - 1)
+    else:
+        orbit_sigma, conjugates, group = None, [], 1
+    # back[i][F] is p^-1(F) for the i-th permutation p of the group, the
+    # identity first: (p L p^-1, F) is (L, p^-1(F)) with its states renamed.
+    back = [
+        [sum(1 << q for q in range(n) if f >> p[q] & 1) for f in range(2**n)]
+        for p in islice(permutations(range(n)), group)
+    ]
     # ids of the reports that count in no class and run no step; the memo
     # keeps each report, so its id stays taken.
     inert: set[int] = set()
     memo = checks.memo
+    violations = report.violations
+    # keys[j]: the place in labelled order of the candidate of violations[j].
+    keys: list[tuple] = []
     all_finals = range(1, 2**n)
     # _partition gives a minimal candidate's states the identity blocks.
     identity = bytes(range(n))
@@ -235,27 +254,66 @@ def _run_exhaustive(
         if progress:
             print(f"alphabet size {size}...", file=sys.stderr, flush=True)
         if orbit_sigma is not None:
-            # No orbit spans two tuple sizes: drop the keys of the last one.
+            # No orbit spans two set sizes: drop the keys of the last one.
             orbit_sigma.sigmas.clear()
-        for gen_images in combinations(all_images, size):
-            report.examined += 2**n - 1
-            # Everything that depends on the letters alone (reach and pair
-            # masks, the ur depth) is computed once and shared by every final
-            # set; sigma once per orbit of letter tuples, and the tuple's own
-            # closure only if one of its candidates builds a context.
-            t = Transitions(gen_images)
+        for least, members in _orbits(len(all_images), size, conjugates, group):
+            report.examined += len(members) * (2**n - 1)
+            # What depends on the letters alone is the same on the whole
+            # orbit, so it is taken once, on ``least``.
+            t = Transitions([all_images[c] for c in least])
             if len(reachable_states(t)) != n:
+                # The benchmark counts the examined candidates from these
+                # probes and the partition calls (bench/layers.py), so every
+                # set of the orbit is probed once.
+                for codes in islice(members, 1, None):
+                    reachable_states(Transitions([all_images[c] for c in codes]))
                 continue
-            closed = _Closure(gen_images)
-            sigma = len(closed()) if orbit_sigma is None else orbit_sigma(gen_images, closed)
-            minimal = [f for f in all_finals if _partition(gen_images, f) == identity]
-            report.minimal += len(minimal)
-            for finals in minimal:
-                rep = classify_minimal(t, finals, sigma, memo)
-                if id(rep) in inert:
-                    continue
-                if checks(rep, partial(from_maps, letters, gen_images, finals), closed):
-                    inert.add(id(rep))
+            closed = _Closure(t.maps)
+            sigma = len(closed()) if orbit_sigma is None else orbit_sigma(least, closed)
+            # Every labelled candidate is still partitioned, classified and
+            # checked; its own closure is taken only for an injection context.
+            for codes, i in members.items():
+                maps = tuple(all_images[c] for c in codes) if i else t.maps
+                own = _Closure(maps) if i else closed
+                minimal = [f for f in all_finals if _partition(maps, f) == identity]
+                report.minimal += len(minimal)
+                for finals in minimal:
+                    rep = classify_minimal(t, back[i][finals], sigma, memo)
+                    if id(rep) in inert:
+                        continue
+                    if checks(rep, partial(from_maps, letters, maps, finals), own):
+                        inert.add(id(rep))
+                    keys += [(size, codes, finals)] * (len(violations) - len(keys))
+    # The sort is stable, so each candidate's records keep their order.
+    violations[:] = [v for _, v in sorted(zip(keys, violations), key=itemgetter(0))]
+
+
+def _orbits(
+    count: int, size: int, conjugates: Sequence[Sequence[int]], group: int, prefix: tuple = ()
+) -> Iterator[tuple[tuple[int, ...], dict[tuple[int, ...], int]]]:
+    """The orbits of the sets of ``size`` codes below ``count`` that extend
+    ``prefix``, each once, in the lexicographic order of its least set: the
+    least set and a dict from each set of the orbit to the index i of the
+    first group element that gives it (``conjugates[c][i]`` is code c
+    conjugated by the i-th element, 0 the identity).  Sets are increasing
+    tuples.
+
+    A set is least when no conjugate of it sorts below it.  A prefix of a
+    least set is least too (the j-th least code of a conjugate of a set is
+    at most that of the conjugate of its prefix), so the least sets grow
+    from least prefixes one code at a time and none is held."""
+    for c in range(prefix[-1] + 1 if prefix else 0, count - size + len(prefix) + 1):
+        s = prefix + (c,)
+        conjugated = [tuple(sorted([conjugates[x][i] for x in s])) for i in range(1, group)]
+        if any(t < s for t in conjugated):
+            continue
+        if len(s) < size:
+            yield from _orbits(count, size, conjugates, group, s)
+        else:
+            members = {s: 0}
+            for i, t in enumerate(conjugated, 1):
+                members.setdefault(t, i)
+            yield s, members
 
 
 class _Closure:
@@ -275,21 +333,25 @@ class _Closure:
 
 
 class _OrbitSigmas:
-    """Sigma of letter tuples, memoised per orbit under simultaneous
-    conjugation by Sym(n).
+    """Sigma of letter sets, memoised per orbit under simultaneous
+    conjugation by Sym(n), and the conjugation tables the sweep reads its
+    group from.
 
     Conjugating every letter by one permutation p of the states (a map m
     becomes p m p^-1) is an isomorphism of transformation semigroups, so
-    sigma is the same on the whole orbit.  A tuple's key is the least, over
-    p, of the sorted codes of its conjugated letters, read from per-map
-    tables: ``conjugates[m][i]`` is the code (the index in ``images``) of m
-    conjugated by the i-th permutation.  The tables hold n**n * n! codes,
-    6,144 at n=4.
+    sigma is the same on the whole orbit.  A set is given by the codes of
+    its maps (their indices in ``images``), and ``conjugates[c][i]`` is the
+    code of map c conjugated by the i-th permutation of ``permutations``,
+    which lists the (n-1)! permutations that fix state 0 first: the sweep's
+    group Sym({1..n-1}) is the first (n-1)! columns.  Its orbits are finer,
+    so sigma keeps the Sym(n) key.  The tables hold n**n * n! codes, 6,144
+    at n=4.
 
-    The key starts with the least code over the letters' orbits, so only
-    the permutations that take some letter to that code are tried:
-    ``least[m]`` holds the least code of m's orbit and the permutations
-    that take m to it (1.8 on average at n=4, of 24).
+    A set's key is the least, over p, of the sorted codes of its conjugated
+    maps.  The key starts with the least code over the maps' orbits, so only
+    the permutations that take some map to that code are tried: ``least[c]``
+    holds the least code of c's orbit and the permutations that take c to it
+    (1.8 on average at n=4, of 24).
 
     A key is ``bytes``, about half the memory of a tuple of ints: within the
     budget two or more letters are swept only at n <= 4, so every code is
@@ -299,26 +361,26 @@ class _OrbitSigmas:
         n = len(images[0])
         code = {m: i for i, m in enumerate(images)}
         perms = [(p, sorted(range(n), key=p.__getitem__)) for p in permutations(range(n))]
-        self.conjugates = {
-            m: [code[bytes(p[m[q]] for q in inverse)] for p, inverse in perms] for m in images
-        }
-        self.least = {}
-        for m, codes in self.conjugates.items():
+        self.conjugates = [
+            [code[bytes(p[m[q]] for q in inverse)] for p, inverse in perms] for m in images
+        ]
+        self.least = []
+        for codes in self.conjugates:
             low = min(codes)
-            self.least[m] = (low, [i for i, c in enumerate(codes) if c == low])
+            self.least.append((low, [i for i, c in enumerate(codes) if c == low]))
         self.sigmas: dict[bytes, int] = {}
 
-    def __call__(self, letters: Sequence[bytes], closed: Callable[[], AbstractSet[bytes]]) -> int:
-        """The sigma of ``letters``; ``closed`` is called, once, only for the
-        first tuple of an orbit."""
-        columns = [self.conjugates[m] for m in letters]
-        lows = [self.least[m] for m in letters]
-        low = min(m_low for m_low, _ in lows)
+    def __call__(self, codes: Sequence[int], closed: Callable[[], AbstractSet[bytes]]) -> int:
+        """The sigma of the set of maps ``codes``; ``closed`` is called,
+        once, only for the first set of an orbit."""
+        columns = [self.conjugates[c] for c in codes]
+        lows = [self.least[c] for c in codes]
+        low = min(c_low for c_low, _ in lows)
         key = bytes(
             min(
                 sorted([column[i] for column in columns])
-                for m_low, perms in lows
-                if m_low == low
+                for c_low, perms in lows
+                if c_low == low
                 for i in perms
             )
         )

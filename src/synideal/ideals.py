@@ -90,7 +90,7 @@ def classify_minimal(
     ``sigma``.
 
     Every fact that depends on the letters alone comes from ``t``, computed
-    once per letter tuple: forward reach masks, the three unions of pair
+    once per orbit of letter sets in a sweep: forward reach masks, the three unions of pair
     masks that decide the left-ideal, all-sided and suffix-closed
     containments, and the unique-reachability depth; what depends on the
     final states alone, from ``_final_facts``, once per (n, finals).  The

@@ -9,20 +9,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations, product, repeat
 from math import factorial
 from typing import Iterable, Sequence
 
+from synideal import harness
 from synideal.dfa import (
     Dfa,
     StatePreorder,
+    Transitions,
     _partition,
+    from_maps,
     minimize,
     reachable_states,
     transition_semigroup,
 )
 from synideal.harness import SAMPLE_ATTEMPTS
-from synideal.ideals import ClassificationReport, applicable_bounds
+from synideal.ideals import ClassificationReport, applicable_bounds, classify_minimal
 from synideal.injection import (
     CaseTag,
     InjectionContext,
@@ -989,3 +993,43 @@ def reference_packed_left_closure(
         tuple(map(bytes, rows)),
         sum(1 << i for i, subset in enumerate(order) if subset & finals),
     )
+
+
+# ``synideal.harness._run_exhaustive`` before it swept one orbit of
+# Sym({1..n-1}) at a time, kept but for sigma's codes: every labelled letter
+# set in ``combinations`` order, each with its own letter facts,
+# reachability probe and sigma lookup.  Its report, violations in order
+# included, must equal the orbit sweep's byte for byte.
+
+
+def reference_sweep(spec: harness.CampaignSpec) -> harness.CampaignReport:
+    """An exhaustive campaign by the labelled loop, with the checks that
+    ``harness._Checks`` (looked up on each call) makes."""
+    report = harness.CampaignReport(spec=spec)
+    checks = harness._Checks(spec, report)
+    n = spec.n
+    all_images = [bytes(img) for img in product(range(n), repeat=n)]
+    orbit_sigma = harness._OrbitSigmas(all_images) if spec.alphabet_size > 1 else None
+    inert: set[int] = set()
+    identity = bytes(range(n))
+    for size in range(1, spec.alphabet_size + 1):
+        letters = tuple("abcdefghijklmnopqrstuvwxyz"[:size])
+        if orbit_sigma is not None:
+            orbit_sigma.sigmas.clear()
+        for codes in combinations(range(len(all_images)), size):
+            gen_images = tuple(all_images[c] for c in codes)
+            report.examined += 2**n - 1
+            t = Transitions(gen_images)
+            if len(reachable_states(t)) != n:
+                continue
+            closed = harness._Closure(gen_images)
+            sigma = len(closed()) if orbit_sigma is None else orbit_sigma(codes, closed)
+            minimal = [f for f in range(1, 2**n) if _partition(gen_images, f) == identity]
+            report.minimal += len(minimal)
+            for finals in minimal:
+                rep = classify_minimal(t, finals, sigma, checks.memo)
+                if id(rep) in inert:
+                    continue
+                if checks(rep, partial(from_maps, letters, gen_images, finals), closed):
+                    inert.add(id(rep))
+    return report

@@ -378,6 +378,21 @@ class TestEnumerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.N3_A3_DIGESTS[fmt]
 
+    # sha256 of the n=5 one-letter sweep, the one sweep whose group is
+    # trivial (every letter set its own orbit), recorded before the sweep
+    # took its letter sets one orbit at a time
+    N5_A1_DIGESTS = {
+        "json": "1a32ed1a427bd4c07937c7fb0a0635de633146011e740cf529298b68c8583f14",
+        "text": "b99a53b85f4ab6c4dcc5a26fb6558417e4ffa7cb5924f7c24c291aa15647779f",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(N5_A1_DIGESTS))
+    def test_one_letter_sweep_output_is_unchanged(self, capsys, fmt):
+        args = ["enumerate", "--n", "5", "--alphabet-size", "1"]
+        code, out, _ = run_cli(capsys, *args, *(["--json"] if fmt == "json" else []))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.N5_A1_DIGESTS[fmt]
+
     @pytest.mark.parametrize(
         "args",
         [

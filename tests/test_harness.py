@@ -1,8 +1,11 @@
 import gc
 import hashlib
+from collections import Counter
 from dataclasses import replace
+from functools import partial
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
+from typing import Sequence
 
 import pytest
 
@@ -39,6 +42,7 @@ from oracles import (
     random_dfa,
     reference_partition,
     reference_relabels_to_expected,
+    reference_sweep,
     same_language,
     sigma_star_prefix_dfa,
     trailing_runs_dfa,
@@ -225,6 +229,25 @@ def _orbit(letters: tuple[bytes, ...]) -> tuple[bytes, ...]:
     )
 
 
+def _relabelled(letters: tuple[bytes, ...], finals: int, p: Sequence[int]):
+    """The letter set and final mask of a DFA with its states renamed by p:
+    each letter m becomes p m p^-1 and F becomes p(F)."""
+    maps = tuple(sorted(bytes(conjugate(Transformation(tuple(m)), p).image) for m in letters))
+    return maps, sum(1 << p[q] for q in range(len(p)) if finals >> q & 1)
+
+
+def _fixing_0(n: int) -> list[tuple[int, ...]]:
+    """Sym({1..n-1}): the permutations of the states that fix state 0."""
+    return [p for p in permutations(range(n)) if p[0] == 0]
+
+
+def _pair_orbit(candidate: tuple[tuple[bytes, ...], int]) -> tuple[tuple[bytes, ...], int]:
+    """The least relabelling of a candidate (letter set, finals) over the
+    permutations that fix state 0: one pair per orbit."""
+    letters, finals = candidate
+    return min(_relabelled(letters, finals, p) for p in _fixing_0(len(letters[0])))
+
+
 class TestOrbitSigmas:
     """A sweep takes sigma once per orbit of its letter tuples under
     simultaneous conjugation by Sym(n), and closes a tuple's own letters only
@@ -233,11 +256,13 @@ class TestOrbitSigmas:
     @pytest.mark.parametrize("n, a", [(1, 3), (2, 3), (3, 3), (4, 2)])
     def test_memo_sigma_is_each_tuple_closure_size(self, n, a):
         images = [bytes(img) for img in product(range(n), repeat=n)]
+        code = {m: i for i, m in enumerate(images)}
         sigma_of = harness._OrbitSigmas(images)
         tuples = 0
         for letters in _reaching_tuples(n, a):
             closed = semigroup._close_images(letters)
-            assert sigma_of(letters, lambda closed=closed: closed) == len(closed), letters
+            codes = [code[m] for m in letters]
+            assert sigma_of(codes, lambda closed=closed: closed) == len(closed), letters
             tuples += 1
         assert (tuples, len(sigma_of.sigmas)) == {
             1: (1, 1), 2: (11, 9), 3: (2660, 566), 4: (15_756, 1211)
@@ -260,9 +285,16 @@ class TestOrbitSigmas:
         report = run(CampaignSpec(n=4, alphabet_size=2))
         assert report.ok and report.injection_contexts == 1356
         assert len(closed) == len(set(closed))
+        # The sweep closes, for sigma, the first representative of each
+        # Sym(n)-orbit that it meets.  That is the orbit's first reaching set
+        # in labelled order: the sweep meets the least set of each
+        # Sym({1..n-1})-orbit in labelled order, and a Sym(n)-orbit's first
+        # reaching set is such a least set, its Sym({1..n-1})-orbit reaching
+        # too.  A context set is closed by its own candidate, once.
         first: dict = {}
         for letters in _reaching_tuples(4, 2):
             first.setdefault(_orbit(letters), letters)
+        assert all(_pair_orbit((letters, 1))[0] == letters for letters in first.values())
         # Compared as differences: pytest's diff of two sets this large takes minutes.
         expected = set(first.values()) | contexts
         assert not set(closed) - expected and not expected - set(closed)
@@ -272,10 +304,13 @@ class TestOrbitSigmas:
         # The benchmark counts a sweep's candidates from its harness._partition
         # calls and its minimal candidates from its harness.classify_minimal
         # calls (bench/layers.py), so a sweep makes exactly one of the first
-        # per labelled candidate of a reachable tuple, and one of the second
-        # per minimal candidate.  The bench-only change of ROADMAP.md (item 7)
-        # redefines this contract; one candidate per orbit (item 2) changes
-        # this test together with it.
+        # per labelled candidate of a reachable set, and one of the second
+        # per minimal candidate.  The second is made on the least set L of
+        # the candidate's orbit under Sym({1..n-1}): the candidate
+        # (p L p^-1, F) is classified as (L, p^-1(F)), the same DFA with
+        # each state x renamed p^-1(x), which fixes the initial state.  The
+        # bench-only change of ROADMAP.md (item 7) redefines this contract;
+        # one candidate per orbit (item 2) changes this test together with it.
         partitioned, classified = [], []
         partition, classify_minimal_ = harness._partition, harness.classify_minimal
 
@@ -297,8 +332,16 @@ class TestOrbitSigmas:
             if len(set(reference_partition(d, range(3)).values())) == 3:
                 minimal.append((letters, f))
         assert sorted(partitioned) == sorted(candidates)
-        assert sorted(classified) == sorted(minimal)
+        # Each call is on the least set of its orbit.
+        assert all(_pair_orbit((letters, 1))[0] == letters for letters, _ in classified)
+        # A call (L, F') is the relabelled image of exactly the candidates
+        # (p L p^-1, p(F')) of its orbit of pairs, so the calls are the images
+        # of distinct minimal candidates, one each, exactly when every orbit
+        # of pairs holds as many calls as minimal candidates.
+        assert Counter(map(_pair_orbit, classified)) == Counter(map(_pair_orbit, minimal))
         assert (len(candidates), len(minimal)) == (219 * 7, report.minimal)
+        # A pair (L, F') is classified once per candidate of its orbit.
+        assert len(set(classified)) < len(classified) == len(minimal)
 
     def test_skipped_reports_change_no_count(self, monkeypatch):
         # A report that counts in no class and runs no step is judged once;
@@ -328,6 +371,78 @@ class TestOrbitSigmas:
         assert len(calls) == unskipped.minimal == 168_132
         assert counted == 2544
         assert skipping.to_json() == unskipped.to_json()
+
+
+class TestOrbitSweep:
+    """An exhaustive sweep takes the letter sets one orbit of Sym({1..n-1})
+    at a time and reports exactly what the labelled loop of
+    ``oracles.reference_sweep`` reports, records in the same order."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CampaignSpec(n=n, alphabet_size=a) for n in (1, 2, 3) for a in (1, 2, 3)]
+        + [
+            CampaignSpec(n=4, alphabet_size=2),
+            CampaignSpec(n=3, alphabet_size=3, class_filter=IdealClass.LEFT),
+            CampaignSpec(n=4, alphabet_size=2, class_filter=IdealClass.TWO_SIDED),
+        ],
+        ids=lambda spec: f"n{spec.n}-a{spec.alphabet_size}-{spec.class_filter or 'all'}",
+    )
+    def test_orbit_sweep_reports_as_the_labelled_sweep(self, spec):
+        orbits, labelled = run(spec), reference_sweep(spec)
+        assert orbits.to_text() == labelled.to_text()
+        assert orbits.to_json() == labelled.to_json()
+
+    def test_forced_records_keep_labelled_order(self, monkeypatch):
+        # Two extra records, around the plan's own steps, on every candidate
+        # of the chosen reports: the records of an orbit's candidates come
+        # out of the sweep interleaved with other orbits' and must be put
+        # back into labelled order, each candidate's in the order emitted.
+        class Forced(harness._Checks):
+            def _plan(self, rep):
+                classes, steps = super()._plan(rep)
+                if rep.sigma in (4, 9) and rep.ur_depth is not None:
+                    first = {"check": "forced", "dfa": None, "sigma": rep.sigma}
+                    last = {"check": "forced-last", "dfa": None}
+                    steps = (partial(harness._record, first), *steps,
+                             partial(harness._record, last))
+                return classes, steps
+
+        monkeypatch.setattr(harness, "_Checks", Forced)
+        spec = CampaignSpec(n=3, alphabet_size=3)
+        orbits, labelled = run(spec), reference_sweep(spec)
+        assert len(orbits.violations) == 168
+        assert orbits.violations == labelled.violations
+        assert orbits.to_json() == labelled.to_json()
+
+    @pytest.mark.parametrize("n, sizes", [(3, (1, 2, 3)), (4, (1, 2))])
+    def test_orbits_are_the_brute_force_orbits(self, n, sizes):
+        # The sweep's group is the first (n-1)! columns of the conjugation
+        # tables; here each set's orbit is formed by conjugating its maps
+        # with the permutations that fix state 0, in ``permutations`` order.
+        images = [bytes(img) for img in product(range(n), repeat=n)]
+        code = {m: i for i, m in enumerate(images)}
+        conjugated = [
+            [code[bytes(conjugate(Transformation(tuple(m)), p).image)] for m in images]
+            for p in _fixing_0(n)
+        ]
+        conjugates = harness._OrbitSigmas(images).conjugates
+        for size in sizes:
+            orbits: dict = {}
+            for s in combinations(range(len(images)), size):
+                least = min(tuple(sorted(column[c] for c in s)) for column in conjugated)
+                orbits.setdefault(least, set()).add(s)
+            found = list(harness._orbits(len(images), size, conjugates, factorial(n - 1)))
+            assert [least for least, _ in found] == sorted(orbits)
+            for least, members in found:
+                assert set(members) == orbits[least] and members[least] == 0
+                for s, i in members.items():
+                    assert s == tuple(sorted(conjugated[i][c] for c in least))
+            assert sum(len(members) for _, members in found) == comb(n**n, size)
+            # With the trivial group every set is its own orbit.
+            assert list(harness._orbits(len(images), size, [], 1)) == [
+                (s, {s: 0}) for s in combinations(range(len(images)), size)
+            ]
 
 
 class TestTwoSidedSmallUpperBound:
