@@ -300,10 +300,11 @@ class Transitions:
     ``maps[a][q]`` is the image of state q under letter a, one ``bytes`` map
     per letter (so at most 256 states); sets of states are ``int`` masks with
     bit q for state q, and sets of state pairs are masks with bit ``x*n + y``
-    for the pair (x, y).  Every fact below depends on the letters alone, so an
-    exhaustive sweep computes it once per orbit of letter sets and shares it
-    across every set of the orbit and every final set; each is computed on
-    first use.  Containment between the
+    for the pair (x, y).  Every fact below depends on the letters and the
+    initial state alone, so an exhaustive sweep computes it once per orbit
+    of letter sets and initial state of the orbit's least set, and shares
+    it across every member that starts there and every final set; each is
+    computed on first use.  Containment between the
     languages of p and q under final states F fails exactly when some pair
     reachable from (p, q) lies in ``crossing_pairs(n, F)``, so a union of pair
     masks decides a whole family of containments with one AND; ``preorder``

@@ -4,18 +4,18 @@ Exhaustive mode enumerates every DFA with n states up to two reductions that
 leave minimality, classification, and syntactic complexity untouched: letters
 inducing equal transformations are collapsed (the candidate alphabet is a set
 of distinct transformations) and alphabet order is ignored.  With two or
-more letters, the letter sets are taken one orbit at a time under
-Sym({1..n-1}), the relabellings that fix the initial state 0, acting by
-simultaneous conjugation (m becomes p m p^-1).  Reachability, the letter
-facts of ``Transitions`` and sigma are computed once per orbit, on its least
-set; sigma is memoised per orbit under Sym(n), which leaves the transition
-semigroup the same up to isomorphism.  Each labelled candidate is still
-partitioned on its own letters, classified as its image on the least set,
-and checked on its own DFA; the records come out in labelled order.  Per
-requested check the campaign compares maxima against the class bounds,
-certifies from the containment order that each bound-meeting semigroup is
-the maximal one relabeled, runs the injection suite, and tests
-conformance with the special-quotient bounds.
+more letters, the letter sets are taken one orbit at a time under Sym(n),
+acting by simultaneous conjugation (m becomes p m p^-1), which renames the
+states: the member p L p^-1 of the orbit of its least set L, with final
+states F, is the DFA (L, initial state p^-1(0), final states p^-1(F)).
+Sigma is computed once per orbit, from the closure of L, and the letter
+facts of ``Transitions`` and reachability once per initial state of L.
+Each labelled candidate is partitioned on its own letters, classified as
+its image on L, and checked on its own DFA; the records come out in
+labelled order.  Per requested check the campaign compares maxima against
+the class bounds, certifies from the containment order that each
+bound-meeting semigroup is the maximal one relabeled, runs the injection
+suite, and tests conformance with the special-quotient bounds.
 
 Sample mode draws seeded random ideals of an exact state count and runs the
 same checks on each.  A sample whose transition semigroup has more than
@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice, permutations, product, repeat
-from math import comb, factorial
+from math import comb
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterator, Sequence
 
@@ -224,20 +224,18 @@ def _run_exhaustive(
 ) -> None:
     n = spec.n
     all_images = [bytes(img) for img in product(range(n), repeat=n)]
-    # With two or more letters the group is Sym({1..n-1}), the first (n-1)!
-    # columns of the Sym(n) tables (n <= 4 within the budget, where they take
-    # 13 ms).  A one-letter sweep takes the trivial group: the tables would
-    # take longer (0.54 s at n=5) than the whole n=5 one-letter sweep (0.17 s).
-    if spec.alphabet_size > 1:
-        orbit_sigma = _OrbitSigmas(all_images)
-        conjugates, group = orbit_sigma.conjugates, factorial(n - 1)
-    else:
-        orbit_sigma, conjugates, group = None, [], 1
-    # back[i][F] is p^-1(F) for the i-th permutation p of the group, the
-    # identity first: (p L p^-1, F) is (L, p^-1(F)) with its states renamed.
+    # With two or more letters the group is Sym(n) (n <= 4 within the budget,
+    # where its tables take 13 ms).  A one-letter sweep takes the trivial
+    # group: the tables would take longer (0.54 s at n=5) than the whole n=5
+    # one-letter sweep (0.17 s).
+    perms = list(permutations(range(n))) if spec.alphabet_size > 1 else [tuple(range(n))]
+    conjugates = _conjugates(all_images, perms)
+    # The member p L p^-1 of an orbit with finals F, p the i-th permutation,
+    # is the DFA (L, p^-1(0), p^-1(F)) with its states renamed:
+    # start[i] = p^-1(0) and back[i][F] = p^-1(F).
+    start = [p.index(0) for p in perms]
     back = [
-        [sum(1 << q for q in range(n) if f >> p[q] & 1) for f in range(2**n)]
-        for p in islice(permutations(range(n)), group)
+        [sum(1 << q for q in range(n) if f >> p[q] & 1) for f in range(2**n)] for p in perms
     ]
     # ids of the reports that count in no class and run no step; the memo
     # keeps each report, so its id stays taken.
@@ -253,27 +251,34 @@ def _run_exhaustive(
         letters = tuple(_LETTERS[:size])
         if progress:
             print(f"alphabet size {size}...", file=sys.stderr, flush=True)
-        if orbit_sigma is not None:
-            # No orbit spans two set sizes: drop the keys of the last one.
-            orbit_sigma.sigmas.clear()
-        for least, members in _orbits(len(all_images), size, conjugates, group):
+        for least, members in _orbits(len(all_images), size, conjugates):
             report.examined += len(members) * (2**n - 1)
-            # What depends on the letters alone is the same on the whole
-            # orbit, so it is taken once, on ``least``.
-            t = Transitions([all_images[c] for c in least])
-            if len(reachable_states(t)) != n:
-                # The benchmark counts the examined candidates from these
-                # probes and the partition calls (bench/layers.py), so every
-                # set of the orbit is probed once.
-                for codes in islice(members, 1, None):
-                    reachable_states(Transitions([all_images[c] for c in codes]))
-                continue
-            closed = _Closure(t.maps)
-            sigma = len(closed()) if orbit_sigma is None else orbit_sigma(least, closed)
-            # Every labelled candidate is still partitioned, classified and
-            # checked; its own closure is taken only for an injection context.
+            # What depends on the letters and the initial state alone is the
+            # same for every member that starts at the same state of L, so
+            # it is taken once per initial state j, on L: Transitions(L, j)
+            # and whether j reaches every state.  sigma is the same on the
+            # whole orbit and is taken from L's closure.
+            base = tuple(all_images[c] for c in least)
+            closed = _Closure(base)
+            starts: dict[int, tuple[Transitions, bool]] = {}
             for codes, i in members.items():
-                maps = tuple(all_images[c] for c in codes) if i else t.maps
+                entry = starts.get(start[i])
+                if entry is None:
+                    t = Transitions(base, start[i])
+                    entry = starts[start[i]] = t, len(reachable_states(t)) == n
+                elif not entry[1]:
+                    # The benchmark counts the examined candidates from these
+                    # probes and the partition calls (bench/layers.py), so
+                    # every unreachable set is probed once.
+                    reachable_states(entry[0])
+                t, reaches = entry
+                if not reaches:
+                    continue
+                sigma = len(closed())
+                # Every labelled candidate is partitioned, classified and
+                # checked; its own closure is taken only for an injection
+                # context.
+                maps = tuple(all_images[c] for c in codes) if i else base
                 own = _Closure(maps) if i else closed
                 minimal = [f for f in all_finals if _partition(maps, f) == identity]
                 report.minimal += len(minimal)
@@ -288,15 +293,26 @@ def _run_exhaustive(
     violations[:] = [v for _, v in sorted(zip(keys, violations), key=itemgetter(0))]
 
 
+def _conjugates(images: Sequence[bytes], perms: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``conjugates[c][i]``: the code of map c conjugated by ``perms[i]`` (a
+    map m becomes p m p^-1), a map's code being its index in ``images``.
+    Conjugating every letter by one permutation renames the states, which
+    leaves the transition semigroup the same up to isomorphism.  The table
+    holds n**n * len(perms) codes, 6,144 at n=4 under Sym(4)."""
+    code = {m: i for i, m in enumerate(images)}
+    pairs = [(p, sorted(range(len(p)), key=p.__getitem__)) for p in perms]
+    return [[code[bytes(p[m[q]] for q in inverse)] for p, inverse in pairs] for m in images]
+
+
 def _orbits(
-    count: int, size: int, conjugates: Sequence[Sequence[int]], group: int, prefix: tuple = ()
+    count: int, size: int, conjugates: Sequence[Sequence[int]], prefix: tuple = ()
 ) -> Iterator[tuple[tuple[int, ...], dict[tuple[int, ...], int]]]:
     """The orbits of the sets of ``size`` codes below ``count`` that extend
     ``prefix``, each once, in the lexicographic order of its least set: the
     least set and a dict from each set of the orbit to the index i of the
-    first group element that gives it (``conjugates[c][i]`` is code c
-    conjugated by the i-th element, 0 the identity).  Sets are increasing
-    tuples.
+    first group element that gives it.  The group has one column per
+    element: ``conjugates[c][i]`` is code c conjugated by the i-th element,
+    0 the identity.  Sets are increasing tuples.
 
     A set is least when no conjugate of it sorts below it.  A prefix of a
     least set is least too (the j-th least code of a conjugate of a set is
@@ -304,11 +320,12 @@ def _orbits(
     from least prefixes one code at a time and none is held."""
     for c in range(prefix[-1] + 1 if prefix else 0, count - size + len(prefix) + 1):
         s = prefix + (c,)
-        conjugated = [tuple(sorted([conjugates[x][i] for x in s])) for i in range(1, group)]
+        columns = islice(zip(*[conjugates[x] for x in s]), 1, None)
+        conjugated = [tuple(sorted(t)) for t in columns]
         if any(t < s for t in conjugated):
             continue
         if len(s) < size:
-            yield from _orbits(count, size, conjugates, group, s)
+            yield from _orbits(count, size, conjugates, s)
         else:
             members = {s: 0}
             for i, t in enumerate(conjugated, 1):
@@ -330,64 +347,6 @@ class _Closure:
         if self.images is None:
             self.images = _close_images(self.letters)
         return self.images
-
-
-class _OrbitSigmas:
-    """Sigma of letter sets, memoised per orbit under simultaneous
-    conjugation by Sym(n), and the conjugation tables the sweep reads its
-    group from.
-
-    Conjugating every letter by one permutation p of the states (a map m
-    becomes p m p^-1) is an isomorphism of transformation semigroups, so
-    sigma is the same on the whole orbit.  A set is given by the codes of
-    its maps (their indices in ``images``), and ``conjugates[c][i]`` is the
-    code of map c conjugated by the i-th permutation of ``permutations``,
-    which lists the (n-1)! permutations that fix state 0 first: the sweep's
-    group Sym({1..n-1}) is the first (n-1)! columns.  Its orbits are finer,
-    so sigma keeps the Sym(n) key.  The tables hold n**n * n! codes, 6,144
-    at n=4.
-
-    A set's key is the least, over p, of the sorted codes of its conjugated
-    maps.  The key starts with the least code over the maps' orbits, so only
-    the permutations that take some map to that code are tried: ``least[c]``
-    holds the least code of c's orbit and the permutations that take c to it
-    (1.8 on average at n=4, of 24).
-
-    A key is ``bytes``, about half the memory of a tuple of ints: within the
-    budget two or more letters are swept only at n <= 4, so every code is
-    below n**n <= 256."""
-
-    def __init__(self, images: Sequence[bytes]) -> None:
-        n = len(images[0])
-        code = {m: i for i, m in enumerate(images)}
-        perms = [(p, sorted(range(n), key=p.__getitem__)) for p in permutations(range(n))]
-        self.conjugates = [
-            [code[bytes(p[m[q]] for q in inverse)] for p, inverse in perms] for m in images
-        ]
-        self.least = []
-        for codes in self.conjugates:
-            low = min(codes)
-            self.least.append((low, [i for i, c in enumerate(codes) if c == low]))
-        self.sigmas: dict[bytes, int] = {}
-
-    def __call__(self, codes: Sequence[int], closed: Callable[[], AbstractSet[bytes]]) -> int:
-        """The sigma of the set of maps ``codes``; ``closed`` is called,
-        once, only for the first set of an orbit."""
-        columns = [self.conjugates[c] for c in codes]
-        lows = [self.least[c] for c in codes]
-        low = min(c_low for c_low, _ in lows)
-        key = bytes(
-            min(
-                sorted([column[i] for column in columns])
-                for c_low, perms in lows
-                if c_low == low
-                for i in perms
-            )
-        )
-        sigma = self.sigmas.get(key)
-        if sigma is None:
-            sigma = self.sigmas[key] = len(closed())
-        return sigma
 
 
 class _Checks:

@@ -89,11 +89,13 @@ def classify_minimal(
     and final states ``finals`` (a mask), whose syntactic complexity is
     ``sigma``.
 
-    Every fact that depends on the letters alone comes from ``t``, computed
-    once per orbit of letter sets in a sweep: forward reach masks, the three unions of pair
-    masks that decide the left-ideal, all-sided and suffix-closed
-    containments, and the unique-reachability depth; what depends on the
-    final states alone, from ``_final_facts``, once per (n, finals).  The
+    Every fact that depends on the letters and the initial state alone
+    comes from ``t``, computed in a sweep once per orbit of letter sets and
+    initial state of the orbit's least set: forward reach masks, the three
+    unions of pair masks that decide the left-ideal, all-sided and
+    suffix-closed containments, and the unique-reachability depth; what
+    depends on the final states alone, from ``_final_facts``, once per (n,
+    finals).  The
     rest is a few integer ANDs: a containment family holds iff
     its pair union misses ``crossing_pairs(n, finals)``; q is dead iff
     ``reach[q] & finals`` is empty and all-accepting iff ``reach[q]`` misses

@@ -995,11 +995,10 @@ def reference_packed_left_closure(
     )
 
 
-# ``synideal.harness._run_exhaustive`` before it swept one orbit of
-# Sym({1..n-1}) at a time, kept but for sigma's codes: every labelled letter
-# set in ``combinations`` order, each with its own letter facts,
-# reachability probe and sigma lookup.  Its report, violations in order
-# included, must equal the orbit sweep's byte for byte.
+# ``synideal.harness._run_exhaustive`` before it swept its letter sets by
+# orbits: every labelled letter set in ``combinations`` order, each with its
+# own letter facts, reachability probe and closure for sigma.  Its report,
+# violations in order included, must equal the orbit sweep's byte for byte.
 
 
 def reference_sweep(spec: harness.CampaignSpec) -> harness.CampaignReport:
@@ -1009,13 +1008,10 @@ def reference_sweep(spec: harness.CampaignSpec) -> harness.CampaignReport:
     checks = harness._Checks(spec, report)
     n = spec.n
     all_images = [bytes(img) for img in product(range(n), repeat=n)]
-    orbit_sigma = harness._OrbitSigmas(all_images) if spec.alphabet_size > 1 else None
     inert: set[int] = set()
     identity = bytes(range(n))
     for size in range(1, spec.alphabet_size + 1):
         letters = tuple("abcdefghijklmnopqrstuvwxyz"[:size])
-        if orbit_sigma is not None:
-            orbit_sigma.sigmas.clear()
         for codes in combinations(range(len(all_images)), size):
             gen_images = tuple(all_images[c] for c in codes)
             report.examined += 2**n - 1
@@ -1023,7 +1019,7 @@ def reference_sweep(spec: harness.CampaignSpec) -> harness.CampaignReport:
             if len(reachable_states(t)) != n:
                 continue
             closed = harness._Closure(gen_images)
-            sigma = len(closed()) if orbit_sigma is None else orbit_sigma(codes, closed)
+            sigma = len(closed())
             minimal = [f for f in range(1, 2**n) if _partition(gen_images, f) == identity]
             report.minimal += len(minimal)
             for finals in minimal:

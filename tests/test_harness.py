@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import partial
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
 import pytest
@@ -236,37 +236,43 @@ def _relabelled(letters: tuple[bytes, ...], finals: int, p: Sequence[int]):
     return maps, sum(1 << p[q] for q in range(len(p)) if finals >> q & 1)
 
 
-def _fixing_0(n: int) -> list[tuple[int, ...]]:
-    """Sym({1..n-1}): the permutations of the states that fix state 0."""
-    return [p for p in permutations(range(n)) if p[0] == 0]
+def _candidate_orbit(candidate: tuple[tuple[bytes, ...], int, int]):
+    """The least relabelling of a candidate (letter set, initial state,
+    finals) over every permutation of the states: one triple per orbit."""
+    letters, initial, finals = candidate
+    return min(
+        (*_relabelled(letters, finals, p), p[initial])
+        for p in permutations(range(len(letters[0])))
+    )
 
 
-def _pair_orbit(candidate: tuple[tuple[bytes, ...], int]) -> tuple[tuple[bytes, ...], int]:
-    """The least relabelling of a candidate (letter set, finals) over the
-    permutations that fix state 0: one pair per orbit."""
-    letters, finals = candidate
-    return min(_relabelled(letters, finals, p) for p in _fixing_0(len(letters[0])))
-
-
-class TestOrbitSigmas:
-    """A sweep takes sigma once per orbit of its letter tuples under
-    simultaneous conjugation by Sym(n), and closes a tuple's own letters only
-    for an injection context."""
+class TestSigmaPerOrbit:
+    """A sweep takes sigma once per orbit of its letter sets under
+    simultaneous conjugation by Sym(n), from the closure of the orbit's
+    least set, and closes a set's own letters only for an injection
+    context."""
 
     @pytest.mark.parametrize("n, a", [(1, 3), (2, 3), (3, 3), (4, 2)])
-    def test_memo_sigma_is_each_tuple_closure_size(self, n, a):
-        images = [bytes(img) for img in product(range(n), repeat=n)]
-        code = {m: i for i, m in enumerate(images)}
-        sigma_of = harness._OrbitSigmas(images)
-        tuples = 0
-        for letters in _reaching_tuples(n, a):
-            closed = semigroup._close_images(letters)
-            codes = [code[m] for m in letters]
-            assert sigma_of(codes, lambda closed=closed: closed) == len(closed), letters
-            tuples += 1
-        assert (tuples, len(sigma_of.sigmas)) == {
-            1: (1, 1), 2: (11, 9), 3: (2660, 566), 4: (15_756, 1211)
-        }[n]
+    def test_sigma_closures_are_the_least_sets_with_a_reaching_member(
+        self, n, a, monkeypatch
+    ):
+        # Without the injection check no candidate closes its own letters,
+        # so every closure is one for sigma.
+        closed = []
+        close = harness._close_images
+
+        def spy_close(letters, *args, **kwargs):
+            closed.append(tuple(letters))
+            return close(letters, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_close_images", spy_close)
+        report = run(CampaignSpec(n=n, alphabet_size=a, checks=harness.ALL_CHECKS - {"injection"}))
+        assert report.ok
+        least = {_orbit(letters) for letters in _reaching_tuples(n, a)}
+        assert len(closed) == len(set(closed))
+        # Compared as differences: pytest's diff of two sets this large takes minutes.
+        assert not set(closed) - least and not least - set(closed)
+        assert len(least) == {1: 1, 2: 9, 3: 566, 4: 1211}[n]
 
     def test_one_closure_per_orbit_and_per_context_tuple(self, monkeypatch):
         closed, contexts = [], set()
@@ -285,20 +291,14 @@ class TestOrbitSigmas:
         report = run(CampaignSpec(n=4, alphabet_size=2))
         assert report.ok and report.injection_contexts == 1356
         assert len(closed) == len(set(closed))
-        # The sweep closes, for sigma, the first representative of each
-        # Sym(n)-orbit that it meets.  That is the orbit's first reaching set
-        # in labelled order: the sweep meets the least set of each
-        # Sym({1..n-1})-orbit in labelled order, and a Sym(n)-orbit's first
-        # reaching set is such a least set, its Sym({1..n-1})-orbit reaching
-        # too.  A context set is closed by its own candidate, once.
-        first: dict = {}
-        for letters in _reaching_tuples(4, 2):
-            first.setdefault(_orbit(letters), letters)
-        assert all(_pair_orbit((letters, 1))[0] == letters for letters in first.values())
+        # The sweep closes, for sigma, the least set of each Sym(n)-orbit
+        # with a reaching member, and each context set that is not such a
+        # least set, once, for its own candidates.
+        least = {_orbit(letters) for letters in _reaching_tuples(4, 2)}
         # Compared as differences: pytest's diff of two sets this large takes minutes.
-        expected = set(first.values()) | contexts
+        expected = least | contexts
         assert not set(closed) - expected and not expected - set(closed)
-        assert (len(first), len(contexts), len(closed)) == (1211, 630, 1744)
+        assert (len(least), len(contexts), len(closed)) == (1211, 630, 1830)
 
     def test_one_kernel_call_per_candidate(self, monkeypatch):
         # The benchmark counts a sweep's candidates from its harness._partition
@@ -306,11 +306,11 @@ class TestOrbitSigmas:
         # calls (bench/layers.py), so a sweep makes exactly one of the first
         # per labelled candidate of a reachable set, and one of the second
         # per minimal candidate.  The second is made on the least set L of
-        # the candidate's orbit under Sym({1..n-1}): the candidate
-        # (p L p^-1, F) is classified as (L, p^-1(F)), the same DFA with
-        # each state x renamed p^-1(x), which fixes the initial state.  The
-        # bench-only change of ROADMAP.md (item 7) redefines this contract;
-        # one candidate per orbit (item 2) changes this test together with it.
+        # the candidate's orbit under Sym(n): the candidate (p L p^-1, 0, F)
+        # is classified as (L, p^-1(0), p^-1(F)), the same DFA with each
+        # state x renamed p^-1(x).  The bench-only change of ROADMAP.md
+        # (item 7) redefines this contract; one candidate per orbit (item 2)
+        # changes this test together with it.
         partitioned, classified = [], []
         partition, classify_minimal_ = harness._partition, harness.classify_minimal
 
@@ -319,7 +319,7 @@ class TestOrbitSigmas:
             return partition(maps, finals)
 
         def spy_classify(t, finals, *args, **kwargs):
-            classified.append((t.maps, finals))
+            classified.append((t.maps, t.initial, finals))
             return classify_minimal_(t, finals, *args, **kwargs)
 
         monkeypatch.setattr(harness, "_partition", spy_partition)
@@ -330,18 +330,41 @@ class TestOrbitSigmas:
         for letters, f in candidates:
             d = from_maps("ab"[: len(letters)], letters, f)
             if len(set(reference_partition(d, range(3)).values())) == 3:
-                minimal.append((letters, f))
+                minimal.append((letters, 0, f))
         assert sorted(partitioned) == sorted(candidates)
         # Each call is on the least set of its orbit.
-        assert all(_pair_orbit((letters, 1))[0] == letters for letters, _ in classified)
-        # A call (L, F') is the relabelled image of exactly the candidates
-        # (p L p^-1, p(F')) of its orbit of pairs, so the calls are the images
-        # of distinct minimal candidates, one each, exactly when every orbit
-        # of pairs holds as many calls as minimal candidates.
-        assert Counter(map(_pair_orbit, classified)) == Counter(map(_pair_orbit, minimal))
+        assert all(_orbit(letters) == letters for letters, _, _ in classified)
+        # A call (L, j, F') is the relabelled image of exactly the candidates
+        # (p L p^-1, 0, p(F')) with p(j) = 0 of its orbit of triples, so the
+        # calls are the images of distinct minimal candidates, one each,
+        # exactly when every orbit of triples holds as many calls as minimal
+        # candidates.
+        assert Counter(map(_candidate_orbit, classified)) == Counter(
+            map(_candidate_orbit, minimal)
+        )
         assert (len(candidates), len(minimal)) == (219 * 7, report.minimal)
-        # A pair (L, F') is classified once per candidate of its orbit.
+        # A triple (L, j, F') is classified once per candidate of its orbit,
+        # and some orbits start at more than one state of L.
         assert len(set(classified)) < len(classified) == len(minimal)
+        assert {j for _, j, _ in classified} == {0, 1, 2}
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_each_member_is_classified_as_its_own_dfa(self, a, monkeypatch):
+        # Every minimal candidate (p L p^-1, 0, F) is classified on L as
+        # (L, p^-1(0), p^-1(F)); its report is that of its own DFA.  The
+        # checks never say a report is inert, so no candidate is skipped.
+        seen = []
+
+        class Compared(harness._Checks):
+            def __call__(self, rep, candidate, closed=None):
+                d = candidate()
+                assert rep == classify(d), to_text(d)
+                seen.append(None)
+                super().__call__(rep, candidate, closed)
+
+        monkeypatch.setattr(harness, "_Checks", Compared)
+        report = run(CampaignSpec(n=3, alphabet_size=a))
+        assert report.ok and len(seen) == report.minimal
 
     def test_skipped_reports_change_no_count(self, monkeypatch):
         # A report that counts in no class and runs no step is judged once;
@@ -374,8 +397,8 @@ class TestOrbitSigmas:
 
 
 class TestOrbitSweep:
-    """An exhaustive sweep takes the letter sets one orbit of Sym({1..n-1})
-    at a time and reports exactly what the labelled loop of
+    """An exhaustive sweep takes the letter sets one orbit of Sym(n) at a
+    time and reports exactly what the labelled loop of
     ``oracles.reference_sweep`` reports, records in the same order."""
 
     @pytest.mark.parametrize(
@@ -417,22 +440,24 @@ class TestOrbitSweep:
 
     @pytest.mark.parametrize("n, sizes", [(3, (1, 2, 3)), (4, (1, 2))])
     def test_orbits_are_the_brute_force_orbits(self, n, sizes):
-        # The sweep's group is the first (n-1)! columns of the conjugation
-        # tables; here each set's orbit is formed by conjugating its maps
-        # with the permutations that fix state 0, in ``permutations`` order.
+        # Each set's orbit is formed here by conjugating its maps with every
+        # permutation of the states, in ``permutations`` order.
         images = [bytes(img) for img in product(range(n), repeat=n)]
         code = {m: i for i, m in enumerate(images)}
+        perms = list(permutations(range(n)))
         conjugated = [
             [code[bytes(conjugate(Transformation(tuple(m)), p).image)] for m in images]
-            for p in _fixing_0(n)
+            for p in perms
         ]
-        conjugates = harness._OrbitSigmas(images).conjugates
+        conjugates = harness._conjugates(images, perms)
+        assert conjugates == [list(column) for column in zip(*conjugated)]
+        trivial = harness._conjugates(images, [tuple(range(n))])
         for size in sizes:
             orbits: dict = {}
             for s in combinations(range(len(images)), size):
                 least = min(tuple(sorted(column[c] for c in s)) for column in conjugated)
                 orbits.setdefault(least, set()).add(s)
-            found = list(harness._orbits(len(images), size, conjugates, factorial(n - 1)))
+            found = list(harness._orbits(len(images), size, conjugates))
             assert [least for least, _ in found] == sorted(orbits)
             for least, members in found:
                 assert set(members) == orbits[least] and members[least] == 0
@@ -440,7 +465,7 @@ class TestOrbitSweep:
                     assert s == tuple(sorted(conjugated[i][c] for c in least))
             assert sum(len(members) for _, members in found) == comb(n**n, size)
             # With the trivial group every set is its own orbit.
-            assert list(harness._orbits(len(images), size, [], 1)) == [
+            assert list(harness._orbits(len(images), size, trivial)) == [
                 (s, {s: 0}) for s in combinations(range(len(images)), size)
             ]
 
