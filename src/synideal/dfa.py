@@ -304,7 +304,9 @@ class Transitions:
     initial state alone, so an exhaustive sweep computes it once per orbit
     of letter sets and initial state of the orbit's least set, and shares
     it across every member that starts there and every final set; each is
-    computed on first use.  Containment between the
+    computed on first use.  ``classified`` holds what depends on a final
+    set too, per final mask, so the members whose finals have the same
+    image on that least set share it as well.  Containment between the
     languages of p and q under final states F fails exactly when some pair
     reachable from (p, q) lies in ``crossing_pairs(n, F)``, so a union of pair
     masks decides a whole family of containments with one AND; ``preorder``
@@ -415,6 +417,12 @@ class Transitions:
                     queue.append(q)
         return max(depth.values())
 
+    @_fact
+    def classified(self) -> dict[int, tuple]:
+        """Per final mask, the part of ``ideals.classify_minimal``'s report
+        key that does not depend on sigma; filled in by that function."""
+        return {}
+
 
 def _pair_map(m: bytes) -> tuple[int, ...]:
     """The pair (x, y) of states, as index ``x*n + y``, mapped to the index
@@ -452,7 +460,8 @@ def reachable_states(t: Transitions) -> list[int]:
     return order
 
 
-def _partition(maps: Sequence[bytes], finals: int) -> bytes:
+@lru_cache(maxsize=256)
+def _partition(maps: tuple[bytes, ...], finals: int) -> bytes:
     """Moore refinement of all states by language: state -> block id.
 
     Blocks start as final / non-final (``_start_blocks``).  Each round counts
@@ -461,6 +470,12 @@ def _partition(maps: Sequence[bytes], finals: int) -> bytes:
     returns the identity once every state's is distinct, the blocks as they
     are once the count stops growing, and else renumbers them in order of
     first appearance.
+
+    Memoised: an exhaustive sweep asks it about each labelled candidate's
+    image on the least set of its orbit, so each (letter set, finals) pair
+    is refined once per orbit, and the 2^n - 1 final sets of one letter set
+    fit in the cache up to n = 8.  ``maps`` is a tuple, as the cache keys on
+    it.
     """
     n = len(maps[0])
     block, count, identity, pad = _start_blocks(n, finals)
@@ -482,7 +497,8 @@ def _partition(maps: Sequence[bytes], finals: int) -> bytes:
 def _start_blocks(n: int, finals: int) -> tuple[bytes, int, bytes, bytes]:
     """``_partition``'s start blocks (final states in ord("1"), the others in
     ord("0")), their count, the identity and the padding to a 256-byte table;
-    memoised, as a sweep asks for each (n, finals) once per letter tuple."""
+    memoised, as a sweep asks for each (n, finals) once per orbit of letter
+    sets."""
     block = format(finals, f"0{n}b")[::-1].encode()
     count = 2 if 0 < finals < (1 << n) - 1 else 1
     return block, count, bytes(range(n)), bytes(256 - n)

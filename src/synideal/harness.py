@@ -10,12 +10,17 @@ states: the member p L p^-1 of the orbit of its least set L, with final
 states F, is the DFA (L, initial state p^-1(0), final states p^-1(F)).
 Sigma is computed once per orbit, from the closure of L, and the letter
 facts of ``Transitions`` and reachability once per initial state of L.
-Each labelled candidate is partitioned on its own letters, classified as
-its image on L, and checked on its own DFA; the records come out in
-labelled order.  Per requested check the campaign compares maxima against
-the class bounds, certifies from the containment order that each
-bound-meeting semigroup is the maximal one relabeled, runs the injection
-suite, and tests conformance with the special-quotient bounds.
+Each labelled candidate is partitioned and classified as its image on L
+and checked on its own DFA; the records come out in labelled order.  The
+partition is memoised and the classification facts are kept per final mask
+on the ``Transitions`` of L, so each distinct image is partitioned and
+classified once per orbit.  The sweep still makes one partition call per
+labelled candidate and one classification call per minimal one, because
+the benchmark counts candidates from those calls (``bench/layers.py``).
+Per requested check the campaign compares maxima against the class bounds,
+certifies from the containment order that each bound-meeting semigroup is
+the maximal one relabeled, runs the injection suite, and tests conformance
+with the special-quotient bounds.
 
 Sample mode draws seeded random ideals of an exact state count and runs the
 same checks on each.  A sample whose transition semigroup has more than
@@ -275,15 +280,18 @@ def _run_exhaustive(
                 if not reaches:
                     continue
                 sigma = len(closed())
-                # Every labelled candidate is partitioned, classified and
-                # checked; its own closure is taken only for an injection
-                # context.
+                # Every labelled candidate is partitioned and classified as
+                # its image on L, where the memoised partition and the
+                # per-final-mask facts of t answer each distinct image once,
+                # and checked on its own DFA; its own closure is taken only
+                # for an injection context.
                 maps = tuple(all_images[c] for c in codes) if i else base
                 own = _Closure(maps) if i else closed
-                minimal = [f for f in all_finals if _partition(maps, f) == identity]
+                image = back[i]
+                minimal = [f for f in all_finals if _partition(base, image[f]) == identity]
                 report.minimal += len(minimal)
                 for finals in minimal:
-                    rep = classify_minimal(t, back[i][finals], sigma, memo)
+                    rep = classify_minimal(t, image[finals], sigma, memo)
                     if id(rep) in inert:
                         continue
                     if checks(rep, partial(from_maps, letters, maps, finals), own):

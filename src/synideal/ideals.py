@@ -89,24 +89,64 @@ def classify_minimal(
     and final states ``finals`` (a mask), whose syntactic complexity is
     ``sigma``.
 
+    A report is a pure function of n, the right / left / all-sided / prefix
+    / suffix flags, the four special-quotient flags, the ur depth and sigma.
+    All but sigma are ``_classification_facts`` of (``t``, ``finals``),
+    computed once per final mask and kept in ``t.classified``: a sweep asks
+    about each minimal candidate's image on the least set of its orbit, so
+    the candidates with the same image share them.  A caller classifying
+    many candidates passes the same ``memo`` dict: it maps those facts and
+    sigma to their report, so equal reports are the same frozen object and
+    each distinct one, bound table included, is built once.
+    """
+    facts = t.classified.get(finals)
+    if facts is None:
+        facts = t.classified[finals] = _classification_facts(t, finals)
+    key = (*facts, sigma)
+    if memo is not None:
+        report = memo.get(key)
+        if report is not None:
+            return report
+    (n, has_empty, has_sigma_star, has_eps, has_sigma_plus, ur_depth,
+     right, left, all_sided, prefix_closed, suffix_closed) = facts
+    flags = dict(zip(("empty", "sigma_star", "eps", "sigma_plus"), facts[1:5]))
+    report = ClassificationReport(
+        n=n,
+        is_right_ideal=right,
+        is_left_ideal=left,
+        is_two_sided_ideal=right and left,
+        is_all_sided_ideal=all_sided,
+        complement_prefix_closed=prefix_closed,
+        complement_suffix_closed=suffix_closed,
+        complement_factor_closed=prefix_closed and suffix_closed,
+        has_empty=has_empty,
+        has_sigma_star=has_sigma_star,
+        has_eps=has_eps,
+        has_sigma_plus=has_sigma_plus,
+        ur_depth=ur_depth,
+        sigma=sigma,
+        applicable_bounds=applicable_bounds(n, flags, ur_depth),
+    )
+    if memo is not None:
+        memo[key] = report
+    return report
+
+
+def _classification_facts(t: Transitions, finals: int) -> tuple:
+    """The report key of ``classify_minimal`` without sigma: n, the four
+    special-quotient flags, the ur depth, and the right, left, all-sided,
+    prefix-closed and suffix-closed flags.
+
     Every fact that depends on the letters and the initial state alone
     comes from ``t``, computed in a sweep once per orbit of letter sets and
     initial state of the orbit's least set: forward reach masks, the three
     unions of pair masks that decide the left-ideal, all-sided and
     suffix-closed containments, and the unique-reachability depth; what
     depends on the final states alone, from ``_final_facts``, once per (n,
-    finals).  The
-    rest is a few integer ANDs: a containment family holds iff
+    finals).  The rest is a few integer ANDs: a containment family holds iff
     its pair union misses ``crossing_pairs(n, finals)``; q is dead iff
     ``reach[q] & finals`` is empty and all-accepting iff ``reach[q]`` misses
     the non-final states.
-
-    A report is a pure function of n, the right / left / all-sided / prefix
-    / suffix flags, the four special-quotient flags, the ur depth and sigma.
-    A caller classifying many candidates passes the same ``memo`` dict: it
-    maps those field values to their report, so equal reports are the same
-    frozen object and each distinct one, bound table included, is built
-    once.
     """
     n = t.n
     nonfinal, cross, f, single = _final_facts(n, finals)
@@ -130,43 +170,14 @@ def classify_minimal(
             has_eps = has_eps or not s & ~dead
         else:
             has_sigma_plus = has_sigma_plus or not s & ~universal
-    has_empty = dead != 0
-    has_sigma_star = universal != 0
-    ur_depth = t.ur_depth
     # The complement is prefix-closed iff no final state reaches a non-final
     # one, and suffix-closed iff the initial language lies in every state's.
     prefix_closed = not finals & ~universal
     suffix_closed = not t.initial_pairs & cross
-
-    key = (
-        n, has_empty, has_sigma_star, has_eps, has_sigma_plus, ur_depth,
-        right, left, all_sided, prefix_closed, suffix_closed, sigma,
+    return (
+        n, dead != 0, universal != 0, has_eps, has_sigma_plus, t.ur_depth,
+        right, left, all_sided, prefix_closed, suffix_closed,
     )
-    if memo is not None:
-        report = memo.get(key)
-        if report is not None:
-            return report
-    flags = dict(zip(("empty", "sigma_star", "eps", "sigma_plus"), key[1:5]))
-    report = ClassificationReport(
-        n=n,
-        is_right_ideal=right,
-        is_left_ideal=left,
-        is_two_sided_ideal=right and left,
-        is_all_sided_ideal=all_sided,
-        complement_prefix_closed=prefix_closed,
-        complement_suffix_closed=suffix_closed,
-        complement_factor_closed=prefix_closed and suffix_closed,
-        has_empty=has_empty,
-        has_sigma_star=has_sigma_star,
-        has_eps=has_eps,
-        has_sigma_plus=has_sigma_plus,
-        ur_depth=ur_depth,
-        sigma=sigma,
-        applicable_bounds=applicable_bounds(n, flags, ur_depth),
-    )
-    if memo is not None:
-        memo[key] = report
-    return report
 
 
 @lru_cache(maxsize=256)

@@ -305,12 +305,14 @@ class TestSigmaPerOrbit:
         # calls and its minimal candidates from its harness.classify_minimal
         # calls (bench/layers.py), so a sweep makes exactly one of the first
         # per labelled candidate of a reachable set, and one of the second
-        # per minimal candidate.  The second is made on the least set L of
-        # the candidate's orbit under Sym(n): the candidate (p L p^-1, 0, F)
-        # is classified as (L, p^-1(0), p^-1(F)), the same DFA with each
-        # state x renamed p^-1(x).  The bench-only change of ROADMAP.md
-        # (item 7) redefines this contract; one candidate per orbit (item 2)
-        # changes this test together with it.
+        # per minimal candidate.  Both are made on the least set L of the
+        # candidate's orbit under Sym(n): the candidate (p L p^-1, 0, F) is
+        # the DFA (L, p^-1(0), p^-1(F)) with each state x renamed p^-1(x), p
+        # the first permutation that gives p L p^-1.  It is minimal iff its
+        # image is, so it is partitioned as (L, p^-1(F)), and classified as
+        # its image.  The bench-only change of ROADMAP.md (item 7) redefines
+        # this contract; one candidate per orbit (item 2) changes this test
+        # together with it.
         partitioned, classified = [], []
         partition, classify_minimal_ = harness._partition, harness.classify_minimal
 
@@ -326,12 +328,17 @@ class TestSigmaPerOrbit:
         monkeypatch.setattr(harness, "classify_minimal", spy_classify)
         report = run(CampaignSpec(n=3, alphabet_size=2))
         candidates = [(letters, f) for letters in _reaching_tuples(3, 2) for f in range(1, 8)]
+        images = []
+        for letters, f in candidates:
+            least = _orbit(letters)
+            p = next(p for p in permutations(range(3)) if _relabelled(least, 0, p)[0] == letters)
+            images.append((least, sum(1 << q for q in range(3) if f >> p[q] & 1)))
+        assert Counter(partitioned) == Counter(images)
         minimal = []
         for letters, f in candidates:
             d = from_maps("ab"[: len(letters)], letters, f)
             if len(set(reference_partition(d, range(3)).values())) == 3:
                 minimal.append((letters, 0, f))
-        assert sorted(partitioned) == sorted(candidates)
         # Each call is on the least set of its orbit.
         assert all(_orbit(letters) == letters for letters, _, _ in classified)
         # A call (L, j, F') is the relabelled image of exactly the candidates
@@ -347,6 +354,30 @@ class TestSigmaPerOrbit:
         # and some orbits start at more than one state of L.
         assert len(set(classified)) < len(classified) == len(minimal)
         assert {j for _, j, _ in classified} == {0, 1, 2}
+
+    def test_each_image_is_partitioned_once_per_orbit(self):
+        # The n=4 two-letter sweep asks about 236,340 labelled candidates;
+        # the memoised partition refines only the 15 final sets of each of
+        # the 1,211 least sets with a reaching member.
+        dfa._partition.cache_clear()
+        report = run(CampaignSpec(n=4, alphabet_size=2))
+        assert report.ok
+        assert dfa._partition.cache_info().misses == 1211 * 15 == 18_165
+
+    def test_each_image_is_classified_once_per_orbit(self, monkeypatch):
+        # The facts of a report but sigma are computed once per (L, initial
+        # state, final mask) of the least sets, not per minimal candidate.
+        computed = []
+        facts = ideals._classification_facts
+
+        def spy_facts(t, finals):
+            computed.append((t.maps, t.initial, finals))
+            return facts(t, finals)
+
+        monkeypatch.setattr(ideals, "_classification_facts", spy_facts)
+        report = run(CampaignSpec(n=4, alphabet_size=2))
+        assert report.ok and report.minimal == 168_132
+        assert len(computed) == len(set(computed)) == 28_552
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_each_member_is_classified_as_its_own_dfa(self, a, monkeypatch):

@@ -196,6 +196,9 @@ def test_partition_agrees_with_the_reference_on_one_and_two_letters():
 def test_partition_of_a_uniform_final_set_takes_one_round():
     # With no state final, or every state, nothing splits the one start
     # block, and the first round's count says so: one translate per letter.
+    # The count is of the kernel's own work, so the memo is bypassed.
+    partition = _partition.__wrapped__
+
     class Counted(bytes):
         translations = 0
 
@@ -207,7 +210,7 @@ def test_partition_of_a_uniform_final_set_takes_one_round():
         for maps in [(Counted(img),), (Counted(img), Counted(bytes([1, 2, 0])))]:
             for finals in (0, 0b111):
                 Counted.translations = 0
-                assert len(set(_partition(maps, finals))) == 1
+                assert len(set(partition(maps, finals))) == 1
                 assert Counted.translations == len(maps), (img, finals)
 
 
