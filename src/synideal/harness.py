@@ -8,8 +8,10 @@ more letters, the letter sets are taken one orbit at a time under Sym(n),
 acting by simultaneous conjugation (m becomes p m p^-1), which renames the
 states: the member p L p^-1 of the orbit of its least set L, with final
 states F, is the DFA (L, initial state p^-1(0), final states p^-1(F)).
-Sigma is computed once per orbit, from the closure of L, and the letter
-facts of ``Transitions`` and reachability once per initial state of L.
+L is closed once per orbit, for sigma; the semigroup of the member
+p L p^-1, which only an injection context takes, is that closure conjugated
+by p, once per member.  The letter facts of ``Transitions`` and
+reachability are taken once per initial state of L.
 Each labelled candidate is partitioned and classified as its image on L
 and checked on its own DFA; the records come out in labelled order.  The
 partition is memoised and the classification facts are kept per final mask
@@ -52,7 +54,9 @@ from .dfa import (
 )
 from .ideals import ClassificationReport, classify_minimal
 from .injection import MIN_CONTEXT_N, minimal_context, verify_injection
-from .semigroup import DEFAULT_CAP, MAX_STATES, CapExceeded, TransformationSemigroup, _close_images
+from .semigroup import DEFAULT_CAP, MAX_STATES, CapExceeded, TransformationSemigroup, conjugated
+from .semigroup import _close_images
+from .transform import Transformation
 from .witness import MIN_N, IdealClass, bound, expected_semigroup, has_maximal_order
 
 EXHAUSTIVE_BUDGET = 10**8
@@ -261,10 +265,11 @@ def _run_exhaustive(
             # What depends on the letters and the initial state alone is the
             # same for every member that starts at the same state of L, so
             # it is taken once per initial state j, on L: Transitions(L, j)
-            # and whether j reaches every state.  sigma is the same on the
-            # whole orbit and is taken from L's closure.
+            # and whether j reaches every state.  L is closed once, when the
+            # first member reaches: sigma is the same on the whole orbit, and
+            # the semigroup of the member p L p^-1 is L's conjugated by p.
             base = tuple(all_images[c] for c in least)
-            closed = _Closure(base)
+            closed = None
             starts: dict[int, tuple[Transitions, bool]] = {}
             for codes, i in members.items():
                 entry = starts.get(start[i])
@@ -279,14 +284,16 @@ def _run_exhaustive(
                 t, reaches = entry
                 if not reaches:
                     continue
-                sigma = len(closed())
+                if closed is None:
+                    closed = _close_images(base)
+                    sigma = len(closed)
                 # Every labelled candidate is partitioned and classified as
                 # its image on L, where the memoised partition and the
                 # per-final-mask facts of t answer each distinct image once,
-                # and checked on its own DFA; its own closure is taken only
-                # for an injection context.
-                maps = tuple(all_images[c] for c in codes) if i else base
-                own = _Closure(maps) if i else closed
+                # and checked on its own DFA; its semigroup is conjugated
+                # from L's only for an injection context, once per member.
+                maps = tuple(all_images[c] for c in codes)
+                own = _Conjugated(base, closed, perms[i])
                 image = back[i]
                 minimal = [f for f in all_finals if _partition(base, image[f]) == identity]
                 report.minimal += len(minimal)
@@ -341,20 +348,32 @@ def _orbits(
             yield s, members
 
 
-class _Closure:
-    """The packed closure of a letter tuple, computed on the first call and
-    kept for the next."""
+#: What ``_Checks`` is handed with a candidate: it returns the candidate's
+#: transition semigroup.
+_Semigroup = Callable[[], TransformationSemigroup]
 
-    __slots__ = ("letters", "images")
 
-    def __init__(self, letters: tuple[bytes, ...]) -> None:
+class _Conjugated:
+    """The semigroup of ``letters``, whose packed closure is ``images``,
+    conjugated by ``perm``: computed on the first call and kept for the next.
+    Most members build no context, so the generators are made only here."""
+
+    __slots__ = ("letters", "images", "perm", "semigroup")
+
+    def __init__(
+        self, letters: tuple[bytes, ...], images: AbstractSet[bytes], perm: Sequence[int]
+    ) -> None:
         self.letters = letters
-        self.images: AbstractSet[bytes] | None = None
+        self.images = images
+        self.perm = perm
+        self.semigroup: TransformationSemigroup | None = None
 
-    def __call__(self) -> AbstractSet[bytes]:
-        if self.images is None:
-            self.images = _close_images(self.letters)
-        return self.images
+    def __call__(self) -> TransformationSemigroup:
+        if self.semigroup is None:
+            gens = tuple(Transformation(tuple(m)) for m in self.letters)
+            closed = TransformationSemigroup(len(self.perm), self.images, gens)
+            self.semigroup = conjugated(closed, self.perm)
+        return self.semigroup
 
 
 class _Checks:
@@ -394,15 +413,12 @@ class _Checks:
         ] = {}
 
     def __call__(
-        self,
-        rep: ClassificationReport,
-        candidate: Callable[[], Dfa],
-        closed: Callable[[], AbstractSet[bytes]] | None = None,
+        self, rep: ClassificationReport, candidate: Callable[[], Dfa], semigroup: _Semigroup
     ) -> bool:
         """``candidate`` builds the DFA; it is called only when the plan of
-        ``rep`` has steps.  ``closed``, when the caller has it, returns the
-        packed transition semigroup of the candidate's letters; it is called
-        only by an injection context, which takes it.
+        ``rep`` has steps.  ``semigroup`` returns the transition semigroup of
+        the candidate's DFA; it is called only by an injection context, which
+        takes it as it is.
 
         True when the plan of ``rep`` counts in no class and has no step: a
         later candidate carrying the same report may then skip the call."""
@@ -420,7 +436,7 @@ class _Checks:
         if steps:
             d = candidate()
             for step in steps:
-                step(self, d, closed)
+                step(self, d, semigroup)
         return not classes and not steps
 
     def _plan(
@@ -461,25 +477,19 @@ class _Checks:
         return tuple(classes), tuple(steps)
 
 
-# The steps of a plan.  Each is called as step(checks, dfa, closed); none
+# The steps of a plan.  Each is called as step(checks, dfa, semigroup); none
 # holds the ``_Checks`` it runs for, so a plan makes no reference cycle and a
 # campaign's tables are freed when it returns.
 
 
-def _record(
-    template: dict, checks: _Checks, d: Dfa, closed: Callable[[], AbstractSet[bytes]] | None
-) -> None:
+def _record(template: dict, checks: _Checks, d: Dfa, semigroup: _Semigroup) -> None:
     """Append ``template`` to the violations with the text of ``d`` in its
     ``dfa`` slot, which keeps the template's key order."""
     checks.report.violations.append({**template, "dfa": to_text(d)})
 
 
 def _uniqueness(
-    klass: IdealClass,
-    stats: ClassStats,
-    checks: _Checks,
-    d: Dfa,
-    closed: Callable[[], AbstractSet[bytes]] | None,
+    klass: IdealClass, stats: ClassStats, checks: _Checks, d: Dfa, semigroup: _Semigroup
 ) -> None:
     """A maximiser is certified from its containment order (``has_maximal_order``);
     ``maximizers_relabeled`` keeps its name, so the output stays byte-identical."""
@@ -491,16 +501,11 @@ def _uniqueness(
         )
 
 
-def _inject(
-    klass: IdealClass, checks: _Checks, d: Dfa, closed: Callable[[], AbstractSet[bytes]] | None
-) -> None:
+def _inject(klass: IdealClass, checks: _Checks, d: Dfa, semigroup: _Semigroup) -> None:
     # The plan put the candidate in the class and checked n, and every
     # campaign candidate is minimal.
     n, report = checks.spec.n, checks.report
-    T = None
-    if closed is not None:
-        T = TransformationSemigroup(n=n, images=closed(), generators=d.delta)
-    ctx = minimal_context(d, klass, _expected_cached(checks.expected_cache, klass, n), T)
+    ctx = minimal_context(d, klass, _expected_cached(checks.expected_cache, klass, n), semigroup())
     inj = verify_injection(ctx)
     report.injection_contexts += 1
     if not inj.ok:
@@ -783,4 +788,4 @@ def _run_sample(spec: CampaignSpec, report: CampaignReport, checks: _Checks) -> 
                 {"check": "sampler", "index": i, "detail": "not in the class", "dfa": to_text(d)}
             )
             continue
-        checks(rep, lambda: d, lambda: result.images)
+        checks(rep, lambda: d, lambda: result)

@@ -146,23 +146,20 @@ def make_context(d: Dfa, klass: IdealClass | None = None) -> InjectionContext:
 
 
 def minimal_context(
-    m: Dfa,
-    klass: IdealClass,
-    S: TransformationSemigroup,
-    T: TransformationSemigroup | None = None,
+    m: Dfa, klass: IdealClass, S: TransformationSemigroup, T: TransformationSemigroup
 ) -> InjectionContext:
     """The injection context of ``m``, a minimal DFA whose language the
-    caller knows to be in ``klass``, with enough states for it, and of ``S``,
-    the maximal semigroup of the class at that size; nothing here minimises,
+    caller knows to be in ``klass``, with enough states for it, of ``S``,
+    the maximal semigroup of the class at that size, and of ``T``, the
+    transition semigroup of ``m``; nothing here minimises, closes,
     classifies or checks n.
 
     One permutation relabels the states: breadth-first, as ``minimize``
     numbers them, and for the two-sided class with the final sink then
-    swapped with n-1.  So a minimal ``m`` yields the context
-    ``make_context(m, klass)`` builds.  ``T``, when given, is the transition
-    semigroup of ``m`` and is conjugated by the same permutation instead of
-    closing the relabeled DFA.  When the permutation is the identity, as for
-    every sampled left ideal, ``m`` and ``T`` are used as they are.
+    swapped with n-1.  ``T`` is conjugated by the same permutation.  So a
+    minimal ``m`` yields the context ``make_context(m, klass)`` builds.
+    When the permutation is the identity, as for every sampled left ideal,
+    ``m`` and ``T`` are used as they are.
     """
     n = m.n
     # perm[q]: the label state q of m ends up with.
@@ -175,10 +172,7 @@ def minimal_context(
     if perm != list(range(n)):
         delta = tuple(conjugate(g, perm) for g in m.delta)
         m = Dfa(m.alphabet, delta, 0, frozenset(perm[f] for f in m.finals))
-        if T is not None:
-            T = conjugated(T, perm)
-    if T is None:
-        T = transition_semigroup(m)
+        T = conjugated(T, perm)
     return InjectionContext(klass=klass, dfa=m, po=preorder(m), T=T, S=S)
 
 

@@ -236,13 +236,13 @@ def _symmetric_units(gen_images: Sequence[bytes], cap: int) -> bytes | None:
     is looked for first, by C-level passes over each letter, and a closure
     without one returns None before M is built: ~0.8 us per call on random
     letter pairs at n=4..6 (CPython 3.11.7, shared 2-vCPU x86_64 host).  All
-    but 69 of the 1,830 closures of the n=4 two-letter sweep (1,211 for
-    sigma, the least set of each orbit under Sym(n), and 619 more for
-    injection contexts), and all but 23 of the 550 of the benchmark's
-    ``sample`` workload at seed 7919, have none.  With a transposition letter, as every witness but the two
-    smallest of each class has, the group is Sym(M) exactly when it is
-    primitive on M (``_primitive``), by Jordan's theorem (Wielandt, *Finite
-    Permutation Groups*, 1964, §13): 0.05 ms for the witnesses at |M| = 9.
+    but 45 of the 1,211 closures of the n=4 two-letter sweep (one per orbit
+    under Sym(n), of its least set), and all but 23 of the 550 of the
+    benchmark's ``sample`` workload at seed 7919, have none.  With a
+    transposition letter, as every witness but the two smallest of each
+    class has, the group is Sym(M) exactly when it is primitive on M
+    (``_primitive``), by Jordan's theorem (Wielandt, *Finite Permutation
+    Groups*, 1964, §13): 0.05 ms for the witnesses at |M| = 9.
     """
     n = len(gen_images[0])
     states = range(n)

@@ -997,8 +997,9 @@ def reference_packed_left_closure(
 
 # ``synideal.harness._run_exhaustive`` before it swept its letter sets by
 # orbits: every labelled letter set in ``combinations`` order, each with its
-# own letter facts, reachability probe and closure for sigma.  Its report,
-# violations in order included, must equal the orbit sweep's byte for byte.
+# own letter facts, reachability probe and closure, which gives sigma and the
+# semigroup of every injection context of the set.  Its report, violations in
+# order included, must equal the orbit sweep's byte for byte.
 
 
 def reference_sweep(spec: harness.CampaignSpec) -> harness.CampaignReport:
@@ -1018,14 +1019,16 @@ def reference_sweep(spec: harness.CampaignSpec) -> harness.CampaignReport:
             t = Transitions(gen_images)
             if len(reachable_states(t)) != n:
                 continue
-            closed = harness._Closure(gen_images)
-            sigma = len(closed())
+            T = TransformationSemigroup(
+                n, _close_images(gen_images), tuple(Transformation(tuple(m)) for m in gen_images)
+            )
+            sigma = T.size
             minimal = [f for f in range(1, 2**n) if _partition(gen_images, f) == identity]
             report.minimal += len(minimal)
             for finals in minimal:
                 rep = classify_minimal(t, finals, sigma, checks.memo)
                 if id(rep) in inert:
                     continue
-                if checks(rep, partial(from_maps, letters, gen_images, finals), closed):
+                if checks(rep, partial(from_maps, letters, gen_images, finals), lambda: T):
                     inert.add(id(rep))
     return report

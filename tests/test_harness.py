@@ -32,6 +32,7 @@ from synideal.harness import (
 )
 from synideal.ideals import applicable_bounds, classify, classify_minimal
 from synideal.injection import InjectionReport, make_context, minimal_context
+from synideal.semigroup import TransformationSemigroup
 from synideal.transform import Transformation, conjugate
 from synideal.witness import IdealClass, bound, build, has_maximal_order
 
@@ -247,17 +248,16 @@ def _candidate_orbit(candidate: tuple[tuple[bytes, ...], int, int]):
 
 
 class TestSigmaPerOrbit:
-    """A sweep takes sigma once per orbit of its letter sets under
-    simultaneous conjugation by Sym(n), from the closure of the orbit's
-    least set, and closes a set's own letters only for an injection
-    context."""
+    """A sweep closes one letter set per orbit of its letter sets under
+    simultaneous conjugation by Sym(n), the orbit's least set L: sigma is
+    the size of L's closure, and the semigroup of an injection context of
+    the member p L p^-1 is that closure conjugated by p."""
 
     @pytest.mark.parametrize("n, a", [(1, 3), (2, 3), (3, 3), (4, 2)])
     def test_sigma_closures_are_the_least_sets_with_a_reaching_member(
         self, n, a, monkeypatch
     ):
-        # Without the injection check no candidate closes its own letters,
-        # so every closure is one for sigma.
+        # Every check is on: the injection contexts close nothing either.
         closed = []
         close = harness._close_images
 
@@ -266,7 +266,7 @@ class TestSigmaPerOrbit:
             return close(letters, *args, **kwargs)
 
         monkeypatch.setattr(harness, "_close_images", spy_close)
-        report = run(CampaignSpec(n=n, alphabet_size=a, checks=harness.ALL_CHECKS - {"injection"}))
+        report = run(CampaignSpec(n=n, alphabet_size=a))
         assert report.ok
         least = {_orbit(letters) for letters in _reaching_tuples(n, a)}
         assert len(closed) == len(set(closed))
@@ -274,31 +274,37 @@ class TestSigmaPerOrbit:
         assert not set(closed) - least and not least - set(closed)
         assert len(least) == {1: 1, 2: 9, 3: 566, 4: 1211}[n]
 
-    def test_one_closure_per_orbit_and_per_context_tuple(self, monkeypatch):
-        closed, contexts = [], set()
-        close, context = harness._close_images, harness.minimal_context
+    def test_one_closure_per_orbit_and_one_conjugation_per_context_member(self, monkeypatch):
+        # The n=4 two-letter sweep closes the 1,211 least sets, each once,
+        # and conjugates L's closure once for each of the 630 letter sets
+        # whose candidates build its 1,356 injection contexts.
+        closed, conjugations, contexts = [], [], set()
+        close, conjugated, context = (
+            harness._close_images, harness.conjugated, harness.minimal_context
+        )
 
         def spy_close(letters, *args, **kwargs):
             closed.append(tuple(letters))
             return close(letters, *args, **kwargs)
 
-        def spy_context(d, klass, S, T=None):
+        def spy_conjugated(s, perm):
+            conjugations.append(perm)
+            return conjugated(s, perm)
+
+        def spy_context(d, klass, S, T):
             contexts.add(tuple(g.packed() for g in d.delta))
             return context(d, klass, S, T)
 
         monkeypatch.setattr(harness, "_close_images", spy_close)
+        monkeypatch.setattr(harness, "conjugated", spy_conjugated)
         monkeypatch.setattr(harness, "minimal_context", spy_context)
         report = run(CampaignSpec(n=4, alphabet_size=2))
         assert report.ok and report.injection_contexts == 1356
-        assert len(closed) == len(set(closed))
-        # The sweep closes, for sigma, the least set of each Sym(n)-orbit
-        # with a reaching member, and each context set that is not such a
-        # least set, once, for its own candidates.
         least = {_orbit(letters) for letters in _reaching_tuples(4, 2)}
+        assert len(closed) == len(set(closed))
         # Compared as differences: pytest's diff of two sets this large takes minutes.
-        expected = least | contexts
-        assert not set(closed) - expected and not expected - set(closed)
-        assert (len(least), len(contexts), len(closed)) == (1211, 630, 1830)
+        assert not set(closed) - least and not least - set(closed)
+        assert (len(closed), len(contexts), len(conjugations)) == (1211, 630, 630)
 
     def test_one_kernel_call_per_candidate(self, monkeypatch):
         # The benchmark counts a sweep's candidates from its harness._partition
@@ -310,8 +316,8 @@ class TestSigmaPerOrbit:
         # the DFA (L, p^-1(0), p^-1(F)) with each state x renamed p^-1(x), p
         # the first permutation that gives p L p^-1.  It is minimal iff its
         # image is, so it is partitioned as (L, p^-1(F)), and classified as
-        # its image.  The bench-only change of ROADMAP.md (item 7) redefines
-        # this contract; one candidate per orbit (item 2) changes this test
+        # its image.  The bench-only change of ROADMAP.md (item 3) redefines
+        # this contract; one candidate per orbit (item 4) changes this test
         # together with it.
         partitioned, classified = [], []
         partition, classify_minimal_ = harness._partition, harness.classify_minimal
@@ -387,11 +393,11 @@ class TestSigmaPerOrbit:
         seen = []
 
         class Compared(harness._Checks):
-            def __call__(self, rep, candidate, closed=None):
+            def __call__(self, rep, candidate, semigroup):
                 d = candidate()
                 assert rep == classify(d), to_text(d)
                 seen.append(None)
-                super().__call__(rep, candidate, closed)
+                super().__call__(rep, candidate, semigroup)
 
         monkeypatch.setattr(harness, "_Checks", Compared)
         report = run(CampaignSpec(n=3, alphabet_size=a))
@@ -609,7 +615,8 @@ class TestMaximizerRelabeling:
         )
         report = CampaignReport(spec=spec)
         checks = harness._Checks(spec, report)
-        checks(classify_minimal(w.transitions, w.finals_mask, sigma=bound(klass, n)), lambda: w)
+        rep = classify_minimal(w.transitions, w.finals_mask, sigma=bound(klass, n))
+        checks(rep, lambda: w, _never_closed)
         assert report.ok
         assert {
             name: (stats.maximizers, stats.maximizers_relabeled)
@@ -650,7 +657,10 @@ class TestCachedDecisions:
         texts = {to_text(d) for d in pair}
         assert len(texts) == 2
         for d, rep in zip(pair, reps):
-            checks(rep, (lambda d=d: d) if buildable else _never_built)
+            checks(
+                rep, (lambda d=d: d) if buildable else _never_built,
+                lambda d=d: transition_semigroup(d),
+            )
         return report, reps[0], texts
 
     def test_bound_violation(self):
@@ -715,7 +725,10 @@ class TestForgedReports:
         pair = (d, _relabeled(d))
         built = []
         for candidate in pair:
-            judge(rep, lambda candidate=candidate: built.append(candidate) or candidate)
+            judge(
+                rep, lambda candidate=candidate: built.append(candidate) or candidate,
+                lambda candidate=candidate: transition_semigroup(candidate),
+            )
         assert built == list(pair)
         return report, [to_text(candidate) for candidate in pair]
 
@@ -845,26 +858,20 @@ class TestForgedReports:
 
 class TestCampaignContexts:
     """A campaign builds each injection context from its own minimal DFA,
-    report and closure (conjugated by any renumbering and sink relabeling),
-    never closing the candidate again; every context must equal the one
-    ``make_context`` builds from the same DFA by minimising, closing and
-    classifying it afresh."""
+    report and semigroup (conjugated by any renumbering and sink
+    relabeling); every context must equal the one ``make_context`` builds
+    from the same DFA by minimising, closing and classifying it afresh."""
 
     def _compare(self, monkeypatch, spec: CampaignSpec) -> list[Dfa]:
         built = []
 
-        def spy(m, klass, S, T=None):
+        def spy(m, klass, S, T):
             ctx = minimal_context(m, klass, S, T)
             built.append((m, klass, ctx))
             return ctx
 
-        def closed_again(d, cap=None):
-            raise AssertionError("a context closed its candidate again")
-
         monkeypatch.setattr(harness, "minimal_context", spy)
-        with monkeypatch.context() as during_run:
-            during_run.setattr(injection, "transition_semigroup", closed_again)
-            report = run(spec)
+        report = run(spec)
         assert len(built) == report.injection_contexts > 0
         for m, klass, ctx in built:
             ref = make_context(m, klass)
@@ -881,6 +888,37 @@ class TestCampaignContexts:
         # most sweep candidates are not numbered as minimize numbers them
         assert sum(minimize(m) != m for m in candidates) > 1000
 
+    def test_sweep_contexts_are_built_from_each_candidates_own_closure(self, monkeypatch):
+        # The orbit sweep hands a member p L p^-1 the closure of L conjugated
+        # by p.  Each of its contexts must be the one its DFA and a fresh
+        # closure of that DFA's letters give, and together they must be the
+        # contexts of the labelled sweep, which closes every labelled letter
+        # set itself: so no context is built on L's image of the candidate.
+        def contexts(sweep) -> list:
+            built = []
+
+            def spy(m, klass, S, T):
+                ctx = minimal_context(m, klass, S, T)
+                built.append((m, ctx))
+                return ctx
+
+            with monkeypatch.context() as during:
+                during.setattr(harness, "minimal_context", spy)
+                report = sweep(CampaignSpec(n=4, alphabet_size=2))
+            assert report.ok and len(built) == report.injection_contexts == 1356
+            return built
+
+        def key(ctx):
+            return ctx.klass, to_text(ctx.dfa), frozenset(ctx.T.images)
+
+        built = contexts(run)
+        for m, ctx in built:
+            own = minimal_context(m, ctx.klass, ctx.S, transition_semigroup(m))
+            assert ctx.dfa == own.dfa, to_text(m)
+            assert set(ctx.T.images) == set(own.T.images), to_text(m)
+        labelled = contexts(reference_sweep)
+        assert Counter(key(ctx) for _, ctx in built) == Counter(key(ctx) for _, ctx in labelled)
+
     @pytest.mark.parametrize(
         "klass, n, a", [(IdealClass.LEFT, 4, 2), (IdealClass.TWO_SIDED, 5, 3)]
     )
@@ -896,18 +934,26 @@ class TestCampaignContexts:
     def test_sample_campaigns_close_each_sample_once(self, monkeypatch, klass, n, a):
         # A sampled DFA is numbered as minimize numbers it, so its context
         # takes the sample's closure (conjugated by the sink relabeling).
-        def closed_again(d, cap=None):
-            raise AssertionError("a context closed its sample again")
+        closed = []
+        close = semigroup._close_images
 
-        monkeypatch.setattr(injection, "transition_semigroup", closed_again)
+        def spy_close(letters, *args, **kwargs):
+            closed.append(tuple(letters))
+            return close(letters, *args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "_close_images", spy_close)
         spec = CampaignSpec(
             n=n, alphabet_size=a, class_filter=klass, mode=SampleMode(count=30, seed=2)
         )
-        assert run(spec).injection_contexts == 30
+        assert run(spec).injection_contexts == len(closed) == 30
 
 
 def _never_built() -> Dfa:
     raise AssertionError("a check built the DFA of a candidate that needs none")
+
+
+def _never_closed() -> TransformationSemigroup:
+    raise AssertionError("a check asked for the semigroup of a candidate that needs none")
 
 
 def _packed(d: Dfa) -> tuple[tuple[bytes, ...], int]:

@@ -358,7 +358,7 @@ class TestUrChain:
             def __init__(self):
                 self.memo = {}
 
-            def __call__(self, rep, candidate, closed=None):
+            def __call__(self, rep, candidate, semigroup):
                 if rep.ur_depth is not None and rep.sigma > _old_ur_chain(4, rep.ur_depth):
                     found.append((rep, candidate()))
 
